@@ -105,7 +105,10 @@ def _potential(cfg):
     spec = cfg["potential"].strip()
     if spec in ("none", "0"):
         return None
-    return potential_from_spec(spec)
+    try:
+        return potential_from_spec(spec)
+    except ValueError as exc:
+        raise ConfigError(f"potential: {exc}") from exc
 
 
 def _gamma(cfg, U):

@@ -8,15 +8,42 @@ Everything here reduces to integrals of the form
 with sA, sB normalized sine modes on intervals A = [0, lA], B = [0, lB]
 (B placed so that x - y_global = x - y - offset).  The difference variable
 u = x - y - offset is integrated numerically over panels adapted to the
-kinks and support of U; for each u-node the inner integral is a product of
-two cosine expansions and is evaluated in closed form.  Only the frequency
+kinks and support of U, with weights c_u = U(u) w_u; for each u-node the
+inner integral over the overlap [x_lo(u), x_hi(u)] is a product of two
+cosine expansions and is evaluated in closed form.  Only the frequency
 table
 
-    J[m, n] = int du U(u) int dx cos(m pi x / lA) cos(n pi (x-u-offset) / lB)
+    J[m, n] = sum_u c_u int_{x_lo}^{x_hi} cos(a_m x) cos(b_n (x - s_u)) dx,
 
-is accumulated (m <= 2 mA, n <= 2 mB); every g entry is a signed combination
-of four J entries.  Sharply supported potentials cost nothing extra, and
-accuracy is governed by the u-panel rule alone.
+a_m = m pi / lA, b_n = n pi / lB, s_u = u + offset, is accumulated
+(m <= 2 mA, n <= 2 mB); every g entry is a signed combination of four J
+entries.  Sharply supported potentials cost nothing extra, and accuracy is
+governed by the u-panel rule alone.
+
+With y = x - s_u, cos(a x) cos(b y) = (cos(a x + b y) + cos(a x - b y)) / 2
+and, for each sign sigma,
+
+    int cos(a x + sigma b y) dx = [sin(a x) cos(b y)
+                                   + sigma cos(a x) sin(b y)] / (a + sigma b)
+
+between x_lo and x_hi.  The bracket separates in m and n, so its sum over
+all u-nodes is two matrix products over the node axis, (2 mA + 1) x nodes
+times nodes x (2 mB + 1), shared by both signs and followed by one
+elementwise division.
+
+The division is ill-conditioned where w = a_m + sigma b_n is small: the
+bracket is a difference of O(1) numbers carrying a rounding error of about
+eps * phase, which the division turns into eps * phase / |w|, while the
+division-free form
+
+    int cos(w x + p) dx = 2 h cos(w x_mid + p) sinc(w h / pi)
+
+(x_mid, h the midpoint and half-width of [x_lo, x_hi]) errs by about
+eps * phase * h.  Entries with |w| W < 1, W the widest overlap of any node,
+are therefore summed over the nodes in the division-free form: the exact
+zeros m = n of self tables and the near coincidences of cross tables.
+Every other entry then errs by at most eps * phase * W per node, the
+division-free bound at the widest node.
 """
 
 import numpy as np
@@ -85,41 +112,82 @@ def _u_panels(U, lo, hi, extra_edges=(), max_cycles=6.0, dens=1.0):
     return out
 
 
-def _cos_cos_integral(alpha, beta, shift, x_lo, x_hi):
-    """int_{x_lo}^{x_hi} cos(alpha x) cos(beta (x - shift)) dx, vectorized
-    over broadcast arrays alpha, beta."""
-    xm = 0.5 * (x_hi + x_lo)
-    dx2 = 0.5 * (x_hi - x_lo)
+def _u_nodes(U, ellA, ellB, offset, dens, n_nodes):
+    """Nodes of the u-panel rule for x on [0, ellA], y on [0, ellB] and
+    u = x - y - offset.
 
-    def half(omega, phase):
-        return 2.0 * np.cos(omega * xm + phase) * dx2 * np.sinc(omega * dx2 / np.pi)
+    Returns (u, c, x_lo, x_hi) for the nodes that contribute: weight
+    c = U(u) w_u non-zero and a non-empty x-interval [x_lo, x_hi] on which
+    both pieces overlap at that u.  n_nodes(a, b) is the Gauss-Legendre
+    order of panel (a, b).
+    """
+    panels = _u_panels(U, -offset - ellB, ellA - offset,
+                       extra_edges=(-offset, ellA - ellB - offset),
+                       dens=dens)
+    if not panels:
+        return (np.empty(0),) * 4
+    rules = [_gl(a, b, n_nodes(a, b)) for a, b in panels]
+    u = np.concatenate([r[0] for r in rules])
+    c = np.asarray(U(u), dtype=np.float64) * np.concatenate([r[1] for r in rules])
+    x_lo = np.maximum(0.0, u + offset)
+    x_hi = np.minimum(ellA, u + offset + ellB)
+    keep = (c != 0.0) & (x_hi > x_lo)
+    return u[keep], c[keep], x_lo[keep], x_hi[keep]
 
-    return 0.5 * (half(alpha + beta, -beta * shift)
-                  + half(alpha - beta, beta * shift))
+
+# u-nodes per matrix product in frequency_table: bounds each (2 mA + 1) x
+# 2 _NODE_CHUNK trigonometric table (16 MB at mA = 1000)
+_NODE_CHUNK = 512
+# (entry, node) cells per block of the small-w fallback
+_FALLBACK_CELLS = 1 << 21
+
+
+def _sinc_sums(c, s, xm, h, omega, b):
+    """sum_u c_u int cos(omega x - b s_u) dx over [xm_u - h_u, xm_u + h_u],
+    for the entry arrays omega and b, in the division-free form
+    2 h cos(omega xm - b s) sinc(omega h / pi)."""
+    out = np.empty(len(omega))
+    step = max(1, _FALLBACK_CELLS // len(c))
+    ch = 2.0 * c * h
+    for k in range(0, len(omega), step):
+        w, bk = omega[k:k + step, None], b[k:k + step, None]
+        out[k:k + step] = (np.cos(w * xm - bk * s) * np.sinc(w * h / np.pi)) @ ch
+    return out
 
 
 def frequency_table(U, ellA, mA, ellB, mB, offset, nodes_per_panel=32):
     """Accumulate J[m, n], 0 <= m <= 2 mA, 0 <= n <= 2 mB (see module doc)."""
-    u_lo = -offset - ellB
-    u_hi = ellA - offset
-    dens = mA / ellA + mB / ellB
-    panels = _u_panels(U, u_lo, u_hi,
-                       extra_edges=(-offset, ellA - ellB - offset),
-                       dens=dens)
-    alpha = (np.pi / ellA) * np.arange(2 * mA + 1)[:, None]
-    beta = (np.pi / ellB) * np.arange(2 * mB + 1)[None, :]
-    J = np.zeros((2 * mA + 1, 2 * mB + 1))
-    for a, b in panels:
-        uq, wu = _gl(a, b, nodes_per_panel)
-        Uu = np.asarray(U(uq), dtype=np.float64) * wu
-        for u, cu in zip(uq, Uu):
-            if cu == 0.0:
-                continue
-            x_lo = max(0.0, u + offset)
-            x_hi = min(ellA, u + offset + ellB)
-            if x_hi <= x_lo:
-                continue
-            J += cu * _cos_cos_integral(alpha, beta, u + offset, x_lo, x_hi)
+    u, c, x_lo, x_hi = _u_nodes(U, ellA, ellB, offset,
+                                mA / ellA + mB / ellB,
+                                lambda a, b: nodes_per_panel)
+    alpha = (np.pi / ellA) * np.arange(2 * mA + 1)
+    beta = (np.pi / ellB) * np.arange(2 * mB + 1)
+    if len(u) == 0:
+        return np.zeros((len(alpha), len(beta)))
+    s = u + offset
+    # P = sum_u c_u [sin(a x) cos(b y)], Q = sum_u c_u [cos(a x) sin(b y)],
+    # brackets taken between x_lo and x_hi, with y = x - s_u
+    P = np.zeros((len(alpha), len(beta)))
+    Q = np.zeros_like(P)
+    for k in range(0, len(u), _NODE_CHUNK):
+        part = slice(k, k + _NODE_CHUNK)
+        x = np.concatenate((x_hi[part], x_lo[part]))
+        y = x - np.concatenate((s[part], s[part]))
+        cy = np.concatenate((c[part], -c[part]))[:, None]
+        ax = np.outer(alpha, x)
+        by = np.outer(y, beta)
+        P += np.sin(ax) @ (cy * np.cos(by))
+        Q += np.cos(ax) @ (cy * np.sin(by))
+    xm, h = 0.5 * (x_hi + x_lo), 0.5 * (x_hi - x_lo)
+    width = np.max(x_hi - x_lo)
+    J = np.zeros_like(P)
+    for sign in (1.0, -1.0):
+        omega = alpha[:, None] + sign * beta[None, :]
+        small = np.abs(omega) * width < 1.0
+        T = (P + sign * Q) / np.where(small, 1.0, omega)
+        i, j = np.nonzero(small)
+        T[i, j] = _sinc_sums(c, s, xm, h, omega[i, j], sign * beta[j])
+        J += 0.5 * T
     return J
 
 
@@ -180,25 +248,17 @@ def cross_density_integral(U, dens_a, ell_a, dens_b, ell_b, gap, n_inner=96):
     """int int U(x - y) rho_a(x) rho_b(y) for densities on two pieces at
     distance gap (piece b to the right of piece a).
 
-    dens_a, dens_b are callables on local coordinates [0, ell].
+    dens_a, dens_b are vectorized callables on local coordinates [0, ell];
+    each is called once, on all quadrature nodes.
     """
     offset = ell_a + gap
-    u_lo, u_hi = -offset - ell_b, ell_a - offset
-    panels = _u_panels(U, u_lo, u_hi,
-                       extra_edges=(-offset, ell_a - ell_b - offset),
-                       dens=0.25)
-    total = 0.0
-    for (a, b) in panels:
-        n_u = max(24, int(2.0 * (b - a)) + 8)
-        uq, wu = _gl(a, b, n_u)
-        Uu = np.asarray(U(uq), dtype=np.float64) * wu
-        for u, cu in zip(uq, Uu):
-            if cu == 0.0:
-                continue
-            x_lo = max(0.0, u + offset)
-            x_hi = min(ell_a, u + offset + ell_b)
-            if x_hi <= x_lo:
-                continue
-            xs, wx = _gl(x_lo, x_hi, n_inner)
-            total += cu * np.sum(wx * dens_a(xs) * dens_b(xs - u - offset))
-    return total
+    u, c, x_lo, x_hi = _u_nodes(U, ell_a, ell_b, offset, 0.25,
+                                lambda a, b: max(24, int(2.0 * (b - a)) + 8))
+    if len(u) == 0:
+        return 0.0
+    t, wt = _gl(-1.0, 1.0, n_inner)
+    h = 0.5 * (x_hi - x_lo)[:, None]
+    xs = h * t + 0.5 * (x_lo + x_hi)[:, None]
+    rho_a = dens_a(xs.ravel()).reshape(xs.shape)
+    rho_b = dens_b((xs - u[:, None] - offset).ravel()).reshape(xs.shape)
+    return float(c @ np.sum(h * wt * rho_a * rho_b, axis=1))

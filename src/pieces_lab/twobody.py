@@ -105,25 +105,29 @@ class TwoBodySolution:
         self.energy = energy
         self.coeffs = coeffs
         self.residual = residual
+        self._rdm1 = None
 
     def antisym_coeff_matrix(self):
         """A with zeta(x,y) = sum_ab A[a,b] s_{a+1}(x) s_{b+1}(y)."""
+        i, j = (np.array(self.pairs) - 1).T
         A = np.zeros((self.M, self.M))
-        for c, (i, j) in zip(self.coeffs, self.pairs):
-            A[i - 1, j - 1] = c / np.sqrt(2.0)
-            A[j - 1, i - 1] = -c / np.sqrt(2.0)
+        A[i, j] = self.coeffs / np.sqrt(2.0)
+        A[j, i] = -self.coeffs / np.sqrt(2.0)
         return A
 
     def one_body_rdm(self):
-        """1-RDM matrix in the sine-mode basis (trace 2)."""
-        A = self.antisym_coeff_matrix()
-        return 2.0 * A @ A.T
+        """1-RDM matrix in the sine-mode basis (trace 2), built on first use
+        and returned read-only."""
+        if self._rdm1 is None:
+            A = self.antisym_coeff_matrix()
+            self._rdm1 = 2.0 * A @ A.T
+            self._rdm1.flags.writeable = False
+        return self._rdm1
 
     def density(self, x):
         """Diagonal of the 1-RDM kernel: particle density at local x."""
         S = sine_modes(self.M, self.ell, np.atleast_1d(x))
-        g1 = self.one_body_rdm()
-        return np.einsum("ax,ab,bx->x", S, g1, S)
+        return np.sum(S * (self.one_body_rdm() @ S), axis=0)
 
     def evaluate(self, x, y):
         A = self.antisym_coeff_matrix()
@@ -193,7 +197,9 @@ _solve_cache = {}
 
 
 def _potential_key(U):
-    """Hashable identity for caching solves; falls back to object id."""
+    """Hashable key for caching solves: the parameters of a built-in family,
+    else the potential object itself, which the cache then keeps alive (a
+    bare id could be reused by a new object once the old one is freed)."""
     fam = U.family
     if fam == "box":
         return (fam, U.height, U.radius)
@@ -203,7 +209,7 @@ def _potential_key(U):
         return (fam, U.amplitude, U.exponent, U.scale)
     if fam in ("truncated", "residual"):
         return (fam, _potential_key(U.base), U.cutoff)
-    return (fam, id(U))
+    return (fam, U)
 
 
 def gamma_via_fit(U, ell_list, M=24, rtol=1e-6):

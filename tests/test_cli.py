@@ -94,8 +94,17 @@ def test_seed_override(tmp_path):
     assert summary["seeds"] == [11]
 
 
+def test_malformed_potential_exit_code(tmp_path):
+    for spec in ("box height", "box height=abc", "wall height=1"):
+        cfg = _cfg(tmp_path, BASE.replace("box height=1 radius=1", spec))
+        assert main(["two-body", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+
+
 def test_check_mode_free_energy(tmp_path):
-    # L = 5000 at rho = 0.1 over 2 seeds still meets the 2% band
+    # L = 5000 at rho = 0.1 over 2 seeds misses the 2% band (mean relative
+    # difference about 2.7%, exit 4); what is checked is that --check
+    # reports its verdict both in the exit code and in the summary
     out = tmp_path / "out"
     rc = main(["free-energy", "--config", str(_cfg(tmp_path)),
                "--check", "--out", str(out)])

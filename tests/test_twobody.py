@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pieces_lab.potential import BoxPotential, ExponentialPotential
+from pieces_lab.potential import (BoxPotential, ExponentialPotential,
+                                  TabulatedPotential)
 from pieces_lab.twobody import (astar_xstar, free_pair_state, gamma_star,
                                 gamma_via_K, gamma_via_fit,
                                 pair_matrix_element, solve_two_body)
@@ -46,6 +47,22 @@ def test_solution_density_trace():
     sol = solve_two_body(U, 8.0, M=12)
     x = np.linspace(0, 8.0, 4001)
     assert np.trapezoid(sol.density(x), x) == pytest.approx(2.0, abs=1e-6)
+
+
+def test_solve_cache_keeps_tables_apart():
+    # tables are cached by object; a freed table's id, which the allocator
+    # soon hands to a new object, must not select the freed table's solve
+    grid = np.linspace(0.0, 1.0, 101)
+    U1 = TabulatedPotential(grid, np.ones_like(grid))
+    e1 = solve_two_body(U1, 6.0, M=12, rtol=1e-4).energy
+    freed = id(U1)
+    del U1
+    tables = [TabulatedPotential(grid, 5.0 * np.ones_like(grid))
+              for _ in range(20)]
+    U5 = next((U for U in tables if id(U) == freed), tables[0])
+    e5 = solve_two_body(U5, 6.0, M=12, rtol=1e-4).energy
+    assert e1 == pytest.approx(1.43119, abs=1e-5)
+    assert e5 == pytest.approx(1.57685, abs=1e-5)
 
 
 def test_one_body_rdm_properties():

@@ -4,10 +4,24 @@ The n-particle Hamiltonian with a repulsive pair potential U is block
 diagonal over occupation vectors Q (particles per piece): orbitals in
 distinct pieces have disjoint supports, so any matrix element moving a
 particle between pieces vanishes identically.  This module provides the
-occupation bookkeeping, determinant (CI) bases within a block, the
-Slater-Condon matrix elements built on the quadrature g-tensors, exact
-ground states for tiny n, and pointwise wedge evaluators for states
-living on disjoint pieces.
+occupation bookkeeping, determinant (CI) bases within a block, the block
+Hamiltonians built on the quadrature g-tensors, exact ground states for
+tiny n, and pointwise wedge evaluators for states living on disjoint
+pieces.
+
+A block Hamiltonian is assembled by pair removal.  A block's determinants
+are rows of increasing indices into its orbital list, and the pair
+interaction has the antisymmetrized tensor A[p,q,r,s] = g(p,q,r,s) -
+g(p,q,s,r) over those orbitals.  Removing the pair at positions i < j of a
+determinant D leaves an (n-2)-orbital remainder R, with sign
+(-1)^(i+j-1).  Two determinants that share a remainder couple through
+s_D s_D' A[p,q,p',q'], and summing over all shared remainders gives the
+Slater-Condon elements for 0, 1 and 2 differing orbitals.  So the
+removals are sorted by remainder, and each group adds one dense block
+s s^T * A[p,q,p',q'] to H.  The same grouping with one or two removals
+gives the RDMs of a CIState (rdm.py).  The per-element rule
+`_slater_condon` is kept for `block_overlap`, which couples different
+blocks, and as the reference in tests.
 """
 
 import itertools
@@ -19,9 +33,6 @@ from scipy.linalg import eigh
 from .quadrature import cross_g_tensor, interaction_g_tensor, sine_modes
 
 __all__ = [
-    "dist1",
-    "dist0",
-    "restrict_occupation",
     "enumerate_occupations",
     "kinetic_lower_bound",
     "free_filling_bound",
@@ -42,36 +53,6 @@ DIMENSION_CAP = 200_000
 
 # ---------------------------------------------------------------------------
 # occupation vectors
-
-
-def dist1(Q1, Q2):
-    """l^1 distance sum |Q1_i - Q2_i|."""
-    Q1, Q2 = np.asarray(Q1), np.asarray(Q2)
-    if Q1.shape != Q2.shape:
-        raise ValueError("occupation length mismatch")
-    return int(np.abs(Q1 - Q2).sum())
-
-
-def dist0(Q1, Q2):
-    """Hamming distance: number of pieces with different occupation."""
-    Q1, Q2 = np.asarray(Q1), np.asarray(Q2)
-    if Q1.shape != Q2.shape:
-        raise ValueError("occupation length mismatch")
-    return int((Q1 != Q2).sum())
-
-
-def restrict_occupation(Q, keep):
-    """Sub-occupation over the pieces selected by the boolean mask/predicate.
-
-    `keep` is either a boolean array over pieces or a callable applied to
-    piece indices.
-    """
-    Q = np.asarray(Q)
-    if callable(keep):
-        mask = np.array([bool(keep(i)) for i in range(len(Q))])
-    else:
-        mask = np.asarray(keep, dtype=bool)
-    return Q[mask].copy()
 
 
 def enumerate_occupations(n_pieces, n, cap=None):
@@ -251,6 +232,58 @@ class TwoElectronIntegrals:
             return float(t[kp - 1, kr - 1, kq - 1, ks - 1])
         return float(t[kq - 1, ks - 1, kp - 1, kr - 1])
 
+    def antisymmetrized(self, Q):
+        """Dense A[p,q,r,s] = g(p,q,r,s) - g(p,q,s,r) over the orbitals
+        (piece, k), k <= M, of the pieces with Q_j > 0, in (piece, k) order.
+
+        Only the tables a Q-block can reach are built: the same-piece table
+        of a piece holding at least two particles, and the cross table of
+        each pair of occupied pieces (None, hence zero, beyond the range).
+        """
+        occ = [j for j, q in enumerate(Q) if q > 0]
+        m = self.M
+        G = np.zeros((m * len(occ),) * 4)
+        if self.U is not None:
+            blk = [slice(m * a, m * (a + 1)) for a in range(len(occ))]
+            for a, ja in enumerate(occ):
+                # table layout [a, b, c, d] = s_a s_b in x, s_c s_d in y, while
+                # g(p, q, r, s) has p, r in x and q, s in y
+                if Q[ja] >= 2:
+                    G[blk[a], blk[a], blk[a], blk[a]] = \
+                        self._same_table(ja).transpose(0, 2, 1, 3)
+                for b in range(a + 1, len(occ)):
+                    t = self._cross_table(ja, occ[b])
+                    if t is not None:
+                        G[blk[a], blk[b], blk[a], blk[b]] = t.transpose(0, 2, 1, 3)
+                        G[blk[b], blk[a], blk[b], blk[a]] = t.transpose(2, 0, 3, 1)
+        return G - G.transpose(0, 1, 3, 2)
+
+
+def removals(det_index, k):
+    """Every removal of k orbitals from every determinant, grouped by the
+    (n-k)-orbital remainder it leaves.
+
+    det_index is a (dim, n) array of increasing orbital indices.  Returns
+    (rows, removed, sign, group), sorted by remainder: the determinant row,
+    the (entries, k) removed orbitals in increasing order, the sign
+    (-1)^(i_1 + ... + i_k - k(k-1)/2) of taking them out at positions
+    i_1 < ... < i_k, and the remainder's group number 0, 1, ...  Within a
+    group each determinant and each removed k-set occurs at most once.
+    """
+    dim, n = det_index.shape
+    pos = np.array(list(itertools.combinations(range(n), k)),
+                   dtype=np.intp).reshape(-1, k)
+    # max(.., 0): no removal exists when k > n
+    keep = np.array([[i for i in range(n) if i not in c] for c in pos.tolist()],
+                    dtype=np.intp).reshape(len(pos), max(n - k, 0))
+    rows = np.repeat(np.arange(dim), len(pos))
+    removed = det_index[:, pos].reshape(len(rows), k)
+    rest = det_index[:, keep].reshape(len(rows), keep.shape[1])
+    sign = np.tile(1.0 - 2.0 * ((pos.sum(1) - k * (k - 1) // 2) % 2), dim)
+    _, group = np.unique(rest, axis=0, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    return rows[order], removed[order], sign[order], group[order]
+
 
 def _slater_condon(D1, D2, g, lengths):
     """Matrix element of sum_{i<j} U(x_i - x_j) between sorted determinants
@@ -284,9 +317,11 @@ def _slater_condon(D1, D2, g, lengths):
 class BlockBasis:
     """Determinant basis of a fixed-occupation block.
 
-    Determinants are tuples of orbitals (piece, k) sorted by (piece, k);
-    the basis is the product over pieces of the k-subsets of the first M
-    local levels.
+    orbitals lists the (piece, k), k <= M, of the pieces with Q_j > 0 in
+    (piece, k) order; det_index is the (dim, n) array of each determinant's
+    increasing indices into it.  The basis is the product over pieces of the
+    Q_j-subsets of the first M local levels, the first piece varying
+    slowest.
     """
 
     def __init__(self, intervals, Q, M):
@@ -304,27 +339,53 @@ class BlockBasis:
             raise ValueError(
                 "block dimension %d exceeds cap %d for Q=%s" % (dim, DIMENSION_CAP, self.Q)
             )
-        per_piece = [
-            [tuple((j, k) for k in combo)
-             for combo in itertools.combinations(range(1, self.M + 1), q)]
-            for j, q in enumerate(self.Q)
-        ]
-        self.determinants = [
-            tuple(o for part in prod for o in part)
-            for prod in itertools.product(*per_piece)
-        ]
+        occ = [j for j, q in enumerate(self.Q) if q > 0]
+        self.orbitals = [(j, k) for j in occ for k in range(1, self.M + 1)]
+        det = np.zeros((1, 0), dtype=np.intp)
+        for a, j in enumerate(occ):
+            part = np.array(list(itertools.combinations(range(self.M), self.Q[j])),
+                            dtype=np.intp) + self.M * a
+            det = np.hstack([np.repeat(det, len(part), axis=0),
+                             np.tile(part, (len(det), 1))])
+        self.det_index = det
         self.lengths = np.array([l for _, l in self.intervals])
 
     @property
     def dim(self):
-        return len(self.determinants)
+        return len(self.det_index)
+
+    @property
+    def n(self):
+        return sum(self.Q)
+
+    @property
+    def determinants(self):
+        """The determinants as tuples of (piece, k) orbitals."""
+        return [tuple(self.orbitals[i] for i in row) for row in self.det_index.tolist()]
 
     def hamiltonian(self, g):
-        dets = self.determinants
-        H = np.zeros((len(dets), len(dets)))
-        for i, D1 in enumerate(dets):
-            for j in range(i, len(dets)):
-                H[i, j] = H[j, i] = _slater_condon(D1, dets[j], g, self.lengths)
+        """Block Hamiltonian: kinetic diagonal plus sum_{i<j} U(x_i - x_j).
+
+        With D = R + {p, q} for every pair p < q at positions i < j of D
+        and s_D = (-1)^(i+j-1), <D| W |D'> = sum over shared (n-2)-remainders
+        R of s_D s_D' A[p, q, p', q'].  Grouping the pair removals by R makes
+        each group one dense update; this covers the Slater-Condon cases of
+        0, 1 and 2 differing orbitals at once.
+        """
+        if g.M != self.M:
+            raise ValueError("integrals and basis use different truncations M")
+        ks = np.array([k for _, k in self.orbitals], dtype=float)
+        ls = self.lengths[[j for j, _ in self.orbitals]]
+        eps = np.pi ** 2 * ks ** 2 / ls ** 2
+        H = np.diag(eps[self.det_index].sum(1))
+        if self.n < 2:
+            return H
+        A = g.antisymmetrized(self.Q)
+        rows, pq, sign, group = removals(self.det_index, 2)
+        cuts = np.flatnonzero(np.diff(group)) + 1
+        for r, (p, q), s in zip(np.split(rows, cuts), np.split(pq.T, cuts, axis=1),
+                                np.split(sign, cuts)):
+            H[np.ix_(r, r)] += np.outer(s, s) * A[p[:, None], q[:, None], p, q]
         return H
 
 
@@ -349,8 +410,7 @@ class CIState:
 
     def orbital_list(self):
         """Orbitals (piece, k), k <= M, of the occupied pieces."""
-        return [(j, k) for j in range(len(self.basis.intervals))
-                if self.basis.Q[j] > 0 for k in range(1, self.basis.M + 1)]
+        return list(self.basis.orbitals)
 
 
 def solve_piece_qbody(U, ell, q, M=16, n_states=4):

@@ -139,26 +139,33 @@ def build_psi_opt(cfg, rho, gamma, mu=1.0):
                 del fill[j]
     if deficit > 0:
         # the capped long-piece capacity ~equals the mean deficit at desk
-        # scale, so about half of all realizations spill over.  Place the
-        # remainder on the globally lowest free marginal levels among pieces
-        # the bands left empty (mostly pieces just below the single band,
-        # whose first level sits just above the Fermi energy).
-        pool = ((occ > 0) & (lengths >= hi)) | (occ == 0)
-        heap = [((np.pi * (occ[j] + 1) / lengths[j]) ** 2, int(j))
-                for j in np.nonzero(pool)[0]]
-        heapq.heapify(heap)
-        while deficit > 0 and heap:
-            _, j = heapq.heappop(heap)
-            occ[j] += 1
-            tags[j] = FILLED
-            deficit -= 1
-            heapq.heappush(heap, ((np.pi * (occ[j] + 1) / lengths[j]) ** 2, j))
+        # scale, so about half of all realizations spill over
+        deficit = _spill_over(occ, tags, lengths, hi, deficit)
     if deficit > 0:
         raise ValueError("not enough pieces to complete the particle count")
     return StatePlan(occ, tags, {
         "ell_rho": ell_rho, "A_star": A, "x_star": x,
         "lo": lo, "mid": mid, "hi": hi, "n": n, "rho": rho, "mu": mu,
     })
+
+
+def _spill_over(occ, tags, lengths, hi, deficit):
+    """Place the remaining deficit on the globally lowest free marginal
+    levels among pieces the bands left empty (mostly pieces just below the
+    single band, whose first level sits just above the Fermi energy) and
+    occupied pieces of length >= hi.  Updates occ and tags in place and
+    returns the deficit left when the pool runs out."""
+    idx = np.nonzero(((occ > 0) & (lengths >= hi)) | (occ == 0))[0]
+    heap = list(zip(((np.pi * (occ[idx] + 1) / lengths[idx]) ** 2).tolist(),
+                    idx.tolist()))
+    heapq.heapify(heap)
+    while deficit > 0 and heap:
+        _, j = heapq.heappop(heap)
+        occ[j] += 1
+        tags[j] = FILLED
+        deficit -= 1
+        heapq.heappush(heap, ((np.pi * (occ[j] + 1) / lengths[j]) ** 2, j))
+    return deficit
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import itertools
 import numpy as np
 from scipy.linalg import svdvals
 
+from .manybody import removals
+
 __all__ = [
     "DensityMatrix",
     "rdm1",
@@ -73,20 +75,9 @@ def _remove(det, orbs):
 
 def rdm1(state):
     """One-particle RDM gamma[p, r] = <a^dag_r a_p> by contraction."""
-    modes, amps = _det_amplitudes(state)
-    dim = len(modes)
-    midx = {m: i for i, m in enumerate(modes)}
-    gamma = np.zeros((dim, dim))
-    # group determinants by their (n-1)-subsets
-    buckets = {}
-    for det, c in amps.items():
-        for p in det:
-            rest, sign = _remove(det, (p,))
-            buckets.setdefault(rest, []).append((p, sign * c))
-    for entries in buckets.values():
-        for (p, cp), (r, cr) in itertools.product(entries, entries):
-            gamma[midx[p], midx[r]] += cp * cr
-    return DensityMatrix(modes, gamma, 1)
+    if hasattr(state, "basis"):
+        return _grouped_rdm(state, 1)
+    return _bucket_rdm(state, 1)
 
 
 def pair_index(modes):
@@ -97,19 +88,50 @@ def pair_index(modes):
 def rdm2(state):
     """Two-particle RDM gamma2[(p,q),(r,s)] = <a^dag_r a^dag_s a_q a_p>,
     pairs ordered p < q; trace n(n-1)/2."""
+    if hasattr(state, "basis"):
+        return _grouped_rdm(state, 2)
+    return _bucket_rdm(state, 2)
+
+
+def _bucket_rdm(state, order):
+    """Order-1 or order-2 RDM by dict buckets of determinants keyed by their
+    (n - order)-subsets: the path for a TwoBodySolution, and the reference
+    for the CIState path."""
     modes, amps = _det_amplitudes(state)
-    pairs = pair_index(modes)
-    pidx = {pq: i for i, pq in enumerate(pairs)}
-    gamma = np.zeros((len(pairs), len(pairs)))
+    labels = modes if order == 1 else pair_index(modes)
+    idx = {m: i for i, m in enumerate(labels)}
+    gamma = np.zeros((len(labels), len(labels)))
     buckets = {}
     for det, c in amps.items():
-        for pq in itertools.combinations(det, 2):
-            rest, sign = _remove(det, pq)
-            buckets.setdefault(rest, []).append((pq, sign * c))
+        for rm in itertools.combinations(det, order):
+            rest, sign = _remove(det, rm)
+            buckets.setdefault(rest, []).append((rm if order == 2 else rm[0], sign * c))
     for entries in buckets.values():
-        for (pq, cp), (rs, cr) in itertools.product(entries, entries):
-            gamma[pidx[pq], pidx[rs]] += cp * cr
-    return DensityMatrix(pairs, gamma, 2)
+        for (a, ca), (b, cb) in itertools.product(entries, entries):
+            gamma[idx[a], idx[b]] += ca * cb
+    return DensityMatrix(labels, gamma, order)
+
+
+def _grouped_rdm(state, order):
+    """Order-1 or order-2 RDM of a CIState from its determinant index array.
+
+    Removing `order` orbitals from every determinant and grouping by the
+    remainder, each group adds the outer product (s c)(s c)^T over the
+    removed modes (or mode pairs); as rows of X, the groups give X^T X.
+    """
+    basis = state.basis
+    modes = basis.orbitals
+    rows, removed, sign, group = removals(basis.det_index, order)
+    if order == 1:
+        labels, col = modes, removed[:, 0]
+    else:
+        # position of (p, q), p < q, in pair_index order
+        m = len(modes)
+        p, q = removed.T
+        labels, col = pair_index(modes), p * m - p * (p + 1) // 2 + q - p - 1
+    X = np.zeros((group.max() + 1 if len(group) else 0, len(labels)))
+    X[group, col] = sign * state.coeffs[rows]
+    return DensityMatrix(labels, X.T @ X, order)
 
 
 def _det_amplitudes(state):

@@ -170,7 +170,9 @@ def solve_two_body(U, ell, M=24, rtol=1e-6, max_dim=30000):
         V = pair_reduced_matrix(U, ell, pairs)
         free = np.array([np.pi ** 2 * (i * i + j * j) / ell ** 2
                          for i, j in pairs])
-        H = V + np.diag(free)
+        # in place: V is dense n x n (about 0.5 GB at ell=160)
+        H = V
+        H[np.diag_indices_from(H)] += free
         sub = np.array([j <= M or (j - i <= D and j <= K) for i, j in pairs])
         e0, c0 = _ground_state(H[np.ix_(sub, sub)])
         # second-order estimate of what the enlarged basis would add; the

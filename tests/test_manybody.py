@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from pieces_lab.manybody import (BlockBasis, TwoElectronIntegrals,
-                                 block_overlap, enumerate_occupations,
+                                 _slater_condon, block_overlap,
+                                 enumerate_occupations,
                                  exact_ground_state_small, free_filling_bound,
                                  free_occupation_energy, kinetic_lower_bound,
                                  occupation_block_energy, solve_block,
                                  solve_piece_qbody, wedge)
-from pieces_lab.potential import BoxPotential
+from pieces_lab.potential import BoxPotential, ExponentialPotential
 from pieces_lab.twobody import solve_two_body
 
 U = BoxPotential(1.0, 1.0)
@@ -123,3 +124,54 @@ def test_free_filling_bound_holds():
     intervals = [(0.0, 8.0), (9.0, 4.0)]
     energy, Q, _, _ = exact_ground_state_small(intervals, 2, U, M=8)
     assert free_filling_bound([8.0, 4.0], Q) <= energy + 1e-12
+
+
+def _slater_condon_hamiltonian(basis, g):
+    """Reference: the per-element Slater-Condon double loop."""
+    dets = basis.determinants
+    H = np.zeros((basis.dim, basis.dim))
+    for i, D1 in enumerate(dets):
+        for j in range(i, len(dets)):
+            H[i, j] = H[j, i] = _slater_condon(D1, dets[j], g, basis.lengths)
+    return H
+
+
+# gaps 0 (touching) and 0.6 lie inside the box range 1; gap 1.0 equals it,
+# and gap 35 lies beyond the exponential's effective radius, so those pairs
+# get no cross table
+NEAR = [(0.0, 5.0), (5.0, 4.0), (9.6, 6.0)]
+FAR = [(0.0, 5.0), (6.0, 4.0), (45.0, 6.0)]
+BLOCKS = [
+    (NEAR[:1], (1,)), (NEAR[:1], (2,)), (NEAR[:1], (3,)),
+    (NEAR[:2], (1, 1)), (NEAR[:2], (2, 1)), (NEAR, (1, 1, 1)),
+    (NEAR, (1, 0, 2)), (FAR[:2], (1, 1)), (FAR[:2], (1, 2)),
+    (FAR, (1, 1, 1)), (FAR, (2, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("U", [None, BoxPotential(0.0, 1.0), U,
+                               ExponentialPotential(1.0, 1.0)],
+                         ids=["none", "box0", "box1", "exp"])
+@pytest.mark.parametrize("intervals,Q", BLOCKS)
+def test_block_hamiltonian_matches_slater_condon(intervals, Q, U):
+    M = 5
+    basis = BlockBasis(intervals, Q, M)
+    g = TwoElectronIntegrals(intervals, U, M)
+    H = basis.hamiltonian(g)
+    ref_g = TwoElectronIntegrals(intervals, U, M)
+    ref = _slater_condon_hamiltonian(basis, ref_g)
+    assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the assembly builds the tables the per-element rule touches, no more
+    assert sorted(g._same) == sorted(ref_g._same)
+    assert {k: t is None for k, t in g._cross.items()} == \
+        {k: t is None for k, t in ref_g._cross.items()}
+
+
+def test_single_occupancy_builds_no_same_piece_table():
+    intervals = [(0.0, 5.0), (5.0, 4.0), (9.0, 6.0)]  # touching pieces
+    g = TwoElectronIntegrals(intervals, U, 6)
+    BlockBasis(intervals, (1, 1, 1), 6).hamiltonian(g)
+    assert g._same == {}
+    # pieces 0 and 2 lie 4.0 apart, beyond the box range
+    assert {k: t is None for k, t in g._cross.items()} == \
+        {(0, 1): False, (0, 2): True, (1, 2): False}

@@ -1,6 +1,9 @@
+import heapq
+
 import numpy as np
 import pytest
 
+from pieces_lab import optstate
 from pieces_lab.disorder import from_lengths, sample_pieces
 from pieces_lab.optstate import (banded_fraction_prediction,
                                  banded_particle_count, build_psi_opt,
@@ -111,3 +114,37 @@ def test_cross_piece_bound_compact_trivial():
 def test_neighbor_ladder_decay():
     out = neighbor_energy_ladder(U, ells=(5.0, 10.0, 20.0), M=8)
     assert out["fitted_order"] <= -4.0
+
+
+def _spill_over_per_piece(occ, tags, lengths, hi, deficit):
+    """Reference: the spill-over heap built piece by piece."""
+    pool = ((occ > 0) & (lengths >= hi)) | (occ == 0)
+    heap = [((np.pi * (occ[j] + 1) / lengths[j]) ** 2, int(j))
+            for j in np.nonzero(pool)[0]]
+    heapq.heapify(heap)
+    while deficit > 0 and heap:
+        _, j = heapq.heappop(heap)
+        occ[j] += 1
+        tags[j] = "filled"
+        deficit -= 1
+        heapq.heappush(heap, ((np.pi * (occ[j] + 1) / lengths[j]) ** 2, j))
+    return deficit
+
+
+def test_spill_over_matches_per_piece_heap(monkeypatch):
+    seen = []
+    spill = optstate._spill_over
+
+    def record(occ, tags, lengths, hi, deficit):
+        seen.append((occ.copy(), list(tags), lengths, hi, deficit))
+        return spill(occ, tags, lengths, hi, deficit)
+
+    monkeypatch.setattr(optstate, "_spill_over", record)
+    for seed in (0, 4, 9):  # samples whose bands and long pieces fall short
+        cfg = sample_pieces(seed, 1e5, 1.0)
+        plan = build_psi_opt(cfg, 0.05, GAMMA)
+        occ, tags, lengths, hi, deficit = seen.pop()
+        assert deficit > 0
+        assert _spill_over_per_piece(occ, tags, lengths, hi, deficit) == 0
+        assert np.array_equal(plan.occupation, occ)
+        assert plan.tags == tags

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from pieces_lab.manybody import solve_block
 from pieces_lab.potential import BoxPotential
-from pieces_lab.rdm import (antisymmetrized_product, coefficient_distance_bound,
+from pieces_lab.rdm import (_bucket_rdm, antisymmetrized_product,
+                            coefficient_distance_bound,
                             factorized_rdm, pair_index, rdm1, rdm2,
                             trace_norm_distance)
 from pieces_lab.twobody import solve_two_body
@@ -37,6 +38,20 @@ def test_rdm_traces_ci_state():
     g1, g2 = rdm1(states[0]), rdm2(states[0])
     assert g1.trace == pytest.approx(3.0, abs=1e-10)
     assert g2.trace == pytest.approx(3.0, abs=1e-10)  # 3 * 2 / 2
+
+
+@pytest.mark.parametrize("intervals,Q", [
+    ([(0.0, 7.0)], (1,)), ([(0.0, 7.0)], (3,)),
+    ([(0.0, 7.0), (7.5, 6.0)], (1, 1)), ([(0.0, 7.0), (8.5, 6.0)], (2, 1)),
+    ([(0.0, 7.0), (7.0, 6.0), (13.5, 5.0)], (1, 1, 1)),
+    ([(0.0, 7.0), (7.0, 6.0), (13.5, 5.0)], (1, 0, 2)),
+])
+def test_grouped_rdm_matches_buckets(intervals, Q):
+    _, states = solve_block(intervals, Q, U, M=6, n_states=1)
+    for order, fn in ((1, rdm1), (2, rdm2)):
+        got, ref = fn(states[0]), _bucket_rdm(states[0], order)
+        assert got.modes == ref.modes
+        assert np.abs(got.matrix - ref.matrix).max() <= 1e-14
 
 
 def test_slater_two_rdm_identity():

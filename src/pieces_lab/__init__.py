@@ -14,8 +14,6 @@ particles interact through a pair potential U.  The modules cover:
     rdm        one- and two-particle reduced density matrices
     optstate   banded trial states and the second-order energy expansion
     cli        seeded experiment harness (``pieces-lab`` entry point)
-
-Set PIECES_LAB_NO_NUMBA=1 to force the pure-numpy kernel fallbacks.
 """
 
 from .disorder import (PieceConfiguration, count_neighbor_pairs,
@@ -31,8 +29,8 @@ from .potential import (BoxPotential, ExponentialPotential,
                         InteractionPotential, PolynomialPotential,
                         TabulatedPotential, check_HU, f_Z, potential_from_spec,
                         split_principal, tail_Z)
-from .twobody import (TwoBodySolution, astar_xstar, compare_two_body_states,
-                      free_pair_state, gamma_star, gamma_via_K, gamma_via_fit,
+from .twobody import (TwoBodySolution, astar_xstar, free_pair_state,
+                      gamma_star, gamma_via_K, gamma_via_fit,
                       pair_matrix_element, solve_two_body)
 from .manybody import (BlockBasis, CIState, TwoElectronIntegrals,
                        block_overlap, enumerate_occupations,
@@ -41,7 +39,7 @@ from .manybody import (BlockBasis, CIState, TwoElectronIntegrals,
                        solve_block, solve_piece_qbody, wedge)
 from .rdm import (DensityMatrix, antisymmetrized_product,
                   coefficient_distance_bound, factorized_rdm, pair_index,
-                  piece_projector, rdm1, rdm2, trace_norm_distance)
+                  rdm1, rdm2, trace_norm_distance)
 from .optstate import (StatePlan, asymptotics_check, banded_fraction_prediction,
                        banded_particle_count, build_psi_opt,
                        cross_piece_bound_check, energy_of_plan,

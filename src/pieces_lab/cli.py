@@ -40,7 +40,7 @@ KNOWN_KEYS = {
     "model": {"L", "mu", "rho", "n", "potential", "gamma_source", "gamma"},
     "numeric": {"M", "rtol", "B", "ell_list", "grid_points", "alpha",
                 "e_max", "instances"},
-    "run": {"seed", "replicas", "out", "parallel"},
+    "run": {"seed", "replicas", "out"},
 }
 
 DEFAULTS = {
@@ -49,12 +49,11 @@ DEFAULTS = {
     "gamma": None,
     "M": 24, "rtol": 1e-6, "B": 3.0, "ell_list": "20,40,80",
     "grid_points": 50, "alpha": 1e-3, "e_max": 3.0, "instances": 10,
-    "seed": 0, "replicas": 1, "out": "out", "parallel": 0,
+    "seed": 0, "replicas": 1, "out": "out",
 }
 
 FLOAT_KEYS = {"L", "mu", "rho", "gamma", "rtol", "B", "alpha", "e_max"}
-INT_KEYS = {"n", "M", "grid_points", "instances", "seed", "replicas",
-            "parallel"}
+INT_KEYS = {"n", "M", "grid_points", "instances", "seed", "replicas"}
 
 
 class ConfigError(Exception):

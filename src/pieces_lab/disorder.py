@@ -8,8 +8,6 @@ function of the sorted piece lengths.
 
 import numpy as np
 
-from ._accel import maybe_njit
-
 __all__ = [
     "PieceConfiguration",
     "sample_pieces",
@@ -136,23 +134,26 @@ def count_pieces_in_range(cfg, a, b):
     return int(np.count_nonzero((x >= a) & (x <= a + b)))
 
 
-@maybe_njit
-def _pair_cluster_scan(lengths, a, b, c, d, g, f):
-    count = 0
-    m = lengths.shape[0]
-    for i in range(m):
-        li = lengths[i]
-        if li < a or li > a + b:
-            continue
-        gap = 0.0
-        for j in range(i + 2, m):
-            gap += lengths[j - 1]
-            if gap > g + f:
-                break
-            lj = lengths[j]
-            if gap >= g and c <= lj <= c + d:
-                count += 1
-    return count
+def _window_scan(lengths, starts, limit):
+    """Yield (i, j, gap) for the pieces j = i+2, i+3, ... right of each
+    start i (starts: sorted piece indices), one offset j - i at a time.
+
+    gap is the total length of the pieces i+1 .. j-1, added left to right
+    from 0.0; a start drops out at its first gap beyond limit (the gaps of a
+    start never shrink), so the work equals that of a per-start loop.
+    """
+    m = len(lengths)
+    i, gap = starts, np.zeros(len(starts))
+    o = 2
+    while True:
+        n = np.searchsorted(i, m - o)  # the starts with i + o < m
+        gap = gap[:n] + lengths[i[:n] + o - 1]
+        keep = gap <= limit
+        i, gap = i[:n][keep], gap[keep]
+        if not i.size:
+            return
+        yield i, i + o, gap
+        o += 1
 
 
 def count_pair_clusters(cfg, a, b, c, d, g, f):
@@ -161,30 +162,21 @@ def count_pair_clusters(cfg, a, b, c, d, g, f):
 
     Only non-adjacent pairs qualify: the distance of an adjacent pair is an
     atom at zero while the counted law is atomless in the gap variable.
-    Ordered pairs, each counted once; O(m * window) sliding scan.
+    Ordered pairs, each counted once.  The scan walks all left pieces at
+    once, one right-hand offset at a time, and drops a left piece as soon as
+    its distance passes g+f, so its work is the number of pairs within that
+    distance.
     """
     if min(a, b, c, d, g, f) < 0:
         raise ValueError("parameters must be non-negative")
     if a <= 0 or c <= 0:
         raise ValueError("length thresholds a, c must be positive")
-    return int(_pair_cluster_scan(cfg.lengths, a, b, c, d, g, f))
-
-
-@maybe_njit
-def _neighbor_pair_scan(lengths, ell, ellp, d):
+    x = cfg.lengths
+    starts = np.flatnonzero((x >= a) & (x <= a + b))
     count = 0
-    m = lengths.shape[0]
-    for i in range(m):
-        if lengths[i] < ell:
-            continue
-        gap = 0.0
-        for j in range(i + 2, m):
-            gap += lengths[j - 1]
-            if gap > d:
-                break
-            if lengths[j] >= ellp:
-                count += 1
-    return count
+    for _, j, gap in _window_scan(x, starts, g + f):
+        count += np.count_nonzero((gap >= g) & (x[j] >= c) & (x[j] <= c + d))
+    return int(count)
 
 
 def count_neighbor_pairs(cfg, ell, ell_prime, d):
@@ -192,38 +184,30 @@ def count_neighbor_pairs(cfg, ell, ell_prime, d):
     (left) and >= ell_prime (right)."""
     if ell <= 0 or ell_prime <= 0 or d < 0:
         raise ValueError("thresholds must be positive, d non-negative")
-    return int(_neighbor_pair_scan(cfg.lengths, ell, ell_prime, d))
-
-
-@maybe_njit
-def _triplet_scan(lengths, ell, ellp, ellpp, d):
+    x = cfg.lengths
     count = 0
-    m = lengths.shape[0]
-    for i in range(m):
-        if lengths[i] < ell:
-            continue
-        gap1 = 0.0
-        for j in range(i + 2, m):
-            gap1 += lengths[j - 1]
-            if gap1 > d:
-                break
-            if lengths[j] >= ellp:
-                gap2 = 0.0
-                for k in range(j + 2, m):
-                    gap2 += lengths[k - 1]
-                    if gap2 > d:
-                        break
-                    if lengths[k] >= ellpp:
-                        count += 1
-    return count
+    for _, j, _ in _window_scan(x, np.flatnonzero(x >= ell), d):
+        count += np.count_nonzero(x[j] >= ell_prime)
+    return int(count)
 
 
 def count_triplets(cfg, ell, ell_prime, ell_second, d):
     """Triplets of pieces, consecutive distances <= d, lengths >= the three
-    thresholds (left to right)."""
+    thresholds (left to right).
+
+    Each middle piece contributes its left partners times its right
+    partners.
+    """
     if min(ell, ell_prime, ell_second) <= 0 or d < 0:
         raise ValueError("thresholds must be positive, d non-negative")
-    return int(_triplet_scan(cfg.lengths, ell, ell_prime, ell_second, d))
+    x = cfg.lengths
+    n_left = np.zeros(len(x), dtype=np.int64)
+    n_right = np.zeros(len(x), dtype=np.int64)
+    for _, j, _ in _window_scan(x, np.flatnonzero(x >= ell), d):
+        n_left[j] += 1
+    for i, j, _ in _window_scan(x, np.flatnonzero(x >= ell_prime), d):
+        n_right[i] += x[j] >= ell_second
+    return int(np.sum((x >= ell_prime) * n_left * n_right))
 
 
 def max_piece_length(cfg):

@@ -54,12 +54,6 @@ class InteractionPotential:
     def scaled(self, amp, xscale):
         raise NotImplementedError
 
-    def scale_to_unit(self, ell):
-        """U^ell(u) = ell^2 * U(ell*u): the potential seen on a unit interval."""
-        if ell <= 0:
-            raise ValueError("ell must be positive")
-        return self.scaled(ell ** 2, 1.0 / ell)
-
     def scale_mu(self, mu):
         """U^mu(u) = mu^-2 * U(u/mu): the potential in mu-rescaled units."""
         if mu <= 0:

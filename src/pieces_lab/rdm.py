@@ -20,7 +20,6 @@ __all__ = [
     "pair_index",
     "antisymmetrized_product",
     "factorized_rdm",
-    "piece_projector",
     "trace_norm_distance",
     "coefficient_distance_bound",
 ]
@@ -57,11 +56,6 @@ class DensityMatrix:
 
 def _mode_order(orbitals):
     return sorted(orbitals)
-
-
-def _det_phase(det, orbital):
-    """Sign picked up by removing `orbital` from the sorted determinant."""
-    return (-1) ** det.index(orbital)
 
 
 def _remove(det, orbs):
@@ -213,28 +207,6 @@ def factorized_rdm(substates):
             for b, pb in enumerate(g2.modes):
                 M2[pidx[pa], pidx[pb]] += g2.matrix[a, b]
     return DensityMatrix(modes, G, 1), DensityMatrix(pairs, M2, 2)
-
-
-def piece_projector(dm_or_modes, piece_lengths, ell, order=None):
-    """0/1 diagonal projector onto modes whose piece is shorter than ell.
-
-    Accepts a DensityMatrix (uses its basis) or an explicit mode list.
-    Order 2 selects pairs with BOTH pieces shorter than ell.
-    """
-    if isinstance(dm_or_modes, DensityMatrix):
-        modes, order = dm_or_modes.modes, dm_or_modes.order
-    else:
-        modes = list(dm_or_modes)
-        if order is None:
-            raise ValueError("order required with an explicit mode list")
-    diag = np.zeros(len(modes))
-    for i, m in enumerate(modes):
-        if order == 1:
-            diag[i] = 1.0 if piece_lengths[m[0]] < ell else 0.0
-        else:
-            p, q = m
-            diag[i] = 1.0 if (piece_lengths[p[0]] < ell and piece_lengths[q[0]] < ell) else 0.0
-    return np.diag(diag)
 
 
 def trace_norm_distance(A, B, P=None):

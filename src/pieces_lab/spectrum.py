@@ -60,8 +60,6 @@ def enumerate_levels_below(cfg, E):
     counts[boundary] += 1
     total = int(counts.sum())
     piece_index = np.repeat(np.arange(len(lengths)), counts)
-    k = np.ones(total, dtype=np.int64)
-    nz = counts > 0
     starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
     k = np.arange(total, dtype=np.int64) - np.repeat(starts, counts) + 1
     energies = (np.pi * k / lengths[piece_index]) ** 2

@@ -38,13 +38,7 @@ __all__ = [
     "gamma_via_K",
     "astar_xstar",
     "gamma_star",
-    "compare_two_body_states",
 ]
-
-
-def pair_list(M):
-    """Ordered pairs (i, j), 1 <= i < j <= M, lexicographic."""
-    return [(i, j) for i in range(1, M + 1) for j in range(i + 1, M + 1)]
 
 
 def band_pair_list(M, D, K):
@@ -91,9 +85,11 @@ class TwoBodySolution:
     """Ground state of the two-fermion problem on [0, ell].
 
     Attributes:
-        ell, M: interval length and basis cutoff (all pairs i < j <= M).
+        ell: interval length.
+        pairs: the band basis, pairs (i, j) with i < j.
+        M: largest mode of the basis.
         energy: ground energy.
-        coeffs: coefficient vector over pair_list(M), normalized, with the
+        coeffs: coefficient vector over pairs, normalized, with the
             phi_(1,2) component made non-negative.
         residual: |E0(M) - E0(previous M)| from the convergence loop.
     """
@@ -274,37 +270,3 @@ def astar_xstar(gamma, mu=1.0):
 def gamma_star(gamma, mu):
     """gamma*^mu = 1 - exp(-mu*gamma/(8 pi^2))."""
     return astar_xstar(gamma, mu)[1]
-
-
-def compare_two_body_states(U, ell_list, M=24):
-    """Distances between interacting and free two-body ground states.
-
-    For each ell: ||zeta^U - zeta^0|| in L^2 and the trace-norm distance
-    ||gamma_{zeta^U} - gamma_{phi^1} - gamma_{phi^2}||_1, plus fitted
-    log-log slopes across the ladder (expected around -1/2 and -1).
-    """
-    ells = np.sort(np.asarray(ell_list, dtype=np.float64))
-    d_state, d_rdm = [], []
-    for ell in ells:
-        sol = solve_two_body(U, ell, M=M)
-        c = sol.coeffs.copy()
-        c0 = np.zeros_like(c)
-        c0[0] = 1.0  # phi_(1,2)
-        d_state.append(np.linalg.norm(c - c0))
-        g1 = sol.one_body_rdm()
-        g_free = np.zeros_like(g1)
-        g_free[0, 0] = g_free[1, 1] = 1.0
-        ev = np.linalg.eigvalsh(g1 - g_free)
-        d_rdm.append(np.abs(ev).sum())
-    d_state = np.array(d_state)
-    d_rdm = np.array(d_rdm)
-    logl = np.log(ells)
-    slope_state = np.polyfit(logl, np.log(d_state), 1)[0] if np.all(d_state > 0) else 0.0
-    slope_rdm = np.polyfit(logl, np.log(d_rdm), 1)[0] if np.all(d_rdm > 0) else 0.0
-    return {
-        "ells": ells,
-        "state_distance": d_state,
-        "rdm_distance": d_rdm,
-        "state_slope": float(slope_state),
-        "rdm_slope": float(slope_rdm),
-    }

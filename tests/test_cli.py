@@ -37,6 +37,8 @@ def test_load_config_defaults_and_overrides(tmp_path):
 def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown config keys"):
         load_config(_cfg(tmp_path, BASE + "\nwidth = 2\n"))
+    with pytest.raises(ConfigError, match="run.parallel"):
+        load_config(_cfg(tmp_path, BASE + "\nparallel = 2\n"))
     with pytest.raises(ConfigError, match="unknown"):
         load_config(_cfg(tmp_path, BASE + "\n[nosuch]\nx = 1\n"))
 

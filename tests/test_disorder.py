@@ -4,9 +4,68 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pieces_lab.disorder import (count_neighbor_pairs, count_pair_clusters,
-                                 count_pieces_in_range, from_lengths,
-                                 max_piece_length, sample_pieces,
+                                 count_pieces_in_range, count_triplets,
+                                 from_lengths, max_piece_length, sample_pieces,
                                  sample_pieces_conditioned)
+
+
+# Reference scans: one Python loop per start piece, adding the gap left to
+# right and stopping at the first gap beyond the window.
+
+def _pair_cluster_scan(lengths, a, b, c, d, g, f):
+    count = 0
+    m = lengths.shape[0]
+    for i in range(m):
+        li = lengths[i]
+        if li < a or li > a + b:
+            continue
+        gap = 0.0
+        for j in range(i + 2, m):
+            gap += lengths[j - 1]
+            if gap > g + f:
+                break
+            lj = lengths[j]
+            if gap >= g and c <= lj <= c + d:
+                count += 1
+    return count
+
+
+def _neighbor_pair_scan(lengths, ell, ellp, d):
+    count = 0
+    m = lengths.shape[0]
+    for i in range(m):
+        if lengths[i] < ell:
+            continue
+        gap = 0.0
+        for j in range(i + 2, m):
+            gap += lengths[j - 1]
+            if gap > d:
+                break
+            if lengths[j] >= ellp:
+                count += 1
+    return count
+
+
+def _triplet_scan(lengths, ell, ellp, ellpp, d):
+    count = 0
+    m = lengths.shape[0]
+    for i in range(m):
+        if lengths[i] < ell:
+            continue
+        gap1 = 0.0
+        for j in range(i + 2, m):
+            gap1 += lengths[j - 1]
+            if gap1 > d:
+                break
+            if lengths[j] >= ellp:
+                gap2 = 0.0
+                for k in range(j + 2, m):
+                    gap2 += lengths[k - 1]
+                    if gap2 > d:
+                        break
+                    if lengths[k] >= ellpp:
+                        count += 1
+    return count
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -93,3 +152,59 @@ def test_max_piece_monotone_and_bound():
     viol = sum(max_piece_length(sample_pieces(s, L, 1.0)) > bound
                for s in range(200))
     assert viol / 200 < 0.01 + 0.02  # generous desk-scale band
+
+
+def test_count_triplets_hand_built():
+    # long pieces 0, 2, 4, 6 separated by 0.5 pieces
+    cfg = from_lengths([2.0, 0.5, 2.0, 0.5, 2.0, 0.5, 2.0])
+    # d = 0.5: only next-but-one neighbours, (0,2,4) and (2,4,6)
+    assert count_triplets(cfg, 1.5, 1.5, 1.5, 0.5) == 2
+    # d = 3.0 also reaches two long pieces ahead (distance exactly 3.0):
+    # (0,2,4), (0,2,6), (0,4,6), (2,4,6)
+    assert count_triplets(cfg, 1.5, 1.5, 1.5, 3.0) == 4
+    # no piece reaches a right or middle threshold of 2.5
+    assert count_triplets(cfg, 1.5, 1.5, 2.5, 3.0) == 0
+    assert count_triplets(cfg, 1.5, 2.5, 1.5, 3.0) == 0
+
+
+# Dyadic lengths sum exactly, so distances hit g, g+f and d exactly and
+# lengths hit a, a+b and the thresholds exactly.
+TIE_VALUES = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
+
+
+@st.composite
+def scan_cases(draw):
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.sampled_from(TIE_VALUES),
+                                min_size=1, max_size=30))
+        cfg = from_lengths(lengths)
+        positive = st.sampled_from(TIE_VALUES)
+        width = st.sampled_from([0.0] + TIE_VALUES)
+    else:
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        n = draw(st.integers(1, 30))
+        cfg = from_lengths(np.random.default_rng(seed).exponential(1.0, n))
+        x = cfg.lengths
+        # thresholds equal to a piece length, distances equal to a gap sum
+        positive = st.floats(0.05, 3.0) | st.sampled_from(list(x))
+        sums = [sum(x[s:t]) for s in range(len(x)) for t in range(s + 1, len(x))]
+        width = st.floats(0.0, 3.0) | st.sampled_from(sums or [0.0])
+    return cfg, positive, width
+
+
+@given(case=scan_cases(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_scans_match_reference_loops(case, data):
+    cfg, positive, width = case
+    x = cfg.lengths
+    a, c = data.draw(positive), data.draw(positive)
+    b, d, g, f = (data.draw(width) for _ in range(4))
+    assert (count_pair_clusters(cfg, a, b, c, d, g, f)
+            == _pair_cluster_scan(x, a, b, c, d, g, f))
+    ell, ellp, ellpp = (data.draw(positive) for _ in range(3))
+    dist = data.draw(width)
+    assert (count_neighbor_pairs(cfg, ell, ellp, dist)
+            == _neighbor_pair_scan(x, ell, ellp, dist))
+    assert (count_triplets(cfg, ell, ellp, ellpp, dist)
+            == _triplet_scan(x, ell, ellp, ellpp, dist))
+

@@ -63,11 +63,20 @@ def test_wedge_cross_piece_zero():
 
 
 def test_integrals_block_selection_rule():
+    # intervals are (left, length): the pieces lie 2.0 apart, beyond the
+    # unit box's range
     ints = TwoElectronIntegrals([(0.0, 5.0), (7.0, 4.0)], U, M=4)
-    # orbitals: (piece, k); cross-piece charge transfer is forbidden
+    # orbitals: (piece, k); g(p, q, r, s) pairs p with r and q with s, so a
+    # term that moves a particle between pieces is forbidden
     p, q = (0, 1), (1, 1)
-    assert ints(p, q, q, p) == 0.0  # would move a particle between pieces
-    assert ints(p, p, q, q) == 0.0 or True  # density-density may be nonzero
+    assert ints(p, q, q, p) == 0.0
+    assert ints(p, p, q, q) == 0.0
+    # the density-density term is zero out of range ...
+    assert ints(p, q, p, q) == 0.0
+    # ... and positive for pieces 0.5 apart, within range
+    near = TwoElectronIntegrals([(0.0, 5.0), (5.5, 4.0)], U, M=4)
+    assert near(p, q, p, q) > 0.0
+    assert near(p, p, q, q) == 0.0
 
 
 def test_piece_qbody_matches_twobody():

@@ -15,6 +15,12 @@ completed by free levels in long pieces (preferring lengths in
 [3 l_rho (1+rho), 4 l_rho)).  The plan energy adds closed-form kinetic
 terms, cached interacting pair energies, and density-density cross terms
 between pieces within interaction range.
+
+Every piece density is given by its 1-RDM over the piece's Dirichlet modes
+and integrated by quadrature.cross_density_integral: a free fill of q
+levels has the identity I_q, a single in level i the one-hot diag(e_i), a
+pair the 1-RDM of a two-body ground state, and a piece of a CI state its
+block of the state's rdm1.
 """
 
 import heapq
@@ -28,6 +34,7 @@ from .twobody import astar_xstar, gamma_star, solve_two_body
 from .potential import tail_Z
 from .quadrature import cross_density_integral
 from .manybody import exact_ground_state_small, free_occupation_energy
+from .rdm import rdm1
 
 __all__ = [
     "StatePlan",
@@ -172,7 +179,6 @@ def _spill_over(occ, tags, lengths, hi, deficit):
 # plan energy
 
 _pair_energy_splines = {}
-_pair_density_cache = {}
 
 
 def _pair_energy_spline(U, lmin, lmax, n_nodes=12, M=16, rtol=1e-6):
@@ -185,32 +191,16 @@ def _pair_energy_spline(U, lmin, lmax, n_nodes=12, M=16, rtol=1e-6):
     return _pair_energy_splines[key]
 
 
-def _pair_density(U, ell, M=12, rtol=1e-4):
-    from .twobody import _potential_key
-    ell_r = round(ell * 20.0) / 20.0  # 0.05 resolution; reused across samples
-    key = (_potential_key(U), ell_r, M)
-    if key not in _pair_density_cache:
-        sol = solve_two_body(U, ell_r, M=M, rtol=rtol)
-        _pair_density_cache[key] = sol
-    sol = _pair_density_cache[key]
-    # rescale so the density stays normalized (trace 2) on [0, ell]
-    return lambda x: sol.density(np.asarray(x) * sol.ell / ell) * sol.ell / ell
-
-
-def _piece_density(U, tag, q, ell):
-    if tag == PAIR:
-        return _pair_density(U, ell)
-    ks = np.arange(1, q + 1)
-    return lambda x: np.sum(2.0 / ell * np.sin(np.pi * np.outer(ks, np.atleast_1d(x)) / ell) ** 2, axis=0)
-
-
 def energy_of_plan(cfg, plan, U, include_cross=True, pair_spline=True):
     """Total energy of the plan state.
 
     Per-piece terms: closed form pi^2 k^2/l^2 sums for singles and free
     fills, interacting two-body ground energies for pairs (cubic-spline
     cache over the pair band).  Cross terms: density-density integrals
-    between occupied pieces within interaction range.
+    between occupied pieces within interaction range.  A pair's density is
+    that of the two-body ground state solved on the piece's 0.05-wide
+    length bin (one solve per bin, shared across samples), dilated to the
+    piece: the same mode coefficients, so the same 1-RDM.
     """
     lengths = cfg.lengths
     occ_idx = plan.occupied()
@@ -236,16 +226,21 @@ def energy_of_plan(cfg, plan, U, include_cross=True, pair_spline=True):
     if include_cross and U is not None:
         rng = U.support_radius if U.support_radius is not None else U.effective_radius(1e-10)
         lefts, rights = cfg.lefts, cfg.rights
-        dens = {}
+        G = {}
         for a_pos, j in enumerate(occ_idx):
             for k in occ_idx[a_pos + 1:]:
                 gap = lefts[k] - rights[j]
                 if gap >= rng:
                     break  # occupied pieces are ordered; gaps only grow
                 for idx in (j, k):
-                    if idx not in dens:
-                        dens[idx] = _piece_density(U, plan.tags[idx], plan.occupation[idx], lengths[idx])
-                total += cross_density_integral(U, dens[j], lengths[j], dens[k], lengths[k], gap)
+                    if idx in G:
+                        continue
+                    if plan.tags[idx] == PAIR:
+                        ell_bin = round(lengths[idx] * 20.0) / 20.0
+                        G[idx] = solve_two_body(U, ell_bin, M=12, rtol=1e-4).one_body_rdm()
+                    else:
+                        G[idx] = np.eye(plan.occupation[idx])
+                total += cross_density_integral(U, G[j], lengths[j], G[k], lengths[k], gap)
     return total
 
 
@@ -305,28 +300,12 @@ def asymptotics_check(cfg, rho, U, gamma, mu=1.0):
 # sub-additivity and cross-piece bounds
 
 
-def _ground_density(state):
-    """One-particle density evaluator (global coordinate) of a CIState."""
-    from .rdm import rdm1
+def _piece_rdms(state):
+    """{piece: its M x M block of rdm1(state)} over the pieces a CIState
+    occupies."""
     g = rdm1(state)
-    intervals = state.basis.intervals
-
-    def rho(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        for a, (jp, kp) in enumerate(g.modes):
-            left, l = intervals[jp]
-            fa = np.where((x >= left) & (x <= left + l),
-                          np.sqrt(2.0 / l) * np.sin(kp * np.pi * (x - left) / l), 0.0)
-            for b, (jq, kq) in enumerate(g.modes):
-                if jq != jp:
-                    continue
-                fb = np.where((x >= left) & (x <= left + l),
-                              np.sqrt(2.0 / l) * np.sin(kq * np.pi * (x - left) / l), 0.0)
-                out += g.matrix[a, b] * fa * fb
-        return out
-
-    return rho
+    piece = np.array([j for j, _ in g.modes])
+    return {j: g.matrix[np.ix_(piece == j, piece == j)] for j in set(piece.tolist())}
 
 
 def subadditivity_check(intervals1, n1, intervals2, n2, U, M=8):
@@ -339,31 +318,22 @@ def subadditivity_check(intervals1, n1, intervals2, n2, U, M=8):
     E2, _, st2, _ = exact_ground_state_small(intervals2, n2, U, M=M)
     Eu, _, _, _ = exact_ground_state_small(list(intervals1) + list(intervals2),
                                            n1 + n2, U, M=M)
-    rho1, rho2 = _ground_density(st1), _ground_density(st2)
+    G1, G2 = _piece_rdms(st1), _piece_rdms(st2)
     rng = U.support_radius if U.support_radius is not None else U.effective_radius(1e-12)
     slack = 0.0
-    for a1, l1 in intervals1:
-        for a2, l2 in intervals2:
-            if a1 + l1 <= a2:
-                gap = a2 - (a1 + l1)
-                da = lambda x, a=a1: rho1(x + a)
-                db = lambda y, a=a2: rho2(y + a)
-                la, lb = l1, l2
-            else:
-                gap = a1 - (a2 + l2)
-                da = lambda x, a=a2: rho2(x + a)
-                db = lambda y, a=a1: rho1(y + a)
-                la, lb = l2, l1
+    for p1, (a1, l1) in enumerate(intervals1):
+        for p2, (a2, l2) in enumerate(intervals2):
+            if p1 not in G1 or p2 not in G2:
+                continue  # an empty piece carries no density
+            left, right, gap = (G1[p1], l1), (G2[p2], l2), a2 - (a1 + l1)
+            if gap < 0:  # the piece of region 2 lies to the left
+                left, right, gap = right, left, a1 - (a2 + l2)
             if gap < rng:
-                slack += cross_density_integral(U, da, la, db, lb, gap)
+                slack += cross_density_integral(U, *left, *right, gap)
     return {
         "E_union": Eu, "E_1": E1, "E_2": E2, "slack": slack,
         "upper_ok": Eu <= E1 + E2 + slack + 1e-8,
     }
-
-
-def _one_particle_density(ell, i):
-    return lambda x: 2.0 / ell * np.sin(i * np.pi * np.asarray(x) / ell) ** 2
 
 
 # upper constants for the cross-piece bound shapes: the '11far' and '12'
@@ -389,20 +359,16 @@ def cross_piece_bound_check(U, ell1, ell2, a, which, i=1, j=1):
     Returns dict with lhs, rhs_shape and ratio = lhs / rhs_shape.
     """
     Z = lambda x: tail_Z(U, x)
+    pair = lambda ell: solve_two_body(U, ell, M=12, rtol=1e-4).one_body_rdm()
     if which in ("11far", "11close"):
-        da, db = _one_particle_density(ell1, i), _one_particle_density(ell2, j)
+        Ga, Gb = np.diag(np.eye(i)[-1]), np.diag(np.eye(j)[-1])
     elif which in ("12", "12close"):
-        da = _one_particle_density(ell1, i)
-        sol = solve_two_body(U, ell2, M=12, rtol=1e-4)
-        db = lambda y: 2.0 * sol.density(y)  # trace-2 two-body diagonal
+        Ga, Gb = np.diag(np.eye(i)[-1]), pair(ell2)
     elif which == "22":
-        s1 = solve_two_body(U, ell1, M=12, rtol=1e-4)
-        s2 = solve_two_body(U, ell2, M=12, rtol=1e-4)
-        da = lambda x: 2.0 * s1.density(x)
-        db = lambda y: 2.0 * s2.density(y)
+        Ga, Gb = pair(ell1), pair(ell2)
     else:
         raise ValueError("unknown bound check %r" % which)
-    lhs = cross_density_integral(U, da, ell1, db, ell2, a)
+    lhs = cross_density_integral(U, Ga, ell1, Gb, ell2, a)
     Za = Z(a) if a > 0 else None
     if which == "11far":
         rhs = 2.0 * a ** -3 * Za / max(ell1, ell2)

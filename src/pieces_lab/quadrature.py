@@ -18,7 +18,11 @@ table
 a_m = m pi / lA, b_n = n pi / lB, s_u = u + offset, is accumulated
 (m <= 2 mA, n <= 2 mB); every g entry is a signed combination of four J
 entries.  Sharply supported potentials cost nothing extra, and accuracy is
-governed by the u-panel rule alone.
+governed by the u-panel rule alone.  A piece density is a cosine series in
+the same frequencies (its sine-basis 1-RDM G gives the coefficients), so a
+density-density integral between two pieces contracts their J with two
+coefficient vectors (cross_density_integral): the table is the one
+quadrature engine for every interaction integral.
 
 With y = x - s_u, cos(a x) cos(b y) = (cos(a x + b y) + cos(a x - b y)) / 2
 and, for each sign sigma,
@@ -118,15 +122,15 @@ def _u_nodes(U, ellA, ellB, offset, dens, n_nodes):
 
     Returns (u, c, x_lo, x_hi) for the nodes that contribute: weight
     c = U(u) w_u non-zero and a non-empty x-interval [x_lo, x_hi] on which
-    both pieces overlap at that u.  n_nodes(a, b) is the Gauss-Legendre
-    order of panel (a, b).
+    both pieces overlap at that u.  n_nodes is the Gauss-Legendre order of
+    every panel.
     """
     panels = _u_panels(U, -offset - ellB, ellA - offset,
                        extra_edges=(-offset, ellA - ellB - offset),
                        dens=dens)
     if not panels:
         return (np.empty(0),) * 4
-    rules = [_gl(a, b, n_nodes(a, b)) for a, b in panels]
+    rules = [_gl(a, b, n_nodes) for a, b in panels]
     u = np.concatenate([r[0] for r in rules])
     c = np.asarray(U(u), dtype=np.float64) * np.concatenate([r[1] for r in rules])
     x_lo = np.maximum(0.0, u + offset)
@@ -158,8 +162,7 @@ def _sinc_sums(c, s, xm, h, omega, b):
 def frequency_table(U, ellA, mA, ellB, mB, offset, nodes_per_panel=32):
     """Accumulate J[m, n], 0 <= m <= 2 mA, 0 <= n <= 2 mB (see module doc)."""
     u, c, x_lo, x_hi = _u_nodes(U, ellA, ellB, offset,
-                                mA / ellA + mB / ellB,
-                                lambda a, b: nodes_per_panel)
+                                mA / ellA + mB / ellB, nodes_per_panel)
     alpha = (np.pi / ellA) * np.arange(2 * mA + 1)
     beta = (np.pi / ellB) * np.arange(2 * mB + 1)
     if len(u) == 0:
@@ -244,21 +247,28 @@ def pair_reduced_matrix(U, ell, pairs, row_chunk=512, **kw):
     return V
 
 
-def cross_density_integral(U, dens_a, ell_a, dens_b, ell_b, gap, n_inner=96):
-    """int int U(x - y) rho_a(x) rho_b(y) for densities on two pieces at
+def cross_density_integral(U, G_a, ell_a, G_b, ell_b, gap):
+    """int int U(x - y) rho_a(x) rho_b(y) for the densities of two pieces at
     distance gap (piece b to the right of piece a).
 
-    dens_a, dens_b are vectorized callables on local coordinates [0, ell];
-    each is called once, on all quadrature nodes.
+    G_a, G_b are the pieces' 1-RDMs over their Dirichlet modes (m x m
+    matrices), so that on a piece of length ell
+
+        rho(x) = sum_ab G_ab s_a(x) s_b(x)
+               = (1/ell) sum_ab G_ab [cos((a-b) pi x/ell) - cos((a+b) pi x/ell)]
+               = (1/ell) sum_n c_n cos(n pi x/ell),  0 <= n <= 2m.
+
+    The integral is then c_a^T J c_b / (ell_a ell_b), J the frequency table
+    of the two pieces.
     """
-    offset = ell_a + gap
-    u, c, x_lo, x_hi = _u_nodes(U, ell_a, ell_b, offset, 0.25,
-                                lambda a, b: max(24, int(2.0 * (b - a)) + 8))
-    if len(u) == 0:
-        return 0.0
-    t, wt = _gl(-1.0, 1.0, n_inner)
-    h = 0.5 * (x_hi - x_lo)[:, None]
-    xs = h * t + 0.5 * (x_lo + x_hi)[:, None]
-    rho_a = dens_a(xs.ravel()).reshape(xs.shape)
-    rho_b = dens_b((xs - u[:, None] - offset).ravel()).reshape(xs.shape)
-    return float(c @ np.sum(h * wt * rho_a * rho_b, axis=1))
+    J = frequency_table(U, ell_a, len(G_a), ell_b, len(G_b), ell_a + gap)
+    return float(_cosine_coefficients(G_a) @ J @ _cosine_coefficients(G_b)
+                 / (ell_a * ell_b))
+
+
+def _cosine_coefficients(G):
+    """c_n of the density of the 1-RDM G (see cross_density_integral)."""
+    a, b = np.indices(G.shape)
+    n = 2 * len(G) + 1
+    return (np.bincount(np.abs(a - b).ravel(), G.ravel(), n)
+            - np.bincount((a + b + 2).ravel(), G.ravel(), n))

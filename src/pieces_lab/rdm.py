@@ -1,17 +1,18 @@
 """Reduced density matrices of explicit few-fermion states.
 
 All RDMs are computed by coefficient contraction in orthonormal mode bases
-(piece-tagged sine levels); grid evaluation exists only for densities.
-Order-1 matrices are indexed by modes (piece, k); order-2 matrices by
-ordered mode pairs (p < q in the canonical mode order).
+(piece-tagged sine levels).  Order-1 matrices are indexed by modes
+(piece, k); order-2 matrices by ordered mode pairs (p < q in the canonical
+mode order).  A CIState's RDMs come from grouped orbital removal; a
+TwoBodySolution's in closed form: its 1-RDM is one_body_rdm() and its
+2-RDM the outer product c c^T of its pair coefficients.
 """
 
-import itertools
-
 import numpy as np
-from scipy.linalg import svdvals
+from scipy.linalg import block_diag, svdvals
 
 from .manybody import removals
+from .twobody import TwoBodySolution
 
 __all__ = [
     "DensityMatrix",
@@ -54,24 +55,11 @@ class DensityMatrix:
         return self.modes.index(mode)
 
 
-def _mode_order(orbitals):
-    return sorted(orbitals)
-
-
-def _remove(det, orbs):
-    rest = list(det)
-    sign = 1
-    for o in orbs:
-        sign *= (-1) ** rest.index(o)
-        rest.remove(o)
-    return tuple(rest), sign
-
-
 def rdm1(state):
     """One-particle RDM gamma[p, r] = <a^dag_r a_p> by contraction."""
     if hasattr(state, "basis"):
         return _grouped_rdm(state, 1)
-    return _bucket_rdm(state, 1)
+    return DensityMatrix(_pair_modes(state), state.one_body_rdm(), 1)
 
 
 def pair_index(modes):
@@ -79,31 +67,29 @@ def pair_index(modes):
     return [(p, q) for i, p in enumerate(modes) for q in modes[i + 1:]]
 
 
+def _pair_position(p, q, m):
+    """Position of the pair of mode positions p < q in pair_index order over
+    m modes."""
+    return p * m - p * (p + 1) // 2 + q - p - 1
+
+
+def _pair_modes(state):
+    """The modes (0, k), k = 1..M, of a TwoBodySolution."""
+    if not isinstance(state, TwoBodySolution):
+        raise TypeError("state must be a CIState or TwoBodySolution")
+    return [(0, k) for k in range(1, state.M + 1)]
+
+
 def rdm2(state):
     """Two-particle RDM gamma2[(p,q),(r,s)] = <a^dag_r a^dag_s a_q a_p>,
     pairs ordered p < q; trace n(n-1)/2."""
     if hasattr(state, "basis"):
         return _grouped_rdm(state, 2)
-    return _bucket_rdm(state, 2)
-
-
-def _bucket_rdm(state, order):
-    """Order-1 or order-2 RDM by dict buckets of determinants keyed by their
-    (n - order)-subsets: the path for a TwoBodySolution, and the reference
-    for the CIState path."""
-    modes, amps = _det_amplitudes(state)
-    labels = modes if order == 1 else pair_index(modes)
-    idx = {m: i for i, m in enumerate(labels)}
-    gamma = np.zeros((len(labels), len(labels)))
-    buckets = {}
-    for det, c in amps.items():
-        for rm in itertools.combinations(det, order):
-            rest, sign = _remove(det, rm)
-            buckets.setdefault(rest, []).append((rm if order == 2 else rm[0], sign * c))
-    for entries in buckets.values():
-        for (a, ca), (b, cb) in itertools.product(entries, entries):
-            gamma[idx[a], idx[b]] += ca * cb
-    return DensityMatrix(labels, gamma, order)
+    modes = _pair_modes(state)
+    i, j = (np.array(state.pairs) - 1).T
+    c = np.zeros(len(modes) * (len(modes) - 1) // 2)
+    c[_pair_position(i, j, len(modes))] = state.coeffs
+    return DensityMatrix(pair_index(modes), np.outer(c, c), 2)
 
 
 def _grouped_rdm(state, order):
@@ -119,37 +105,10 @@ def _grouped_rdm(state, order):
     if order == 1:
         labels, col = modes, removed[:, 0]
     else:
-        # position of (p, q), p < q, in pair_index order
-        m = len(modes)
-        p, q = removed.T
-        labels, col = pair_index(modes), p * m - p * (p + 1) // 2 + q - p - 1
+        labels, col = pair_index(modes), _pair_position(*removed.T, len(modes))
     X = np.zeros((group.max() + 1 if len(group) else 0, len(labels)))
     X[group, col] = sign * state.coeffs[rows]
     return DensityMatrix(labels, X.T @ X, order)
-
-
-def _det_amplitudes(state):
-    """Normalize a state to (sorted mode list, {sorted determinant: coeff})."""
-    if hasattr(state, "basis") and hasattr(state, "coeffs"):  # CIState
-        modes = _mode_order(state.orbital_list())
-        amps = {}
-        for det, c in zip(state.basis.determinants, state.coeffs):
-            if c == 0.0:
-                continue
-            sdet = tuple(sorted(det))
-            # determinants are produced (piece, k)-sorted already
-            amps[sdet] = amps.get(sdet, 0.0) + float(c)
-        return modes, amps
-    if hasattr(state, "pairs") and hasattr(state, "coeffs"):  # TwoBodySolution
-        M = max(j for _, j in state.pairs)
-        modes = [(0, k) for k in range(1, M + 1)]
-        amps = {}
-        for (i, j), c in zip(state.pairs, state.coeffs):
-            if c == 0.0:
-                continue
-            amps[((0, i), (0, j))] = float(c)
-        return modes, amps
-    raise TypeError("state must be a CIState or TwoBodySolution")
 
 
 def antisymmetrized_product(gamma, modes):
@@ -159,15 +118,11 @@ def antisymmetrized_product(gamma, modes):
     For a rank-k projector this is exactly the 2-RDM of the corresponding
     Slater determinant.
     """
-    pairs = pair_index(modes)
-    midx = {m: i for i, m in enumerate(modes)}
     G = np.asarray(gamma, dtype=float)
-    out = np.zeros((len(pairs), len(pairs)))
-    for a, (p, q) in enumerate(pairs):
-        for b, (r, s) in enumerate(pairs):
-            out[a, b] = (G[midx[p], midx[r]] * G[midx[q], midx[s]]
-                         - G[midx[p], midx[s]] * G[midx[q], midx[r]])
-    return DensityMatrix(pairs, out, 2)
+    p, q = np.triu_indices(len(modes), 1)  # pair_index order
+    out = (G[np.ix_(p, p)] * G[np.ix_(q, q)]
+           - G[np.ix_(p, q)] * G[np.ix_(q, p)])
+    return DensityMatrix(pair_index(modes), out, 2)
 
 
 def factorized_rdm(substates):
@@ -180,33 +135,28 @@ def factorized_rdm(substates):
     with A the antisymmetrized product.  For one-particle sub-states
     gamma2_j = A(gamma_j) = 0.
     """
+    g1s = [rdm1(s) for s in substates]
     seen = set()
-    for s in substates:
-        pieces = {j for (j, _) in _det_amplitudes(s)[0]}
+    for g1 in g1s:
+        pieces = {j for (j, _) in g1.modes}
         if pieces & seen:
             raise ValueError("sub-states share a piece")
         seen |= pieces
-    parts = [(rdm1(s), rdm2(s)) for s in substates]
-    modes = [m for g1, _ in parts for m in g1.modes]
-    midx = {m: i for i, m in enumerate(modes)}
-    G = np.zeros((len(modes), len(modes)))
-    for g1, _ in parts:
-        for a, ma in enumerate(g1.modes):
-            for b, mb in enumerate(g1.modes):
-                G[midx[ma], midx[mb]] += g1.matrix[a, b]
+    # the sub-states' modes are disjoint and contiguous in the joint order:
+    # sub-state j's pair (a, b) is the joint pair (o_j + a, o_j + b)
+    modes = [m for g1 in g1s for m in g1.modes]
+    G = block_diag(*(g1.matrix for g1 in g1s))
     total = antisymmetrized_product(G, modes)
-    pairs = total.modes
-    pidx = {pq: i for i, pq in enumerate(pairs)}
     M2 = total.matrix.copy()
-    for g1, g2 in parts:
-        local = antisymmetrized_product(g1.matrix, g1.modes)
-        for a, pa in enumerate(local.modes):
-            for b, pb in enumerate(local.modes):
-                M2[pidx[pa], pidx[pb]] -= local.matrix[a, b]
-        for a, pa in enumerate(g2.modes):
-            for b, pb in enumerate(g2.modes):
-                M2[pidx[pa], pidx[pb]] += g2.matrix[a, b]
-    return DensityMatrix(modes, G, 1), DensityMatrix(pairs, M2, 2)
+    o = 0
+    for s, g1 in zip(substates, g1s):
+        a, b = np.triu_indices(len(g1.modes), 1)
+        pos = _pair_position(o + a, o + b, len(modes))
+        idx = np.ix_(pos, pos)
+        M2[idx] -= antisymmetrized_product(g1.matrix, g1.modes).matrix
+        M2[idx] += rdm2(s).matrix
+        o += len(g1.modes)
+    return DensityMatrix(modes, G, 1), DensityMatrix(total.modes, M2, 2)
 
 
 def trace_norm_distance(A, B, P=None):

@@ -2,6 +2,7 @@ import heapq
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from pieces_lab import optstate
 from pieces_lab.disorder import from_lengths, sample_pieces
@@ -13,7 +14,7 @@ from pieces_lab.optstate import (banded_fraction_prediction,
                                  second_order_prediction, subadditivity_check)
 from pieces_lab.potential import BoxPotential, ExponentialPotential
 from pieces_lab.spectrum import free_energy_per_particle_empirical
-from pieces_lab.twobody import gamma_via_K
+from pieces_lab.twobody import gamma_via_K, solve_two_body
 
 U = BoxPotential(1.0, 1.0)
 GAMMA = gamma_via_K(U)
@@ -104,6 +105,23 @@ def test_cross_piece_bounds_explicit():
     for which in ("11far", "12"):
         rep = cross_piece_bound_check(V, 10.0, 12.0, 2.0, which)
         assert rep["lhs"] <= rep["rhs_shape"]
+
+
+@pytest.mark.parametrize("which", ["12", "22"])
+def test_cross_piece_bound_lhs_matches_dblquad(which):
+    # the two-body densities integrate to 2, the particle count of a pair
+    V = ExponentialPotential(1.0, 1.0)
+    l1, l2, a = 8.0, 12.0, 1.5
+    rho_b = solve_two_body(V, l2, M=12, rtol=1e-4).density
+    if which == "12":
+        rho_a = lambda x: 2.0 / l1 * np.sin(np.pi * np.atleast_1d(x) / l1) ** 2
+    else:
+        rho_a = solve_two_body(V, l1, M=12, rtol=1e-4).density
+    ref, _ = integrate.dblquad(
+        lambda y, x: V(x - (l1 + a + y)) * rho_a(x)[0] * rho_b(y)[0],
+        0, l1, 0, l2, epsabs=1e-13)
+    rep = cross_piece_bound_check(V, l1, l2, a, which)
+    assert rep["lhs"] == pytest.approx(ref, rel=1e-6)
 
 
 def test_cross_piece_bound_compact_trivial():

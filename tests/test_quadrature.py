@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from pieces_lab.manybody import solve_block
+from pieces_lab.optstate import _piece_rdms
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
                                   PolynomialPotential)
 from pieces_lab.quadrature import (_gl, _u_panels, cross_density_integral,
                                    cross_g_tensor, frequency_table,
                                    interaction_g_tensor, sine_modes)
+from pieces_lab.rdm import rdm1
 from pieces_lab.twobody import solve_two_body
 
 
@@ -74,7 +77,7 @@ def test_cross_density_integral_oracle():
     da = lambda x: np.asarray(_s(1, ell_a)(x)) ** 2
     db = lambda y: np.asarray(_s(1, ell_b)(y)) ** 2
     gap = 0.5
-    val = cross_density_integral(U, da, ell_a, db, ell_b, gap)
+    val = cross_density_integral(U, np.eye(1), ell_a, np.eye(1), ell_b, gap)
     ref, _ = integrate.dblquad(
         lambda y, x: U(ell_a + gap + y - x) * da(x) * db(y),
         0, ell_a, 0, ell_b, epsabs=1e-11)
@@ -156,14 +159,43 @@ def test_frequency_table_cross_matches_node_loop(U, rel, gap):
     assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("U", [BoxPotential(1.0, 1.0),
-                               ExponentialPotential(1.0, 2.0)],
-                         ids=lambda U: U.family)
+def _density(U, kind, ell):
+    """(1-RDM G, density callable on [0, ell]) of one piece state; the
+    callable evaluates the density pointwise, as the node loop needs."""
+    if kind == "single":  # level 2
+        return np.diag([0.0, 1.0]), lambda x: _s(2, ell)(np.asarray(x)) ** 2
+    if kind == "fill":  # the lowest 3 levels
+        return np.eye(3), lambda x: sum(_s(k, ell)(np.asarray(x)) ** 2
+                                        for k in (1, 2, 3))
+    if kind == "pair":  # the state solved on the 0.05 length bin, rescaled
+        sol = solve_two_body(U, round(ell * 20.0) / 20.0, M=12, rtol=1e-4)
+        return sol.one_body_rdm(), lambda x: (
+            sol.density(np.asarray(x) * sol.ell / ell) * sol.ell / ell)
+    # one piece of a two-piece CI ground state: the density summed over the
+    # state's rdm1 entries of that piece
+    piece = int(kind[-1])
+    _, states = solve_block([(0.0, 5.0), (5.4, 6.3)], (2, 1), U, M=6, n_states=1)
+    g = rdm1(states[0])
+
+    def rho(x):
+        x = np.asarray(x)
+        return sum(g.matrix[a, b] * _s(ka, ell)(x) * _s(kb, ell)(x)
+                   for a, (ja, ka) in enumerate(g.modes)
+                   for b, (jb, kb) in enumerate(g.modes) if ja == jb == piece)
+
+    return _piece_rdms(states[0])[piece], rho
+
+
+@pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
 def test_cross_density_integral_matches_node_loop(U):
-    sa = solve_two_body(U, 6.0, M=12, rtol=1e-4)
-    sb = solve_two_body(U, 7.5, M=12, rtol=1e-4)
-    for gap in (0.0, 0.4):
-        val = cross_density_integral(U, sa.density, sa.ell, sb.density, sb.ell, gap)
-        ref = _loop_cross_density_integral(U, sa.density, sa.ell, sb.density,
-                                           sb.ell, gap)
-        assert val == pytest.approx(ref, rel=1e-13)
+    for kinds in [(("single", 4.3), ("pair", 6.43)),
+                  (("fill", 9.1), ("single", 5.2)),
+                  (("pair", 7.77), ("pair", 6.9)),
+                  (("ci0", 5.0), ("ci1", 6.3)),
+                  (("ci1", 6.3), ("fill", 4.0))]:
+        (Ga, da), (Gb, db) = (_density(U, kind, ell) for kind, ell in kinds)
+        (_, la), (_, lb) = kinds
+        for gap in (0.0, 0.4):
+            val = cross_density_integral(U, Ga, la, Gb, lb, gap)
+            ref = _loop_cross_density_integral(U, da, la, db, lb, gap)
+            assert val == pytest.approx(ref, rel=1e-9), (kinds, gap)

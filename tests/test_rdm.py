@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,97 @@ from hypothesis import strategies as st
 
 from pieces_lab.manybody import solve_block
 from pieces_lab.potential import BoxPotential
-from pieces_lab.rdm import (_bucket_rdm, antisymmetrized_product,
+from pieces_lab.rdm import (DensityMatrix, antisymmetrized_product,
                             coefficient_distance_bound,
                             factorized_rdm, pair_index, rdm1, rdm2,
                             trace_norm_distance)
-from pieces_lab.twobody import solve_two_body
+from pieces_lab.twobody import TwoBodySolution, band_pair_list, solve_two_body
 
 U = BoxPotential(1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: RDMs by dict buckets of determinants, and the
+# antisymmetrized product and factorization written as per-entry loops
+
+
+def _remove(det, orbs):
+    rest = list(det)
+    sign = 1
+    for o in orbs:
+        sign *= (-1) ** rest.index(o)
+        rest.remove(o)
+    return tuple(rest), sign
+
+
+def _det_amplitudes(state):
+    """(sorted mode list, {sorted determinant: coeff}) of a state."""
+    if hasattr(state, "basis"):  # CIState
+        modes = sorted(state.orbital_list())
+        amps = {}
+        for det, c in zip(state.basis.determinants, state.coeffs):
+            if c != 0.0:
+                sdet = tuple(sorted(det))
+                amps[sdet] = amps.get(sdet, 0.0) + float(c)
+        return modes, amps
+    modes = [(0, k) for k in range(1, state.M + 1)]  # TwoBodySolution
+    amps = {((0, i), (0, j)): float(c)
+            for (i, j), c in zip(state.pairs, state.coeffs) if c != 0.0}
+    return modes, amps
+
+
+def _bucket_rdm(state, order):
+    """Order-1 or order-2 RDM: determinants bucketed by their
+    (n - order)-subsets, each bucket adding its outer product."""
+    modes, amps = _det_amplitudes(state)
+    labels = modes if order == 1 else pair_index(modes)
+    idx = {m: i for i, m in enumerate(labels)}
+    gamma = np.zeros((len(labels), len(labels)))
+    buckets = {}
+    for det, c in amps.items():
+        for rm in itertools.combinations(det, order):
+            rest, sign = _remove(det, rm)
+            buckets.setdefault(rest, []).append((rm if order == 2 else rm[0], sign * c))
+    for entries in buckets.values():
+        for (a, ca), (b, cb) in itertools.product(entries, entries):
+            gamma[idx[a], idx[b]] += ca * cb
+    return DensityMatrix(labels, gamma, order)
+
+
+def _loop_antisymmetrized_product(gamma, modes):
+    pairs = pair_index(modes)
+    midx = {m: i for i, m in enumerate(modes)}
+    G = np.asarray(gamma, dtype=float)
+    out = np.zeros((len(pairs), len(pairs)))
+    for a, (p, q) in enumerate(pairs):
+        for b, (r, s) in enumerate(pairs):
+            out[a, b] = (G[midx[p], midx[r]] * G[midx[q], midx[s]]
+                         - G[midx[p], midx[s]] * G[midx[q], midx[r]])
+    return DensityMatrix(pairs, out, 2)
+
+
+def _loop_factorized_rdm(substates):
+    parts = [(rdm1(s), rdm2(s)) for s in substates]
+    modes = [m for g1, _ in parts for m in g1.modes]
+    midx = {m: i for i, m in enumerate(modes)}
+    G = np.zeros((len(modes), len(modes)))
+    for g1, _ in parts:
+        for a, ma in enumerate(g1.modes):
+            for b, mb in enumerate(g1.modes):
+                G[midx[ma], midx[mb]] += g1.matrix[a, b]
+    total = _loop_antisymmetrized_product(G, modes)
+    pairs = total.modes
+    pidx = {pq: i for i, pq in enumerate(pairs)}
+    M2 = total.matrix.copy()
+    for g1, g2 in parts:
+        local = _loop_antisymmetrized_product(g1.matrix, g1.modes)
+        for a, pa in enumerate(local.modes):
+            for b, pb in enumerate(local.modes):
+                M2[pidx[pa], pidx[pb]] -= local.matrix[a, b]
+        for a, pa in enumerate(g2.modes):
+            for b, pb in enumerate(g2.modes):
+                M2[pidx[pa], pidx[pb]] += g2.matrix[a, b]
+    return DensityMatrix(modes, G, 1), DensityMatrix(pairs, M2, 2)
 
 
 def _pair(ell, M=10):
@@ -52,6 +138,55 @@ def test_grouped_rdm_matches_buckets(intervals, Q):
         got, ref = fn(states[0]), _bucket_rdm(states[0], order)
         assert got.modes == ref.modes
         assert np.abs(got.matrix - ref.matrix).max() <= 1e-14
+
+
+def _random_two_body(seed):
+    """A TwoBodySolution with random normalized coefficients on a random
+    band basis, some of them exactly zero as outside a converged sub-basis."""
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(3, 9))
+    pairs = band_pair_list(M, int(rng.integers(2, 7)), M + int(rng.integers(0, 12)))
+    c = rng.normal(size=len(pairs)) * (rng.uniform(size=len(pairs)) < 0.8)
+    c[0] = 1.0
+    return TwoBodySolution(float(rng.uniform(3.0, 10.0)), pairs, 0.0,
+                           c / np.linalg.norm(c), 0.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_two_body_rdm_matches_buckets(seed):
+    sol = _pair(8.0) if seed == 0 else _random_two_body(seed)
+    for order, fn in ((1, rdm1), (2, rdm2)):
+        got, ref = fn(sol), _bucket_rdm(sol, order)
+        assert got.modes == ref.modes
+        assert np.abs(got.matrix - ref.matrix).max() <= 1e-14
+
+
+def _substates(case):
+    far = [(0.0, 7.0), (58.0, 6.0)]
+    if case == "pair+single":  # criterion 9's sub-states
+        return [solve_block(far, Q, U, M=8, n_states=1)[1][0]
+                for Q in ((2, 0), (0, 1))]
+    if case == "two-body+ci":
+        return [_random_two_body(3), solve_block(far, (0, 2), U, M=6, n_states=1)[1][0]]
+    three = [(0.0, 7.0), (7.5, 6.0), (14.0, 5.0)]
+    return [solve_block(three, Q, U, M=5, n_states=1)[1][0]
+            for Q in ((1, 0, 0), (0, 2, 0), (0, 0, 1))]
+
+
+@pytest.mark.parametrize("case", ["pair+single", "two-body+ci", "three"])
+def test_factorized_rdm_matches_loops(case):
+    subs = _substates(case)
+    for got, ref in zip(factorized_rdm(subs), _loop_factorized_rdm(subs)):
+        assert got.modes == ref.modes
+        assert np.array_equal(got.matrix, ref.matrix)
+
+
+def test_antisymmetrized_product_matches_loop():
+    G = np.random.default_rng(1).normal(size=(7, 7))
+    modes = [(0, k) for k in range(1, 8)]
+    got = antisymmetrized_product(G + G.T, modes)
+    ref = _loop_antisymmetrized_product(G + G.T, modes)
+    assert got.modes == ref.modes and np.array_equal(got.matrix, ref.matrix)
 
 
 def test_slater_two_rdm_identity():

@@ -179,7 +179,7 @@ class TwoElectronIntegrals:
     than the interaction range give exact zeros.
     """
 
-    def __init__(self, intervals, U, M, range_tol=1e-12):
+    def __init__(self, intervals, U, M):
         # intervals: list of (left, length)
         self.intervals = [(float(a), float(l)) for a, l in intervals]
         self.U = U
@@ -189,7 +189,7 @@ class TwoElectronIntegrals:
         elif U.support_radius is not None:
             self.range = U.support_radius
         else:
-            self.range = U.effective_radius(range_tol)
+            self.range = U.effective_radius(1e-12)
         self._same = {}
         self._cross = {}
 

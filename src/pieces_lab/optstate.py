@@ -23,6 +23,7 @@ pair the 1-RDM of a two-body ground state, and a piece of a CI state its
 block of the state's rdm1.
 """
 
+import functools
 import heapq
 
 import numpy as np
@@ -178,20 +179,15 @@ def _spill_over(occ, tags, lengths, hi, deficit):
 # ---------------------------------------------------------------------------
 # plan energy
 
-_pair_energy_splines = {}
+@functools.cache
+def _pair_energy_spline(U, lmin, lmax):
+    """Cubic spline of the pair ground energy (M = 16) through 12 solves
+    on [lmin, lmax], cached by value."""
+    grid = np.linspace(lmin, lmax, 12)
+    return CubicSpline(grid, [solve_two_body(U, l, M=16).energy for l in grid])
 
 
-def _pair_energy_spline(U, lmin, lmax, n_nodes=12, M=16, rtol=1e-6):
-    from .twobody import _potential_key
-    key = (_potential_key(U), round(lmin, 6), round(lmax, 6), n_nodes, M)
-    if key not in _pair_energy_splines:
-        grid = np.linspace(lmin, lmax, n_nodes)
-        vals = [solve_two_body(U, l, M=M, rtol=rtol).energy for l in grid]
-        _pair_energy_splines[key] = CubicSpline(grid, vals)
-    return _pair_energy_splines[key]
-
-
-def energy_of_plan(cfg, plan, U, include_cross=True, pair_spline=True):
+def energy_of_plan(cfg, plan, U):
     """Total energy of the plan state.
 
     Per-piece terms: closed form pi^2 k^2/l^2 sums for singles and free
@@ -207,23 +203,22 @@ def energy_of_plan(cfg, plan, U, include_cross=True, pair_spline=True):
     total = 0.0
     pair_lengths = [lengths[j] for j in occ_idx if plan.tags[j] == PAIR]
     spline = None
-    if pair_lengths and U is not None:
-        if pair_spline and len(pair_lengths) > 3:
-            # key the spline by the plan's pair band (not per-sample extremes)
-            # so the cache is shared across disorder realizations
-            if "mid" in plan.thresholds and "hi" in plan.thresholds:
-                lmin, lmax = plan.thresholds["mid"], plan.thresholds["hi"]
-            else:
-                lmin, lmax = min(pair_lengths), max(pair_lengths)
-            pad = max(1e-3, 0.01 * (lmax - lmin))
-            spline = _pair_energy_spline(U, lmin - pad, lmax + pad)
+    if U is not None and len(pair_lengths) > 3:
+        # key the spline by the plan's pair band (not per-sample extremes)
+        # so the cache is shared across disorder realizations
+        if "mid" in plan.thresholds and "hi" in plan.thresholds:
+            lmin, lmax = plan.thresholds["mid"], plan.thresholds["hi"]
+        else:
+            lmin, lmax = min(pair_lengths), max(pair_lengths)
+        pad = max(1e-3, 0.01 * (lmax - lmin))
+        spline = _pair_energy_spline(U, lmin - pad, lmax + pad)
     for j in occ_idx:
         q, tag, l = plan.occupation[j], plan.tags[j], lengths[j]
         if tag == PAIR and U is not None:
             total += float(spline(l)) if spline is not None else solve_two_body(U, l, M=16).energy
         else:
             total += free_occupation_energy([l], [q])
-    if include_cross and U is not None:
+    if U is not None:
         rng = U.support_radius if U.support_radius is not None else U.effective_radius(1e-10)
         lefts, rights = cfg.lefts, cfg.rights
         G = {}

@@ -7,9 +7,16 @@ All built-in families are bounded, even, non-negative.  The tail functional
 controls every remainder term downstream; the admissibility condition is
 Z(x) -> 0 as x -> infinity together with finite moments int |u|^k U du,
 k <= 3.
+
+Potentials are value objects: every family but TabulatedPotential is a
+frozen dataclass, equal and hashed by its parameters, so the caches of
+moments, two-body solves and pair-energy splines are keyed by value.  A
+table is keyed by identity.
 """
 
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -60,14 +67,10 @@ class InteractionPotential:
             raise ValueError("mu must be positive")
         return self.scaled(mu ** -2, mu)
 
+    @functools.cache
     def moment(self, k):
-        """int |u|^k U(u) du over the line, cached per k."""
-        cache = getattr(self, "_moments", None)
-        if cache is None:
-            cache = self._moments = {}
-        if k not in cache:
-            cache[k] = self._moment(k)
-        return cache[k]
+        """int |u|^k U(u) du over the line, cached by (potential, k)."""
+        return self._moment(k)
 
     def _moment(self, k):
         # numeric fallback: 2 * int_0^R u^k U du with panel breakpoints
@@ -87,17 +90,21 @@ class InteractionPotential:
         return R
 
 
+@dataclass(frozen=True)
 class BoxPotential(InteractionPotential):
     """U = height on |u| <= radius, else 0."""
 
+    height: float = 1.0
+    radius: float = 1.0
     family = "box"
 
-    def __init__(self, height=1.0, radius=1.0):
-        if height < 0 or radius <= 0:
+    def __post_init__(self):
+        if self.height < 0 or self.radius <= 0:
             raise ValueError("height must be >= 0, radius > 0")
-        self.height = float(height)
-        self.radius = float(radius)
-        self.support_radius = self.radius
+
+    @property
+    def support_radius(self):
+        return self.radius
 
     def __call__(self, u):
         u = np.abs(np.asarray(u, dtype=np.float64))
@@ -115,20 +122,18 @@ class BoxPotential(InteractionPotential):
     def _moment(self, k):
         return 2.0 * self.height * self.radius ** (k + 1) / (k + 1)
 
-    def __repr__(self):
-        return f"BoxPotential(height={self.height}, radius={self.radius})"
 
-
+@dataclass(frozen=True)
 class ExponentialPotential(InteractionPotential):
     """U = amplitude * exp(-rate*|u|)."""
 
+    amplitude: float = 1.0
+    rate: float = 1.0
     family = "exp"
 
-    def __init__(self, amplitude=1.0, rate=1.0):
-        if amplitude < 0 or rate <= 0:
+    def __post_init__(self):
+        if self.amplitude < 0 or self.rate <= 0:
             raise ValueError("amplitude must be >= 0, rate > 0")
-        self.amplitude = float(amplitude)
-        self.rate = float(rate)
 
     def __call__(self, u):
         u = np.abs(np.asarray(u, dtype=np.float64))
@@ -143,10 +148,8 @@ class ExponentialPotential(InteractionPotential):
     def _moment(self, k):
         return 2.0 * self.amplitude * math.factorial(k) / self.rate ** (k + 1)
 
-    def __repr__(self):
-        return f"ExponentialPotential(amplitude={self.amplitude}, rate={self.rate})"
 
-
+@dataclass(frozen=True)
 class PolynomialPotential(InteractionPotential):
     """U = amplitude * (1 + |u|/scale)^(-exponent).
 
@@ -154,14 +157,14 @@ class PolynomialPotential(InteractionPotential):
     exponents are allowed at construction so that check_HU can reject them.
     """
 
+    amplitude: float = 1.0
+    exponent: float = 5.0
+    scale: float = 1.0
     family = "poly"
 
-    def __init__(self, amplitude=1.0, exponent=5.0, scale=1.0):
-        if amplitude < 0 or exponent <= 1 or scale <= 0:
+    def __post_init__(self):
+        if self.amplitude < 0 or self.exponent <= 1 or self.scale <= 0:
             raise ValueError("need amplitude >= 0, exponent > 1, scale > 0")
-        self.amplitude = float(amplitude)
-        self.exponent = float(exponent)
-        self.scale = float(scale)
 
     def __call__(self, u):
         u = np.abs(np.asarray(u, dtype=np.float64))
@@ -181,17 +184,15 @@ class PolynomialPotential(InteractionPotential):
             return math.inf
         return 2.0 * self.amplitude * s ** (k + 1) * beta_fn(k + 1, p - k - 1)
 
-    def __repr__(self):
-        return (f"PolynomialPotential(amplitude={self.amplitude}, "
-                f"exponent={self.exponent}, scale={self.scale})")
-
 
 class TabulatedPotential(InteractionPotential):
     """Even potential given by linear interpolation of samples on u >= 0.
 
     Zero beyond the last grid point unless a tail majorant
-    (callable v -> bound on int_v^inf U) is declared; without one, tail
-    functionals refuse to answer.
+    (callable v -> bound on int_v^inf U) is declared; without one, the
+    support ends at the last grid point and tail functionals vanish beyond
+    it.  Compared and hashed by identity, so caches key a table by the
+    object: its arrays and majorant have no cheap value equality.
     """
 
     family = "table"
@@ -241,20 +242,23 @@ class TabulatedPotential(InteractionPotential):
         return f"TabulatedPotential(n={len(self.u_grid)}, max_u={self.u_grid[-1]})"
 
 
+@dataclass(frozen=True)
 class TruncatedPotential(InteractionPotential):
     """U restricted to |u| <= cutoff (the principal part of a split)."""
 
+    base: InteractionPotential
+    cutoff: float
     family = "truncated"
 
-    def __init__(self, base, cutoff):
-        if cutoff <= 0:
+    def __post_init__(self):
+        if self.cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        self.base = base
-        self.cutoff = float(cutoff)
-        if base.support_radius is not None:
-            self.support_radius = min(base.support_radius, self.cutoff)
-        else:
-            self.support_radius = self.cutoff
+
+    @property
+    def support_radius(self):
+        if self.base.support_radius is None:
+            return self.cutoff
+        return min(self.base.support_radius, self.cutoff)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -274,15 +278,17 @@ class TruncatedPotential(InteractionPotential):
                                   xscale * self.cutoff)
 
 
+@dataclass(frozen=True)
 class ResidualPotential(InteractionPotential):
     """U restricted to |u| > cutoff (the residual part of a split)."""
 
+    base: InteractionPotential
+    cutoff: float
     family = "residual"
 
-    def __init__(self, base, cutoff):
-        self.base = base
-        self.cutoff = float(cutoff)
-        self.support_radius = base.support_radius
+    @property
+    def support_radius(self):
+        return self.base.support_radius
 
     def __call__(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -308,9 +314,6 @@ def tail_Z(U, x):
     """
     if x < 0:
         raise ValueError("x must be non-negative")
-    if U.support_radius is None and getattr(U, "tail_majorant", None) is None \
-            and U.family == "table":
-        raise ValueError("tabulated potential needs a declared tail majorant")
     R = U.support_radius
     if R is not None and x >= R:
         return 0.0

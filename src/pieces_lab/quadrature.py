@@ -50,6 +50,8 @@ Every other entry then errs by at most eps * phase * W per node, the
 division-free bound at the widest node.
 """
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -62,13 +64,11 @@ __all__ = [
 ]
 
 
-_leggauss_cache = {}
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
 
 
 def _gl(a, b, n):
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = np.polynomial.legendre.leggauss(n)
-    x, w = _leggauss_cache[n]
+    x, w = _leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -116,21 +116,20 @@ def _u_panels(U, lo, hi, extra_edges=(), max_cycles=6.0, dens=1.0):
     return out
 
 
-def _u_nodes(U, ellA, ellB, offset, dens, n_nodes):
+def _u_nodes(U, ellA, ellB, offset, dens):
     """Nodes of the u-panel rule for x on [0, ellA], y on [0, ellB] and
     u = x - y - offset.
 
     Returns (u, c, x_lo, x_hi) for the nodes that contribute: weight
     c = U(u) w_u non-zero and a non-empty x-interval [x_lo, x_hi] on which
-    both pieces overlap at that u.  n_nodes is the Gauss-Legendre order of
-    every panel.
+    both pieces overlap at that u.
     """
     panels = _u_panels(U, -offset - ellB, ellA - offset,
                        extra_edges=(-offset, ellA - ellB - offset),
                        dens=dens)
     if not panels:
         return (np.empty(0),) * 4
-    rules = [_gl(a, b, n_nodes) for a, b in panels]
+    rules = [_gl(a, b, _NODES_PER_PANEL) for a, b in panels]
     u = np.concatenate([r[0] for r in rules])
     c = np.asarray(U(u), dtype=np.float64) * np.concatenate([r[1] for r in rules])
     x_lo = np.maximum(0.0, u + offset)
@@ -139,11 +138,15 @@ def _u_nodes(U, ellA, ellB, offset, dens, n_nodes):
     return u[keep], c[keep], x_lo[keep], x_hi[keep]
 
 
+# Gauss-Legendre order of every u-panel
+_NODES_PER_PANEL = 32
 # u-nodes per matrix product in frequency_table: bounds each (2 mA + 1) x
 # 2 _NODE_CHUNK trigonometric table (16 MB at mA = 1000)
 _NODE_CHUNK = 512
 # (entry, node) cells per block of the small-w fallback
 _FALLBACK_CELLS = 1 << 21
+# pair-matrix rows per gather in pair_reduced_matrix
+_ROW_CHUNK = 512
 
 
 def _sinc_sums(c, s, xm, h, omega, b):
@@ -159,10 +162,9 @@ def _sinc_sums(c, s, xm, h, omega, b):
     return out
 
 
-def frequency_table(U, ellA, mA, ellB, mB, offset, nodes_per_panel=32):
+def frequency_table(U, ellA, mA, ellB, mB, offset):
     """Accumulate J[m, n], 0 <= m <= 2 mA, 0 <= n <= 2 mB (see module doc)."""
-    u, c, x_lo, x_hi = _u_nodes(U, ellA, ellB, offset,
-                                mA / ellA + mB / ellB, nodes_per_panel)
+    u, c, x_lo, x_hi = _u_nodes(U, ellA, ellB, offset, mA / ellA + mB / ellB)
     alpha = (np.pi / ellA) * np.arange(2 * mA + 1)
     beta = (np.pi / ellB) * np.arange(2 * mB + 1)
     if len(u) == 0:
@@ -202,30 +204,30 @@ def _gather_g(J, ellA, ellB, a, b, c, d):
             - J[i + j, np.abs(k - l)] + J[i + j, k + l]) / (ellA * ellB)
 
 
-def interaction_g_tensor(U, ell, m, **kw):
+def interaction_g_tensor(U, ell, m):
     """g[a,b,c,d] = int int U(x-y) s_a(x)s_b(x) s_c(y)s_d(y) on [0,ell]^2.
 
     Indices are 0-based (mode k = index + 1).  Symmetric under a<->b, c<->d
     and (a,b)<->(c,d).
     """
-    J = frequency_table(U, ell, m, ell, m, 0.0, **kw)
+    J = frequency_table(U, ell, m, ell, m, 0.0)
     idx = np.arange(m)
     a, b, c, d = np.ix_(idx, idx, idx, idx)
     return _gather_g(J, ell, ell, a, b, c, d)
 
 
-def cross_g_tensor(U, ellA, mA, ellB, mB, gap, **kw):
+def cross_g_tensor(U, ellA, mA, ellB, mB, gap):
     """Same integral with x on a piece [0, ellA] and y on a piece of length
     ellB lying 'gap' to the RIGHT of A."""
     offset = ellA + gap
-    J = frequency_table(U, ellA, mA, ellB, mB, offset, **kw)
+    J = frequency_table(U, ellA, mA, ellB, mB, offset)
     a, b = np.ix_(np.arange(mA), np.arange(mA))
     c, d = np.ix_(np.arange(mB), np.arange(mB))
     return _gather_g(J, ellA, ellB, a[:, :, None, None], b[:, :, None, None],
                      c[None, None, :, :], d[None, None, :, :])
 
 
-def pair_reduced_matrix(U, ell, pairs, row_chunk=512, **kw):
+def pair_reduced_matrix(U, ell, pairs):
     """Interaction matrix over antisymmetric pair states phi_(i,j).
 
     pairs: list of (i, j), 1 <= i < j.  Entry [(ij),(kl)] equals
@@ -233,13 +235,13 @@ def pair_reduced_matrix(U, ell, pairs, row_chunk=512, **kw):
     from the frequency table in chunks to bound peak memory.
     """
     m = max(j for _, j in pairs)
-    J = frequency_table(U, ell, m, ell, m, 0.0, **kw)
+    J = frequency_table(U, ell, m, ell, m, 0.0)
     i = np.array([p[0] - 1 for p in pairs])
     j = np.array([p[1] - 1 for p in pairs])
     n = len(pairs)
     V = np.empty((n, n))
-    for lo in range(0, n, row_chunk):
-        hi = min(lo + row_chunk, n)
+    for lo in range(0, n, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, n)
         a, c = np.ix_(i[lo:hi], i)
         b, d = np.ix_(j[lo:hi], j)
         V[lo:hi] = (_gather_g(J, ell, ell, a, c, b, d)

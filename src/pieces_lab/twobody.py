@@ -22,7 +22,13 @@ profile, chi(y) = 2 sqrt(2) pi sin^3(pi y), whose L^2 norm is (5/2) pi^2;
 both routes then agree to O(1/ell) (box family: 13.713 vs 13.72 at
 ell <= 160), and the weak-coupling slope is (5 pi^2 / 2) * int u^2 U(u) du,
 matching first-order perturbation theory for the pair ground state.
+
+Solves are cached by value: potentials are value objects (see
+potential.py), so equal potentials at the same (ell, M, rtol) share one
+TwoBodySolution, and _solve.cache_info() counts hits and misses.
 """
+
+import functools
 
 import numpy as np
 from scipy.linalg import eigh, solve
@@ -140,7 +146,11 @@ def _ground_state(H):
     return float(w[0]), c
 
 
-def solve_two_body(U, ell, M=24, rtol=1e-6, max_dim=30000):
+# largest enlarged basis a refinement stage may assemble
+_MAX_DIM = 30000
+
+
+def solve_two_body(U, ell, M=24, rtol=1e-6):
     """Converged Galerkin ground state in a corner-plus-band pair basis.
 
     Each refinement stage assembles H once on the enlarged basis (band
@@ -153,10 +163,13 @@ def solve_two_body(U, ell, M=24, rtol=1e-6, max_dim=30000):
     """
     if M < 4:
         raise ValueError("M must be at least 4")
-    key = (_potential_key(U), float(ell), int(M), float(rtol))
-    hit = _solve_cache.get(key)
-    if hit is not None:
-        return hit
+    # normalized before the cache, so that ell=6 and ell=6.0 (or a numpy
+    # scalar) and defaulted or spelled-out M, rtol hit the same entry
+    return _solve(U, float(ell), int(M), float(rtol))
+
+
+@functools.cache
+def _solve(U, ell, M, rtol):
     D = 8
     K = int(max(M + 8, 40, 3.0 * ell))
     trace = []
@@ -182,32 +195,11 @@ def solve_two_body(U, ell, M=24, rtol=1e-6, max_dim=30000):
         if de <= rtol * abs(e0):
             coeffs = np.zeros(len(pairs))
             coeffs[sub] = c0
-            sol = TwoBodySolution(ell, pairs, e0 - de, coeffs, de)
-            _solve_cache[key] = sol
-            return sol
+            return TwoBodySolution(ell, pairs, e0 - de, coeffs, de)
         D, K = D + 4, K_big
-        if len(band_pair_list(M, D + 4, int(np.ceil(1.4 * K)))) > max_dim:
+        if len(band_pair_list(M, D + 4, int(np.ceil(1.4 * K)))) > _MAX_DIM:
             raise ArithmeticError(
                 f"two-body solve did not converge within dimension cap: {trace}")
-
-
-_solve_cache = {}
-
-
-def _potential_key(U):
-    """Hashable key for caching solves: the parameters of a built-in family,
-    else the potential object itself, which the cache then keeps alive (a
-    bare id could be reused by a new object once the old one is freed)."""
-    fam = U.family
-    if fam == "box":
-        return (fam, U.height, U.radius)
-    if fam == "exp":
-        return (fam, U.amplitude, U.rate)
-    if fam == "poly":
-        return (fam, U.amplitude, U.exponent, U.scale)
-    if fam in ("truncated", "residual"):
-        return (fam, _potential_key(U.base), U.cutoff)
-    return (fam, U)
 
 
 def gamma_via_fit(U, ell_list, M=24, rtol=1e-6):

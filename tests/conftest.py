@@ -1,0 +1,16 @@
+"""Every test starts from empty package caches, so its result and its time
+do not depend on which tests ran before it."""
+
+import pytest
+
+from pieces_lab import optstate, quadrature, twobody
+from pieces_lab.potential import InteractionPotential
+
+CACHES = (twobody._solve, optstate._pair_energy_spline,
+          InteractionPotential.moment, quadrature._leggauss)
+
+
+@pytest.fixture(autouse=True)
+def _clear_package_caches():
+    for cache in CACHES:
+        cache.cache_clear()

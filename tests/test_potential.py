@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,23 @@ def test_scaling():
     U = BoxPotential(1.0, 1.0)
     V = U.scaled(2.0, 3.0)
     assert V(2.9) == 2.0 and V(3.1) == 0.0
+
+
+def test_potentials_are_value_objects():
+    assert BoxPotential(1, 1) == BoxPotential(1.0, 1.0)
+    assert hash(BoxPotential(1, 1)) == hash(BoxPotential(1.0, 1.0))
+    a = split_principal(ExponentialPotential(1.0, 1.0), 3.0, 2.0)
+    b = split_principal(ExponentialPotential(1.0, 1.0), 3.0, 2.0)
+    assert a == b and a is not b
+    assert hash(a[0]) == hash(b[0]) and hash(a[1]) == hash(b[1])
+    assert BoxPotential(1, 1) != ExponentialPotential(1, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        BoxPotential(1.0, 1.0).height = 2.0
+
+
+def test_table_without_majorant_ends_at_grid():
+    grid = np.linspace(0.0, 2.0, 11)
+    T = TabulatedPotential(grid, np.ones_like(grid))
+    assert T.support_radius == 2.0
+    assert tail_Z(T, 2.0) == 0.0
+    assert tail_Z(T, 0.0) > 0.0

@@ -3,8 +3,8 @@ import pytest
 
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
                                   TabulatedPotential)
-from pieces_lab.twobody import (astar_xstar, free_pair_state, gamma_star,
-                                gamma_via_K, gamma_via_fit,
+from pieces_lab.twobody import (_solve, astar_xstar, free_pair_state,
+                                gamma_star, gamma_via_K, gamma_via_fit,
                                 pair_matrix_element, solve_two_body)
 
 
@@ -63,6 +63,17 @@ def test_solve_cache_keeps_tables_apart():
     e5 = solve_two_body(U5, 6.0, M=12, rtol=1e-4).energy
     assert e1 == pytest.approx(1.43119, abs=1e-5)
     assert e5 == pytest.approx(1.57685, abs=1e-5)
+
+
+def test_solve_cache_keys_normalized_values():
+    # gamma_via_fit spells out M and rtol and passes numpy ells: the same
+    # solve as the defaulted call on an equal potential
+    _solve.cache_clear()
+    first = solve_two_body(BoxPotential(1.0, 1.0), 6.0)
+    again = solve_two_body(BoxPotential(1.0, 1.0), 6, M=24, rtol=1e-6)
+    assert again is first
+    info = _solve.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_one_body_rdm_properties():

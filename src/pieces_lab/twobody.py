@@ -23,17 +23,31 @@ both routes then agree to O(1/ell) (box family: 13.713 vs 13.72 at
 ell <= 160), and the weak-coupling slope is (5 pi^2 / 2) * int u^2 U(u) du,
 matching first-order perturbation theory for the pair ground state.
 
+Every potential is even, so H commutes with the reflection
+(x, y) -> (ell - x, ell - y).  Since s_k(ell - x) = (-1)^(k+1) s_k(x), the
+pair state phi_(i,j) picks up the sign (-1)^(i+j), and <U phi_ij, phi_kl>
+vanishes unless i + j and k + l have the same parity: the two sectors
+decouple.  The ground state lies in the odd sector: on the triangle x < y
+it is the positive, nondegenerate ground state of that triangle, hence even
+under the triangle's mirror (x, y) -> (ell - y, ell - x), which is the
+reflection followed by the exchange, and the exchange gives -1.  The
+solver therefore assembles and diagonalizes the odd sector only (pairs
+with j - i odd, phi_(1,2) first): half the basis and a quarter of the
+interaction matrix of both sectors.
+
 Solves are cached by value: potentials are value objects (see
 potential.py), so equal potentials at the same (ell, M, rtol) share one
 TwoBodySolution, and _solve.cache_info() counts hits and misses.
 """
 
 import functools
+import time
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh, solve
 
-from .quadrature import interaction_g_tensor, pair_reduced_matrix, sine_modes
+from .quadrature import pair_reduced_matrix, sine_modes
 
 __all__ = [
     "TwoBodySolution",
@@ -48,16 +62,19 @@ __all__ = [
 
 
 def band_pair_list(M, D, K):
-    """Corner-plus-band pair set: all (i, j) with i < j and either j <= M
-    (full corner) or j - i <= D with j <= K (near-diagonal band).
+    """Corner-plus-band pair set in the odd reflection sector: all (i, j)
+    with i < j, j - i odd, and either j <= M (full corner) or j - i <= D
+    with j <= K (near-diagonal band).
 
     The interacting ground state is phi_(1,2) plus a short-range correlation
     correction carried almost entirely by near-diagonal pairs (k, k+odd)
     with k running up to a multiple of ell, so this set reaches large
     effective mode numbers at a small fraction of the full basis size.
+    Pairs with j - i even span the reflection-even sector, which an even
+    U never couples to the ground state (see the module docstring).
     """
     return [(i, j) for i in range(1, K)
-            for j in range(i + 1, min(K, max(i + D, M)) + 1)]
+            for j in range(i + 1, min(K, max(i + D, M)) + 1, 2)]
 
 
 def free_pair_state(i, j, ell):
@@ -82,31 +99,48 @@ def pair_matrix_element(U, ell, ij, kl):
     k, l = kl
     if not (1 <= i < j and 1 <= k < l):
         raise ValueError("pair indices must satisfy 1 <= i < j")
-    m = max(i, j, k, l)
-    g = interaction_g_tensor(U, ell, m)
-    return float(g[i - 1, k - 1, j - 1, l - 1] - g[i - 1, l - 1, j - 1, k - 1])
+    return float(pair_reduced_matrix(U, ell, [ij, kl])[0, 1])
+
+
+class SolveStage(NamedTuple):
+    """One refinement stage of the two-body solve."""
+    D: int          # band width of the stage's sub-basis
+    K: int          # diagonal reach of the stage's sub-basis
+    dim: int        # assembled (enlarged) basis dimension
+    e0: float       # ground energy on the sub-basis
+    de: float       # second-order estimate of the enlarged basis's gain
+    seconds: float  # wall time of the stage
 
 
 class TwoBodySolution:
     """Ground state of the two-fermion problem on [0, ell].
 
+    The state is odd under the reflection (x, y) -> (ell - x, ell - y), so
+    its basis is the odd sector of band_pair_list: every (i, j) there has
+    j - i odd.  Its even-sector coefficients vanish identically and are not
+    stored.
+
     Attributes:
         ell: interval length.
-        pairs: the band basis, pairs (i, j) with i < j.
+        pairs: the band basis, pairs (i, j) with i < j and j - i odd.
         M: largest mode of the basis.
         energy: ground energy.
         coeffs: coefficient vector over pairs, normalized, with the
             phi_(1,2) component made non-negative.
-        residual: |E0(M) - E0(previous M)| from the convergence loop.
+        residual: second-order estimate of the energy the enlarged basis
+            of the last stage would add.
+        trace: the solve's SolveStage records, first stage first; empty for
+            a hand-built solution.
     """
 
-    def __init__(self, ell, pairs, energy, coeffs, residual):
+    def __init__(self, ell, pairs, energy, coeffs, residual, trace=()):
         self.ell = ell
         self.pairs = list(pairs)
         self.M = max(j for _, j in self.pairs)
         self.energy = energy
         self.coeffs = coeffs
         self.residual = residual
+        self.trace = tuple(trace)
         self._rdm1 = None
 
     def antisym_coeff_matrix(self):
@@ -156,10 +190,11 @@ def solve_two_body(U, ell, M=24, rtol=1e-6):
     Each refinement stage assembles H once on the enlarged basis (band
     width D+4, diagonal reach 1.4K) and compares its ground energy with the
     nested (D, K) sub-basis; converged when the relative change is below
-    rtol.  The default tolerance balances the slow sine-basis tail of
-    discontinuous potentials against dense-eigensolve cost; it bounds the
-    error of the derived interaction constant by ~0.2%, well inside every
-    downstream tolerance.
+    rtol.  Raises ArithmeticError, before assembling anything, at the first
+    stage whose enlarged basis would exceed _MAX_DIM pairs.  The default
+    tolerance balances the slow sine-basis tail of discontinuous potentials
+    against dense-eigensolve cost; it bounds the error of the derived
+    interaction constant by ~0.2%, well inside every downstream tolerance.
     """
     if M < 4:
         raise ValueError("M must be at least 4")
@@ -174,15 +209,21 @@ def _solve(U, ell, M, rtol):
     K = int(max(M + 8, 40, 3.0 * ell))
     trace = []
     while True:
+        t0 = time.perf_counter()
         K_big = int(np.ceil(1.4 * K))
         pairs = band_pair_list(M, D + 4, K_big)
+        if len(pairs) > _MAX_DIM:
+            raise ArithmeticError(
+                f"two-body solve did not converge within dimension cap: "
+                f"stage (D, K) = ({D}, {K}) needs {len(pairs)} > {_MAX_DIM} "
+                f"pairs; stages so far: {trace}")
         V = pair_reduced_matrix(U, ell, pairs)
-        free = np.array([np.pi ** 2 * (i * i + j * j) / ell ** 2
-                         for i, j in pairs])
-        # in place: V is dense n x n (about 0.5 GB at ell=160)
+        i, j = np.array(pairs).T
+        free = np.pi ** 2 * (i * i + j * j) / ell ** 2
+        # in place: V is dense n x n (about 130 MB at ell=160)
         H = V
         H[np.diag_indices_from(H)] += free
-        sub = np.array([j <= M or (j - i <= D and j <= K) for i, j in pairs])
+        sub = (j <= M) | ((j - i <= D) & (j <= K))
         e0, c0 = _ground_state(H[np.ix_(sub, sub)])
         # second-order estimate of what the enlarged basis would add; the
         # refinement couples weakly so this is accurate at the tolerances
@@ -191,15 +232,13 @@ def _solve(U, ell, M, rtol):
         r = H[np.ix_(comp, sub)] @ c0
         denom = free[comp] - e0
         de = float(np.sum(r * r / denom))
-        trace.append(((D, K), e0, de))
+        trace.append(SolveStage(D, K, len(pairs), e0, de,
+                                time.perf_counter() - t0))
         if de <= rtol * abs(e0):
             coeffs = np.zeros(len(pairs))
             coeffs[sub] = c0
-            return TwoBodySolution(ell, pairs, e0 - de, coeffs, de)
+            return TwoBodySolution(ell, pairs, e0 - de, coeffs, de, trace)
         D, K = D + 4, K_big
-        if len(band_pair_list(M, D + 4, int(np.ceil(1.4 * K)))) > _MAX_DIM:
-            raise ArithmeticError(
-                f"two-body solve did not converge within dimension cap: {trace}")
 
 
 def gamma_via_fit(U, ell_list, M=24, rtol=1e-6):

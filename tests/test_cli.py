@@ -113,3 +113,10 @@ def test_check_mode_free_energy(tmp_path):
     assert rc in (0, 4)
     summary = json.loads((out / "free-energy_summary.json").read_text())
     assert summary["check_ok"] == (rc == 0)
+
+
+def test_dimension_cap_exit_code(tmp_path):
+    # the first stage at ell = 2000 is over the two-body dimension cap
+    cfg = _cfg(tmp_path, BASE.replace("ell_list = 10,20", "ell_list = 2000"))
+    assert main(["two-body", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 3

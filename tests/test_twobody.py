@@ -1,11 +1,55 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+from pieces_lab import twobody
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
-                                  TabulatedPotential)
+                                  PolynomialPotential, TabulatedPotential)
+from pieces_lab.quadrature import pair_reduced_matrix
 from pieces_lab.twobody import (_solve, astar_xstar, free_pair_state,
                                 gamma_star, gamma_via_K, gamma_via_fit,
                                 pair_matrix_element, solve_two_body)
+
+_GRID = np.linspace(0.0, 1.5, 151)
+FAMILIES = {"box": BoxPotential(1.0, 1.0),
+            "exp": ExponentialPotential(1.0, 1.0),
+            "poly": PolynomialPotential(1.0, 5.0, 1.0),
+            "table": TabulatedPotential(_GRID, np.exp(-2.0 * _GRID ** 2))}
+
+
+def _two_parity_pairs(M, D, K):
+    """The band basis with both reflection sectors: all (i, j), i < j, with
+    j <= M or j - i <= D, j <= K."""
+    return [(i, j) for i in range(1, K)
+            for j in range(i + 1, min(K, max(i + D, M)) + 1)]
+
+
+def _hamiltonian(U, ell, pairs):
+    i, j = np.array(pairs).T
+    free = np.pi ** 2 * (i * i + j * j) / ell ** 2
+    return pair_reduced_matrix(U, ell, pairs) + np.diag(free), i, j, free
+
+
+def _reference_solve(U, ell, M=24, rtol=1e-6):
+    """The (D, K) refinement loop of the solver on the two-parity basis:
+    converged (D, K), energy, and the 1-RDM over the sine modes."""
+    D = 8
+    K = int(max(M + 8, 40, 3.0 * ell))
+    while True:
+        K_big = int(np.ceil(1.4 * K))
+        pairs = _two_parity_pairs(M, D + 4, K_big)
+        H, i, j, free = _hamiltonian(U, ell, pairs)
+        sub = (j <= M) | ((j - i <= D) & (j <= K))
+        w, v = eigh(H[np.ix_(sub, sub)], subset_by_index=[0, 0])
+        e0, c0 = w[0], v[:, 0]
+        r = H[np.ix_(~sub, sub)] @ c0
+        de = float(np.sum(r * r / (free[~sub] - e0)))
+        if de <= rtol * abs(e0):
+            A = np.zeros((K_big, K_big))
+            A[i[sub] - 1, j[sub] - 1] = c0 / np.sqrt(2.0)
+            A[j[sub] - 1, i[sub] - 1] = -c0 / np.sqrt(2.0)
+            return (D, K), e0 - de, 2.0 * A @ A.T
+        D, K = D + 4, K_big
 
 
 def test_free_pair_state():
@@ -26,6 +70,73 @@ def test_pair_matrix_element_symmetric():
     a = pair_matrix_element(U, 5.0, (1, 2), (1, 3))
     b = pair_matrix_element(U, 5.0, (1, 3), (1, 2))
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_pair_matrix_element_is_pair_matrix_entry():
+    # the larger matrix has the same top mode (6), hence the same table
+    U = ExponentialPotential(1.0, 1.0)
+    pairs = _two_parity_pairs(6, 6, 6)
+    V = pair_reduced_matrix(U, 5.0, pairs)
+    for ij, kl in (((2, 6), (1, 4)), ((1, 2), (3, 6)), ((4, 6), (4, 6))):
+        entry = V[pairs.index(ij), pairs.index(kl)]
+        assert pair_matrix_element(U, 5.0, ij, kl) == pytest.approx(
+            entry, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_reflection_sectors_decouple(name):
+    # U even: <U phi_ij, phi_kl> = 0 unless i + j and k + l share parity
+    pairs = _two_parity_pairs(12, 12, 40)
+    V = pair_reduced_matrix(FAMILIES[name], 7.3, pairs)
+    odd = np.array([(j - i) % 2 == 1 for i, j in pairs])
+    assert odd.sum() == len(twobody.band_pair_list(12, 12, 40))
+    assert np.abs(V[np.ix_(odd, ~odd)]).max() <= 1e-12 * np.abs(V).max()
+
+
+@pytest.mark.parametrize("name", ["box", "exp", "poly"])
+def test_even_sector_lies_above_ground_state(name):
+    for ell in (3.3, 12.0, 30.0):
+        pairs = _two_parity_pairs(24, 12, int(max(40, 3.0 * ell)))
+        H, i, j, _ = _hamiltonian(FAMILIES[name], ell, pairs)
+        odd = (j - i) % 2 == 1
+        e_odd = eigh(H[np.ix_(odd, odd)], eigvals_only=True,
+                     subset_by_index=[0, 0])[0]
+        e_even = eigh(H[np.ix_(~odd, ~odd)], eigvals_only=True,
+                      subset_by_index=[0, 0])[0]
+        assert e_even > e_odd
+
+
+@pytest.mark.parametrize("name", ["box", "exp", "poly"])
+def test_odd_sector_solve_matches_two_parity_solve(name):
+    U = FAMILIES[name]
+    for ell in (3.3, 12.0, 40.7):
+        DK, energy, G = _reference_solve(U, ell)
+        sol = solve_two_body(U, ell)
+        assert (sol.trace[-1].D, sol.trace[-1].K) == DK
+        assert sol.energy == pytest.approx(energy, rel=1e-10)
+        assert np.abs(sol.one_body_rdm() - G[:sol.M, :sol.M]).max() <= 1e-12
+        assert all((j - i) % 2 == 1 for i, j in sol.pairs)
+
+
+def test_solve_trace_records_stages():
+    sol = solve_two_body(BoxPotential(1.0, 1.0), 12.0)
+    assert sol.trace and sol.residual == sol.trace[-1].de
+    assert sol.trace[-1].dim == len(sol.pairs)
+    assert all(s.seconds >= 0.0 for s in sol.trace)
+    assert [s.D for s in sol.trace] == [8 + 4 * k for k in range(len(sol.trace))]
+    hand_built = type(sol)(sol.ell, sol.pairs, sol.energy, sol.coeffs,
+                           sol.residual)
+    assert hand_built.trace == ()
+
+
+def test_dimension_cap_checked_before_first_stage(monkeypatch):
+    # at ell = 2000 the first enlarged basis has about 50k odd-sector pairs
+    def assemble(*args):
+        raise AssertionError("assembled a matrix over the cap")
+
+    monkeypatch.setattr(twobody, "pair_reduced_matrix", assemble)
+    with pytest.raises(ArithmeticError, match="dimension cap"):
+        solve_two_body(BoxPotential(1.0, 1.0), 2000.0)
 
 
 def test_zero_potential_ground_state():

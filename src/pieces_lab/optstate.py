@@ -33,7 +33,7 @@ from .spectrum import (enumerate_levels_below, fermi_energy, fermi_length,
                        free_energy_per_particle_empirical)
 from .twobody import astar_xstar, gamma_star, solve_two_body
 from .potential import tail_Z
-from .quadrature import cross_density_integral
+from .quadrature import cosine_coefficients, cross_density_integral
 from .manybody import exact_ground_state_small, free_occupation_energy
 from .rdm import rdm1
 
@@ -164,8 +164,14 @@ def _spill_over(occ, tags, lengths, hi, deficit):
     occupied pieces of length >= hi.  Updates occ and tags in place and
     returns the deficit left when the pool runs out."""
     idx = np.nonzero(((occ > 0) & (lengths >= hi)) | (occ == 0))[0]
-    heap = list(zip(((np.pi * (occ[idx] + 1) / lengths[idx]) ** 2).tolist(),
-                    idx.tolist()))
+    first = (np.pi * (occ[idx] + 1) / lengths[idx]) ** 2
+    if deficit < len(idx):
+        # every level placed lies at or below the deficit-th smallest first
+        # marginal level, so only the pieces whose first level does can take
+        # one; ties keep all of them, and the heap pops in the same order
+        keep = first <= np.partition(first, deficit - 1)[deficit - 1]
+        idx, first = idx[keep], first[keep]
+    heap = list(zip(first.tolist(), idx.tolist()))
     heapq.heapify(heap)
     while deficit > 0 and heap:
         _, j = heapq.heappop(heap)
@@ -197,46 +203,82 @@ def energy_of_plan(cfg, plan, U):
     that of the two-body ground state solved on the piece's 0.05-wide
     length bin (one solve per bin, shared across samples), dilated to the
     piece: the same mode coefficients, so the same 1-RDM.
+
+    The in-range piece pairs are found array-at-a-time, each distinct
+    density's cosine coefficients are computed once, and the pairs are
+    integrated in one stacked cross_density_integral call per pair of mode
+    counts.
     """
     lengths = cfg.lengths
     occ_idx = plan.occupied()
-    total = 0.0
-    pair_lengths = [lengths[j] for j in occ_idx if plan.tags[j] == PAIR]
-    spline = None
-    if U is not None and len(pair_lengths) > 3:
+    q = plan.occupation[occ_idx]
+    ell = lengths[occ_idx]
+    is_pair = np.array([U is not None and plan.tags[j] == PAIR for j in occ_idx],
+                       dtype=bool)
+    total = free_occupation_energy(ell[~is_pair], q[~is_pair])
+    pair_lengths = ell[is_pair]
+    if len(pair_lengths) > 3:
         # key the spline by the plan's pair band (not per-sample extremes)
         # so the cache is shared across disorder realizations
         if "mid" in plan.thresholds and "hi" in plan.thresholds:
             lmin, lmax = plan.thresholds["mid"], plan.thresholds["hi"]
         else:
-            lmin, lmax = min(pair_lengths), max(pair_lengths)
+            lmin, lmax = pair_lengths.min(), pair_lengths.max()
         pad = max(1e-3, 0.01 * (lmax - lmin))
-        spline = _pair_energy_spline(U, lmin - pad, lmax + pad)
-    for j in occ_idx:
-        q, tag, l = plan.occupation[j], plan.tags[j], lengths[j]
-        if tag == PAIR and U is not None:
-            total += float(spline(l)) if spline is not None else solve_two_body(U, l, M=16).energy
-        else:
-            total += free_occupation_energy([l], [q])
-    if U is not None:
-        rng = U.support_radius if U.support_radius is not None else U.effective_radius(1e-10)
-        lefts, rights = cfg.lefts, cfg.rights
-        G = {}
-        for a_pos, j in enumerate(occ_idx):
-            for k in occ_idx[a_pos + 1:]:
-                gap = lefts[k] - rights[j]
-                if gap >= rng:
-                    break  # occupied pieces are ordered; gaps only grow
-                for idx in (j, k):
-                    if idx in G:
-                        continue
-                    if plan.tags[idx] == PAIR:
-                        ell_bin = round(lengths[idx] * 20.0) / 20.0
-                        G[idx] = solve_two_body(U, ell_bin, M=12, rtol=1e-4).one_body_rdm()
-                    else:
-                        G[idx] = np.eye(plan.occupation[idx])
-                total += cross_density_integral(U, G[j], lengths[j], G[k], lengths[k], gap)
+        total += float(np.sum(_pair_energy_spline(U, lmin - pad, lmax + pad)(pair_lengths)))
+    else:
+        total += sum(solve_two_body(U, l, M=16).energy for l in pair_lengths)
+    if U is None:
+        return total
+    rng = U.support_radius if U.support_radius is not None else U.effective_radius(1e-10)
+    a, b, gap = _neighbour_pairs(cfg.lefts[occ_idx], cfg.rights[occ_idx], rng)
+    # one solve per pair piece with a neighbour in range (cached per length
+    # bin); a density is the 1-RDM of a pair's bin solution or the free fill
+    # I_q of any other piece, and each distinct one gets its coefficients once
+    pieces = np.unique(np.concatenate((a, b)))
+    source, label = {}, np.zeros(len(occ_idx), dtype=np.int64)
+    for p in pieces:
+        src = (solve_two_body(U, round(ell[p] * 20.0) / 20.0, M=12, rtol=1e-4)
+               if is_pair[p] else int(q[p]))
+        label[p] = source.setdefault(src, len(source))
+    coeffs = [cosine_coefficients(np.eye(src) if isinstance(src, int) else src.one_body_rdm())
+              for src in source]
+    return total + _cross_sum(U, [coeffs[d] for d in label[a]], ell[a],
+                              [coeffs[d] for d in label[b]], ell[b], gap)
+
+
+def _cross_sum(U, dens_a, ell_a, dens_b, ell_b, gap):
+    """Sum over k of the cross-density integral between dens_a[k] on a piece
+    of length ell_a[k] and dens_b[k] on a piece of length ell_b[k] at gap[k]
+    to its right (densities as 1-RDMs or cosine coefficients): one stacked
+    cross_density_integral per pair of mode counts."""
+    ell_a, ell_b, gap = (np.asarray(v, dtype=np.float64) for v in (ell_a, ell_b, gap))
+    size = np.array([(len(x), len(y)) for x, y in zip(dens_a, dens_b)]).reshape(-1, 2)
+    total = 0.0
+    for group in np.unique(size, axis=0):
+        sel = np.nonzero((size == group).all(axis=1))[0]
+        total += float(np.sum(cross_density_integral(
+            U, np.array([dens_a[k] for k in sel]), ell_a[sel],
+            np.array([dens_b[k] for k in sel]), ell_b[sel], gap[sel])))
     return total
+
+
+def _neighbour_pairs(lefts, rights, rng):
+    """Positions (a, b), a < b, of the pieces (lefts, rights sorted, disjoint)
+    with gap = lefts[b] - rights[a] < rng, and those gaps, a-major.
+
+    The gaps from one piece grow with b, so each piece's neighbours are a
+    run found by np.searchsorted; the run takes one more candidate, and the
+    gap < rng test decides, so that rounding in rights + rng cannot change
+    the set."""
+    pos = np.arange(len(lefts))
+    end = np.minimum(np.searchsorted(lefts, rights + rng, side="right") + 1, len(lefts))
+    count = np.maximum(end - pos - 1, 0)
+    a = np.repeat(pos, count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    gap = lefts[b] - rights[a]
+    keep = gap < rng
+    return a[keep], b[keep], gap[keep]
 
 
 def banded_particle_count(cfg, rho, gamma, mu=1.0):
@@ -315,7 +357,7 @@ def subadditivity_check(intervals1, n1, intervals2, n2, U, M=8):
                                            n1 + n2, U, M=M)
     G1, G2 = _piece_rdms(st1), _piece_rdms(st2)
     rng = U.support_radius if U.support_radius is not None else U.effective_radius(1e-12)
-    slack = 0.0
+    near = []  # (G, ell) of the left piece, (G, ell) of the right one, gap
     for p1, (a1, l1) in enumerate(intervals1):
         for p2, (a2, l2) in enumerate(intervals2):
             if p1 not in G1 or p2 not in G2:
@@ -324,7 +366,8 @@ def subadditivity_check(intervals1, n1, intervals2, n2, U, M=8):
             if gap < 0:  # the piece of region 2 lies to the left
                 left, right, gap = right, left, a1 - (a2 + l2)
             if gap < rng:
-                slack += cross_density_integral(U, *left, *right, gap)
+                near.append((*left, *right, gap))
+    slack = _cross_sum(U, *zip(*near)) if near else 0.0
     return {
         "E_union": Eu, "E_1": E1, "E_2": E2, "slack": slack,
         "upper_ok": Eu <= E1 + E2 + slack + 1e-8,

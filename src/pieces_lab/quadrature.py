@@ -48,6 +48,18 @@ are therefore summed over the nodes in the division-free form: the exact
 zeros m = n of self tables and the near coincidences of cross tables.
 Every other entry then errs by at most eps * phase * W per node, the
 division-free bound at the widest node.
+
+The table has a leading batch axis: with arrays ellA, ellB and offset (mA
+and mB shared) it returns one table per piece pair, built in one pass.
+The u-panels of every entry come from array code (the same edges,
+clipping, subdivision and Gauss-Legendre rule), dead panels and nodes are
+dropped by a stable compaction, and each entry's live nodes fill one row
+of a zero-padded layout, so the brackets are batched matrix products and
+the small-w fallback runs over the stacked entries.  A scalar call is a
+batch of one.  Every stacked intermediate (a batch chunk's trigonometric
+tables, a block of the fallback, a slice of cross_density_integral's
+tables) is bounded by _CHUNK_CELLS cells; the large self tables of
+pair_reduced_matrix keep their _NODE_CHUNK node chunks.
 """
 
 import functools
@@ -61,15 +73,11 @@ __all__ = [
     "cross_g_tensor",
     "pair_reduced_matrix",
     "cross_density_integral",
+    "cosine_coefficients",
 ]
 
 
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)
-
-
-def _gl(a, b, n):
-    x, w = _leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
 def sine_modes(m, ell, x):
@@ -82,60 +90,58 @@ def sine_modes(m, ell, x):
     return np.sqrt(2.0 / ell) * np.sin(np.pi * k * x[None, :] / ell)
 
 
-def _u_panels(U, lo, hi, extra_edges=(), max_cycles=6.0, dens=1.0):
-    """(a, b) u-panels covering [lo, hi] clipped to U's effective support,
-    split at kinks of U and at the supplied edges, and subdivided so no
-    panel spans more than max_cycles oscillation cycles (density dens)."""
-    if lo >= hi:
-        return []
-    edges = {lo, hi}
-    cand = [0.0]
-    for b in U.breakpoints():
-        cand.extend((b, -b))
-    cand.extend(extra_edges)
-    for c in cand:
-        if lo < c < hi:
-            edges.add(c)
+def _u_panels(U, lo, hi, extra_edges, dens, max_cycles=6.0):
+    """u-panels covering [lo_e, hi_e] clipped to U's effective support, for
+    each batch entry e, split at kinks of U and at the entry's extra edges
+    (a B x k array) and subdivided so no panel spans more than max_cycles
+    oscillation cycles (density dens_e).
+
+    Returns (e, a, b): the entry and the ends of every panel, entry by entry
+    and in increasing u within an entry.
+    """
     R = U.effective_radius(1e-13 * (U.moment(0) + 1e-300))
-    lo_c, hi_c = max(lo, -R), min(hi, R)
-    if lo_c >= hi_c:
-        return []
-    edges = sorted(e for e in edges if lo_c <= e <= hi_c)
-    if not edges or edges[0] > lo_c:
-        edges = [lo_c] + edges
-    if edges[-1] < hi_c:
-        edges = edges + [hi_c]
-    out = []
-    width_cap = max_cycles / max(dens, 1e-12)
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 0:
-            continue
-        n_sub = max(1, int(np.ceil((b - a) / width_cap)))
-        sub = np.linspace(a, b, n_sub + 1)
-        out.extend(zip(sub[:-1], sub[1:]))
-    return out
+    lo_c, hi_c = np.maximum(lo, -R)[:, None], np.minimum(hi, R)[:, None]
+    kinks = np.array([0.0, *U.breakpoints(), *(-b for b in U.breakpoints())])
+    cand = np.concatenate((lo_c, hi_c, np.broadcast_to(kinks, (len(lo), len(kinks))),
+                           extra_edges), axis=1)
+    # sorted distinct edges inside the clipped range, padded with inf; a
+    # panel between equal or padded edges is dead and dropped here, before
+    # it is expanded into nodes
+    edges = np.sort(np.where((cand >= lo_c) & (cand <= hi_c), cand, np.inf), axis=1)
+    a, b = edges[:, :-1], edges[:, 1:]
+    live = (b > a) & np.isfinite(b)
+    e = np.nonzero(live)[0]
+    a, b = a[live], b[live]
+    # np.linspace(a, b, n + 1) of each segment, as one array
+    n_sub = np.maximum(1, np.ceil((b - a) / (max_cycles / np.maximum(dens[e], 1e-12))))
+    n_sub = n_sub.astype(np.int64)
+    seg = np.repeat(np.arange(len(a)), n_sub)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    step = ((b - a) / n_sub)[seg]
+    left = k * step + a[seg]
+    right = np.where(k + 1 == n_sub[seg], b[seg], (k + 1) * step + a[seg])
+    return e[seg], left, right
 
 
-def _u_nodes(U, ellA, ellB, offset, dens):
-    """Nodes of the u-panel rule for x on [0, ellA], y on [0, ellB] and
-    u = x - y - offset.
+def _u_nodes(U, ellA, ellB, offset, e, a, b):
+    """Nodes of the u-panel rule on the panels (e, a, b) (see _u_panels),
+    for x on [0, ellA_e], y on [0, ellB_e] and u = x - y - offset_e.
 
-    Returns (u, c, x_lo, x_hi) for the nodes that contribute: weight
+    Returns (e, u, c, x_lo, x_hi) for the nodes that contribute: weight
     c = U(u) w_u non-zero and a non-empty x-interval [x_lo, x_hi] on which
     both pieces overlap at that u.
     """
-    panels = _u_panels(U, -offset - ellB, ellA - offset,
-                       extra_edges=(-offset, ellA - ellB - offset),
-                       dens=dens)
-    if not panels:
-        return (np.empty(0),) * 4
-    rules = [_gl(a, b, _NODES_PER_PANEL) for a, b in panels]
-    u = np.concatenate([r[0] for r in rules])
-    c = np.asarray(U(u), dtype=np.float64) * np.concatenate([r[1] for r in rules])
-    x_lo = np.maximum(0.0, u + offset)
-    x_hi = np.minimum(ellA, u + offset + ellB)
+    x, w = _leggauss(_NODES_PER_PANEL)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    u = (half[:, None] * x + mid[:, None]).ravel()
+    c = np.asarray(U(u), dtype=np.float64) * (half[:, None] * w).ravel()
+    e = np.repeat(e, _NODES_PER_PANEL)
+    x_lo = np.maximum(0.0, u + offset[e])
+    x_hi = np.minimum(ellA[e], u + offset[e] + ellB[e])
+    # a boolean mask compacts stably: each entry's live nodes stay
+    # contiguous and in order, as frequency_table's padded layout needs
     keep = (c != 0.0) & (x_hi > x_lo)
-    return u[keep], c[keep], x_lo[keep], x_hi[keep]
+    return e[keep], u[keep], c[keep], x_lo[keep], x_hi[keep]
 
 
 # Gauss-Legendre order of every u-panel
@@ -143,57 +149,106 @@ _NODES_PER_PANEL = 32
 # u-nodes per matrix product in frequency_table: bounds each (2 mA + 1) x
 # 2 _NODE_CHUNK trigonometric table (16 MB at mA = 1000)
 _NODE_CHUNK = 512
-# (entry, node) cells per block of the small-w fallback
-_FALLBACK_CELLS = 1 << 21
+# cells of each stacked intermediate: the (entry, table row, node) cells of
+# a batch chunk's brackets, the (entry, node) cells of a block of the
+# small-w fallback, and the (entry, m, n) cells of the tables that
+# cross_density_integral builds per call
+_CHUNK_CELLS = 1 << 16
 # pair-matrix rows per gather in pair_reduced_matrix
 _ROW_CHUNK = 512
 
 
-def _sinc_sums(c, s, xm, h, omega, b):
-    """sum_u c_u int cos(omega x - b s_u) dx over [xm_u - h_u, xm_u + h_u],
-    for the entry arrays omega and b, in the division-free form
-    2 h cos(omega xm - b s) sinc(omega h / pi)."""
-    out = np.empty(len(omega))
-    step = max(1, _FALLBACK_CELLS // len(c))
-    ch = 2.0 * c * h
-    for k in range(0, len(omega), step):
-        w, bk = omega[k:k + step, None], b[k:k + step, None]
-        out[k:k + step] = (np.cos(w * xm - bk * s) * np.sinc(w * h / np.pi)) @ ch
-    return out
-
-
 def frequency_table(U, ellA, mA, ellB, mB, offset):
-    """Accumulate J[m, n], 0 <= m <= 2 mA, 0 <= n <= 2 mB (see module doc)."""
-    u, c, x_lo, x_hi = _u_nodes(U, ellA, ellB, offset, mA / ellA + mB / ellB)
-    alpha = (np.pi / ellA) * np.arange(2 * mA + 1)
-    beta = (np.pi / ellB) * np.arange(2 * mB + 1)
-    if len(u) == 0:
-        return np.zeros((len(alpha), len(beta)))
-    s = u + offset
+    """Accumulate J[m, n], 0 <= m <= 2 mA, 0 <= n <= 2 mB (see module doc).
+
+    ellA, ellB and offset may be arrays of one shape (B,): the tables of the
+    B piece pairs are then built in one pass and returned as a B x (2 mA + 1)
+    x (2 mB + 1) stack.
+    """
+    scalar = np.ndim(ellA) == np.ndim(ellB) == np.ndim(offset) == 0
+    ellA, ellB, offset = (np.atleast_1d(np.asarray(v, dtype=np.float64))
+                          for v in np.broadcast_arrays(ellA, ellB, offset))
+    alpha = (np.pi / ellA)[:, None] * np.arange(2 * mA + 1)
+    beta = (np.pi / ellB)[:, None] * np.arange(2 * mB + 1)
+    J = np.zeros((len(ellA), alpha.shape[1], beta.shape[1]))
+    e, a, b = _u_panels(U, -offset - ellB, ellA - offset,
+                        np.stack((-offset, ellA - ellB - offset), axis=1),
+                        mA / ellA + mB / ellB)
+    if len(e):
+        # entries per chunk, each counted with the most nodes any entry can
+        # have, up to the _NODE_CHUNK nodes of one product
+        nodes = min(_NODES_PER_PANEL * np.bincount(e).max(), _NODE_CHUNK)
+        step = max(1, _CHUNK_CELLS // (2 * nodes * max(alpha.shape[1], beta.shape[1])))
+        ends = np.searchsorted(e, np.arange(0, len(ellA) + step, step))
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            if lo == hi:
+                continue
+            entries, layout = _padded_nodes(
+                *_u_nodes(U, ellA, ellB, offset, e[lo:hi], a[lo:hi], b[lo:hi]), offset)
+            # an entry without live nodes (beyond U's range, or U zero
+            # there) keeps its zero table
+            if len(entries):
+                J[entries] = _stacked_table(alpha[entries], beta[entries], *layout)
+    return J[0] if scalar else J
+
+
+def _padded_nodes(e, u, c, x_lo, x_hi, offset):
+    """The entries that have live nodes, and their nodes (c, s = u + offset,
+    x_lo, x_hi) in a zero-padded layout: row k holds the nodes of the k-th
+    such entry in their order, and padding cells carry weight 0.  The nodes
+    must come grouped by entry, as _u_nodes leaves them."""
+    entries, first, count = np.unique(e, return_index=True, return_counts=True)
+    row = np.repeat(np.arange(len(entries)), count)
+    col = np.arange(len(e)) - np.repeat(first, count)
+    layout = np.zeros((4, len(entries), count.max(initial=0)))
+    layout[:, row, col] = c, u + offset[e], x_lo, x_hi
+    return entries, layout
+
+
+def _stacked_table(alpha, beta, c, s, x_lo, x_hi):
+    """The tables of a batch chunk from its nodes in the padded layout."""
     # P = sum_u c_u [sin(a x) cos(b y)], Q = sum_u c_u [cos(a x) sin(b y)],
     # brackets taken between x_lo and x_hi, with y = x - s_u
-    P = np.zeros((len(alpha), len(beta)))
+    P = np.zeros((len(alpha), alpha.shape[1], beta.shape[1]))
     Q = np.zeros_like(P)
-    for k in range(0, len(u), _NODE_CHUNK):
-        part = slice(k, k + _NODE_CHUNK)
-        x = np.concatenate((x_hi[part], x_lo[part]))
-        y = x - np.concatenate((s[part], s[part]))
-        cy = np.concatenate((c[part], -c[part]))[:, None]
-        ax = np.outer(alpha, x)
-        by = np.outer(y, beta)
+    for k in range(0, c.shape[1], _NODE_CHUNK):
+        part = np.s_[:, k:k + _NODE_CHUNK]
+        x = np.concatenate((x_hi[part], x_lo[part]), axis=1)
+        y = x - np.concatenate((s[part], s[part]), axis=1)
+        cy = np.concatenate((c[part], -c[part]), axis=1)[:, :, None]
+        ax = alpha[:, :, None] * x[:, None, :]
+        by = y[:, :, None] * beta[:, None, :]
         P += np.sin(ax) @ (cy * np.cos(by))
         Q += np.cos(ax) @ (cy * np.sin(by))
     xm, h = 0.5 * (x_hi + x_lo), 0.5 * (x_hi - x_lo)
-    width = np.max(x_hi - x_lo)
+    width = np.max(x_hi - x_lo, axis=1)[:, None, None]
     J = np.zeros_like(P)
     for sign in (1.0, -1.0):
-        omega = alpha[:, None] + sign * beta[None, :]
+        omega = alpha[:, :, None] + sign * beta[:, None, :]
         small = np.abs(omega) * width < 1.0
         T = (P + sign * Q) / np.where(small, 1.0, omega)
-        i, j = np.nonzero(small)
-        T[i, j] = _sinc_sums(c, s, xm, h, omega[i, j], sign * beta[j])
+        e, i, j = np.nonzero(small)
+        T[e, i, j] = _sinc_sums(c, s, xm, h, e, omega[e, i, j], sign * beta[e, j])
         J += 0.5 * T
     return J
+
+
+def _sinc_sums(c, s, xm, h, e, omega, b):
+    """sum_u c_u int cos(omega x - b s_u) dx over [xm_u - h_u, xm_u + h_u]
+    for the entry arrays omega and b over the nodes of batch entries e, in
+    the division-free form 2 h cos(omega xm - b s) sinc(omega h / pi)."""
+    out = np.empty(len(omega))
+    step = max(1, _CHUNK_CELLS // c.shape[1])
+    ch = 2.0 * c * h
+    for k in range(0, len(omega), step):
+        ek = e[k:k + step]
+        w, bk = omega[k:k + step, None], b[k:k + step, None]
+        terms = np.cos(w * xm[ek] - bk * s[ek]) * np.sinc(w * h[ek] / np.pi)
+        # the entries come sorted by batch entry; a block inside one entry
+        # (every block of a scalar call) sums as one matrix-vector product
+        out[k:k + step] = (terms @ ch[ek[0]] if ek[0] == ek[-1]
+                           else np.einsum("kn,kn->k", terms, ch[ek]))
+    return out
 
 
 def _gather_g(J, ellA, ellB, a, b, c, d):
@@ -258,19 +313,43 @@ def cross_density_integral(U, G_a, ell_a, G_b, ell_b, gap):
 
         rho(x) = sum_ab G_ab s_a(x) s_b(x)
                = (1/ell) sum_ab G_ab [cos((a-b) pi x/ell) - cos((a+b) pi x/ell)]
-               = (1/ell) sum_n c_n cos(n pi x/ell),  0 <= n <= 2m.
+               = (1/ell) sum_n c_n cos(n pi x/ell),  0 <= n <= 2m,
 
+    or directly the density's cosine coefficients c (cosine_coefficients).
     The integral is then c_a^T J c_b / (ell_a ell_b), J the frequency table
     of the two pieces.
+
+    With arrays ell_a, ell_b, gap of shape (B,), the densities are stacks
+    (B x m x m 1-RDMs or B x (2m + 1) coefficients) and the B integrals are
+    returned as an array, from stacked tables.
     """
-    J = frequency_table(U, ell_a, len(G_a), ell_b, len(G_b), ell_a + gap)
-    return float(_cosine_coefficients(G_a) @ J @ _cosine_coefficients(G_b)
-                 / (ell_a * ell_b))
+    batch = np.ndim(ell_a) + np.ndim(ell_b) + np.ndim(gap) > 0
+    c_a, c_b = (cosine_coefficients(G) if np.ndim(G) == batch + 2
+                else np.asarray(G, dtype=np.float64) for G in (G_a, G_b))
+    ell_a, ell_b, gap = (np.atleast_1d(v).astype(np.float64)
+                         for v in np.broadcast_arrays(ell_a, ell_b, gap))
+    c_a, c_b = c_a.reshape(len(ell_a), -1), c_b.reshape(len(ell_a), -1)
+    # the tables of a slice of the batch stay within the cell budget
+    step = max(1, _CHUNK_CELLS // (c_a.shape[1] * c_b.shape[1]))
+    out = np.empty(len(ell_a))
+    for k in range(0, len(out), step):
+        part = slice(k, k + step)
+        J = frequency_table(U, ell_a[part], c_a.shape[1] // 2, ell_b[part],
+                            c_b.shape[1] // 2, ell_a[part] + gap[part])
+        out[part] = (np.einsum("km,kmn,kn->k", c_a[part], J, c_b[part])
+                     / (ell_a[part] * ell_b[part]))
+    return out if batch else float(out[0])
 
 
-def _cosine_coefficients(G):
-    """c_n of the density of the 1-RDM G (see cross_density_integral)."""
-    a, b = np.indices(G.shape)
-    n = 2 * len(G) + 1
-    return (np.bincount(np.abs(a - b).ravel(), G.ravel(), n)
-            - np.bincount((a + b + 2).ravel(), G.ravel(), n))
+def cosine_coefficients(G):
+    """c_n, 0 <= n <= 2m, of the density of the 1-RDM G (m x m, or a stack
+    ... x m x m of them; see cross_density_integral)."""
+    G = np.asarray(G, dtype=np.float64)
+    m = G.shape[-1]
+    a, b = np.indices((m, m))
+    flat = G.reshape(-1, m * m)
+    n = 2 * m + 1
+    rows = n * np.arange(len(flat))[:, None]
+    c = (np.bincount((rows + np.abs(a - b).ravel()).ravel(), flat.ravel(), n * len(flat))
+         - np.bincount((rows + (a + b + 2).ravel()).ravel(), flat.ravel(), n * len(flat)))
+    return c.reshape(G.shape[:-2] + (n,))

@@ -180,8 +180,9 @@ def _ground_state(H):
     return float(w[0]), c
 
 
-# largest enlarged basis a refinement stage may assemble
-_MAX_DIM = 30000
+# largest dense V, in bytes, a refinement stage may assemble: 2 GiB, an
+# enlarged basis of 16384 pairs, leaving room for its sub-block copies
+_MAX_V_BYTES = 2 << 30
 
 
 def solve_two_body(U, ell, M=24, rtol=1e-6):
@@ -191,10 +192,11 @@ def solve_two_body(U, ell, M=24, rtol=1e-6):
     width D+4, diagonal reach 1.4K) and compares its ground energy with the
     nested (D, K) sub-basis; converged when the relative change is below
     rtol.  Raises ArithmeticError, before assembling anything, at the first
-    stage whose enlarged basis would exceed _MAX_DIM pairs.  The default
-    tolerance balances the slow sine-basis tail of discontinuous potentials
-    against dense-eigensolve cost; it bounds the error of the derived
-    interaction constant by ~0.2%, well inside every downstream tolerance.
+    stage whose dense V on the enlarged basis would exceed _MAX_V_BYTES.
+    The default tolerance balances the slow sine-basis tail of
+    discontinuous potentials against dense-eigensolve cost; it bounds the
+    error of the derived interaction constant by ~0.2%, well inside every
+    downstream tolerance.
     """
     if M < 4:
         raise ValueError("M must be at least 4")
@@ -212,11 +214,12 @@ def _solve(U, ell, M, rtol):
         t0 = time.perf_counter()
         K_big = int(np.ceil(1.4 * K))
         pairs = band_pair_list(M, D + 4, K_big)
-        if len(pairs) > _MAX_DIM:
+        if 8 * len(pairs) ** 2 > _MAX_V_BYTES:
             raise ArithmeticError(
                 f"two-body solve did not converge within dimension cap: "
-                f"stage (D, K) = ({D}, {K}) needs {len(pairs)} > {_MAX_DIM} "
-                f"pairs; stages so far: {trace}")
+                f"stage (D, K) = ({D}, {K}) needs {len(pairs)} pairs, a "
+                f"{8 * len(pairs) ** 2 / 2 ** 30:.1f} GiB dense V over the "
+                f"{_MAX_V_BYTES / 2 ** 30:.0f} GiB cap; stages so far: {trace}")
         V = pair_reduced_matrix(U, ell, pairs)
         i, j = np.array(pairs).T
         free = np.pi ** 2 * (i * i + j * j) / ell ** 2

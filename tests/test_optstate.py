@@ -6,13 +6,15 @@ from scipy import integrate
 
 from pieces_lab import optstate
 from pieces_lab.disorder import from_lengths, sample_pieces
-from pieces_lab.optstate import (banded_fraction_prediction,
+from pieces_lab.manybody import free_occupation_energy
+from pieces_lab.optstate import (StatePlan, banded_fraction_prediction,
                                  banded_particle_count, build_psi_opt,
                                  cross_piece_bound_check, energy_of_plan,
                                  fill_free_ground_state,
                                  neighbor_energy_ladder,
                                  second_order_prediction, subadditivity_check)
 from pieces_lab.potential import BoxPotential, ExponentialPotential
+from pieces_lab.quadrature import cross_density_integral
 from pieces_lab.spectrum import free_energy_per_particle_empirical
 from pieces_lab.twobody import gamma_via_K, solve_two_body
 
@@ -166,3 +168,125 @@ def test_spill_over_matches_per_piece_heap(monkeypatch):
         assert _spill_over_per_piece(occ, tags, lengths, hi, deficit) == 0
         assert np.array_equal(plan.occupation, occ)
         assert plan.tags == tags
+
+
+def test_spill_over_candidates_match_full_pool_heap():
+    # random pools, deficits from 1 to beyond the pool, and exact ties in
+    # the first marginal level at the deficit-th place
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        lengths = rng.choice([2.0, 3.0, 4.0, 6.0, 8.0], n) * rng.choice([1.0, 1.5], n)
+        occ = rng.integers(0, 4, n) * (rng.random(n) < 0.6)
+        cases.append((occ, lengths, 5.0, int(rng.integers(1, 2 * n + 2))))
+    # hand-built: six empty pieces of one length, the deficit cutting the tie
+    lengths = np.array([4.0, 4.0, 9.0, 4.0, 4.0, 2.0, 4.0, 4.0, 12.0])
+    occ = np.array([0, 0, 1, 0, 0, 0, 0, 0, 2])
+    cases += [(occ, lengths, 8.0, d) for d in range(1, 12)]
+    for occ, lengths, hi, deficit in cases:
+        occ_ref, occ_new = occ.astype(np.int64), occ.astype(np.int64)
+        tags_ref = ["filled" if q else "empty" for q in occ]
+        tags_new = list(tags_ref)
+        left = _spill_over_per_piece(occ_ref, tags_ref, lengths, hi, deficit)
+        assert optstate._spill_over(occ_new, tags_new, lengths, hi, deficit) == left
+        assert np.array_equal(occ_new, occ_ref) and tags_new == tags_ref
+
+
+# ---------------------------------------------------------------------------
+# the plan energy against its per-pair loop
+
+
+def _loop_energy_of_plan(cfg, plan, U):
+    """Reference: kinetic and pair terms piece by piece, and one
+    cross-density integral per occupied pair within range, walking the
+    occupied pieces in order until the gap reaches the range."""
+    lengths = cfg.lengths
+    occ_idx = plan.occupied()
+    total = 0.0
+    pair_lengths = [lengths[j] for j in occ_idx if plan.tags[j] == "pair"]
+    spline = None
+    if U is not None and len(pair_lengths) > 3:
+        if "mid" in plan.thresholds and "hi" in plan.thresholds:
+            lmin, lmax = plan.thresholds["mid"], plan.thresholds["hi"]
+        else:
+            lmin, lmax = min(pair_lengths), max(pair_lengths)
+        pad = max(1e-3, 0.01 * (lmax - lmin))
+        spline = optstate._pair_energy_spline(U, lmin - pad, lmax + pad)
+    for j in occ_idx:
+        q, tag, l = plan.occupation[j], plan.tags[j], lengths[j]
+        if tag == "pair" and U is not None:
+            total += (float(spline(l)) if spline is not None
+                      else solve_two_body(U, l, M=16).energy)
+        else:
+            total += free_occupation_energy([l], [q])
+    if U is not None:
+        rng = (U.support_radius if U.support_radius is not None
+               else U.effective_radius(1e-10))
+        lefts, rights = cfg.lefts, cfg.rights
+        G = {}
+        for a_pos, j in enumerate(occ_idx):
+            for k in occ_idx[a_pos + 1:]:
+                gap = lefts[k] - rights[j]
+                if gap >= rng:
+                    break  # occupied pieces are ordered; gaps only grow
+                for idx in (j, k):
+                    if idx in G:
+                        continue
+                    if plan.tags[idx] == "pair":
+                        ell_bin = round(lengths[idx] * 20.0) / 20.0
+                        G[idx] = solve_two_body(U, ell_bin, M=12,
+                                                rtol=1e-4).one_body_rdm()
+                    else:
+                        G[idx] = np.eye(plan.occupation[idx])
+                total += cross_density_integral(U, G[j], lengths[j], G[k],
+                                                lengths[k], gap)
+    return total
+
+
+def _few_pair_plan():
+    """Dyadic lengths, so every edge is exact: two pairs, singles, fills,
+    gaps of 0, 0.5 and exactly the unit box's range 1, and one piece
+    within range of two later ones."""
+    lengths = [7.0, 0.5, 3.0, 1.0, 8.0, 0.25, 0.25, 3.5, 0.125, 6.0, 4.0,
+               1.0, 3.0]
+    occ = [2, 0, 1, 0, 2, 0, 1, 3, 0, 1, 2, 0, 1]
+    tags = ["pair", "empty", "single", "empty", "pair", "empty", "single",
+            "filled", "empty", "single", "filled", "empty", "single"]
+    return from_lengths(lengths), StatePlan(occ, tags)
+
+
+@pytest.mark.parametrize("V", [U, ExponentialPotential(1.0, 1.0)],
+                         ids=["box", "exp"])
+@pytest.mark.parametrize("case", ["spline", "few-pairs", "free"])
+def test_energy_of_plan_matches_pair_loop(V, case):
+    if case == "spline":  # more than three pairs: the pair-energy spline
+        cfg = sample_pieces(6, 5e3, 1.0)
+        plan = build_psi_opt(cfg, 0.05, GAMMA)
+        assert sum(t == "pair" for t in plan.tags) > 3
+    else:
+        cfg, plan = _few_pair_plan()
+    if case == "few-pairs" and V is U:
+        assert cfg.lefts[4] - cfg.rights[2] == 1.0 == V.support_radius
+    W = None if case == "free" else V
+    ref = _loop_energy_of_plan(cfg, plan, W)
+    assert energy_of_plan(cfg, plan, W) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_neighbour_pairs_match_loop_break():
+    # the searched neighbour set is the loop's, including a gap equal to
+    # the range, which the loop's break excludes
+    cfg, plan = _few_pair_plan()
+    occ = plan.occupied()
+    lefts, rights = cfg.lefts[occ], cfg.rights[occ]
+    ref = []
+    for a in range(len(occ)):
+        for b in range(a + 1, len(occ)):
+            if lefts[b] - rights[a] >= 1.0:
+                break
+            ref.append((a, b))
+    a, b, gap = optstate._neighbour_pairs(lefts, rights, 1.0)
+    assert list(zip(a.tolist(), b.tolist())) == ref
+    assert (0, 1) in ref and (1, 2) not in ref and (6, 7) not in ref
+    assert (2, 3) in ref and (2, 4) in ref
+    assert np.array_equal(gap, lefts[b] - rights[a])

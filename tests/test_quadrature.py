@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from pieces_lab import quadrature
 from pieces_lab.manybody import solve_block
 from pieces_lab.optstate import _piece_rdms
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
                                   PolynomialPotential)
-from pieces_lab.quadrature import (_gl, _u_panels, cross_density_integral,
+from pieces_lab.quadrature import (cosine_coefficients, cross_density_integral,
                                    cross_g_tensor, frequency_table,
                                    interaction_g_tensor, sine_modes)
 from pieces_lab.rdm import rdm1
@@ -89,9 +90,49 @@ def test_cross_density_integral_oracle():
 # time, with the inner integral in the division-free sinc form
 
 
+def _gl(a, b, n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
+def _loop_u_panels(U, lo, hi, extra_edges=(), max_cycles=6.0, dens=1.0):
+    """(a, b) u-panels covering [lo, hi] clipped to U's effective support,
+    split at kinks of U and at the supplied edges, and subdivided so no
+    panel spans more than max_cycles oscillation cycles (density dens)."""
+    if lo >= hi:
+        return []
+    edges = {lo, hi}
+    cand = [0.0]
+    for b in U.breakpoints():
+        cand.extend((b, -b))
+    cand.extend(extra_edges)
+    for c in cand:
+        if lo < c < hi:
+            edges.add(c)
+    R = U.effective_radius(1e-13 * (U.moment(0) + 1e-300))
+    lo_c, hi_c = max(lo, -R), min(hi, R)
+    if lo_c >= hi_c:
+        return []
+    edges = sorted(e for e in edges if lo_c <= e <= hi_c)
+    if not edges or edges[0] > lo_c:
+        edges = [lo_c] + edges
+    if edges[-1] < hi_c:
+        edges = edges + [hi_c]
+    out = []
+    width_cap = max_cycles / max(dens, 1e-12)
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b - a <= 0:
+            continue
+        n_sub = max(1, int(np.ceil((b - a) / width_cap)))
+        sub = np.linspace(a, b, n_sub + 1)
+        out.extend(zip(sub[:-1], sub[1:]))
+    return out
+
+
 def _loop_u_nodes(U, ellA, ellB, offset, dens, n_nodes):
-    panels = _u_panels(U, -offset - ellB, ellA - offset,
-                       extra_edges=(-offset, ellA - ellB - offset), dens=dens)
+    panels = _loop_u_panels(U, -offset - ellB, ellA - offset,
+                            extra_edges=(-offset, ellA - ellB - offset),
+                            dens=dens)
     for a, b in panels:
         uq, wu = _gl(a, b, n_nodes(a, b))
         for u, cu in zip(uq, np.asarray(U(uq), dtype=np.float64) * wu):
@@ -199,3 +240,84 @@ def test_cross_density_integral_matches_node_loop(U):
             val = cross_density_integral(U, Ga, la, Gb, lb, gap)
             ref = _loop_cross_density_integral(U, da, la, db, lb, gap)
             assert val == pytest.approx(ref, rel=1e-9), (kinds, gap)
+
+
+# ---------------------------------------------------------------------------
+# stacked tables: one call over a batch of piece pairs against one scalar
+# call per pair and the per-node loop
+
+
+def _stacked_cases(U):
+    """(ellA, ellB, gap) of a batch with gap 0, near-coincident and equal
+    lengths (entries on the small-w fallback), short pieces whose -offset and
+    ellA - ellB - offset edges fall inside U's range (mixed panel counts),
+    and gaps at or beyond the range (zero tables)."""
+    rng = np.random.default_rng(7)
+    lA = rng.uniform(0.3, 9.0, 24)
+    lB = rng.uniform(0.3, 9.0, 24)
+    gap = rng.uniform(0.0, 0.9, 24)
+    gap[:4] = 0.0
+    lB[4:7] = lA[4:7]
+    lB[7:9] = lA[7:9] * (1.0 + 1e-9)
+    lA[9:12], lB[9:12], gap[9:12] = (0.3, 0.4, 0.2), (0.25, 0.45, 0.1), (0.2, 0.0, 0.3)
+    far = U.effective_radius(1e-13 * U.moment(0))  # 1 for the unit box
+    gap[12:14] = far, far + 0.5
+    return lA, lB, gap
+
+
+@pytest.mark.parametrize("cells", [None, 4096])
+@pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
+def test_stacked_frequency_table_matches_scalar_and_loop(U, cells, monkeypatch):
+    # cells = 4096 splits the batch and the fallback into many chunks
+    if cells is not None:
+        monkeypatch.setattr(quadrature, "_CHUNK_CELLS", cells)
+    lA, lB, gap = _stacked_cases(U)
+    for mA, mB in [(1, 1), (3, 7)]:
+        J = frequency_table(U, lA, mA, lB, mB, lA + gap)
+        assert J.shape == (len(lA), 2 * mA + 1, 2 * mB + 1)
+        for k in range(len(lA)):
+            one = frequency_table(U, lA[k], mA, lB[k], mB, lA[k] + gap[k])
+            ref = _loop_frequency_table(U, lA[k], mA, lB[k], mB, lA[k] + gap[k])
+            if k in (12, 13):
+                assert not J[k].any() and not one.any() and not ref.any()
+                continue
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(J[k] - one)) <= 1e-13 * scale, k
+            assert np.max(np.abs(J[k] - ref)) <= 1e-13 * scale, k
+
+
+def test_stacked_tables_cover_every_edge_case():
+    # the batch above reaches what it is meant to: entries with several
+    # panel counts, the -offset / ellA - ellB - offset edges inside the
+    # range, and entries without panels
+    U = POTENTIALS[0]
+    lA, lB, gap = _stacked_cases(U)
+    offset = lA + gap
+    e, a, b = quadrature._u_panels(
+        U, -offset - lB, lA - offset, np.stack((-offset, lA - lB - offset), axis=1),
+        3 / lA + 7 / lB)
+    panels = np.bincount(e, minlength=len(lA))
+    assert len(set(panels[panels > 0])) >= 3 and not panels[12:14].any()
+    assert np.isin(-offset[9:12], a).all() and np.isin((lA - lB - offset)[9:12], a).all()
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+@pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
+def test_stacked_cross_density_matches_scalar(U, cells, monkeypatch):
+    # cells = 64 builds the batch's tables one call at a time
+    if cells is not None:
+        monkeypatch.setattr(quadrature, "_CHUNK_CELLS", cells)
+    lA, lB, gap = _stacked_cases(U)
+    rng = np.random.default_rng(3)
+    Ga = rng.normal(size=(len(lA), 2, 2))
+    Ga = Ga @ Ga.transpose(0, 2, 1)
+    Gb = np.broadcast_to(np.diag([1.0, 0.0, 1.0]), (len(lA), 3, 3))
+    val = cross_density_integral(U, Ga, lA, Gb, lB, gap)
+    ca, cb = cosine_coefficients(Ga), cosine_coefficients(Gb)
+    assert np.array_equal(val, cross_density_integral(U, ca, lA, cb, lB, gap))
+    for k in range(len(lA)):
+        ref = cross_density_integral(U, Ga[k], lA[k], Gb[k], lB[k], gap[k])
+        # the contraction cancels: measure against its absolute value
+        J = frequency_table(U, lA[k], 2, lB[k], 3, lA[k] + gap[k])
+        scale = np.abs(ca[k]) @ np.abs(J) @ np.abs(cb[k]) / (lA[k] * lB[k])
+        assert abs(val[k] - ref) <= 1e-13 * scale, k

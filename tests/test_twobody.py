@@ -139,6 +139,18 @@ def test_dimension_cap_checked_before_first_stage(monkeypatch):
         solve_two_body(BoxPotential(1.0, 1.0), 2000.0)
 
 
+def test_dimension_cap_counts_dense_bytes(monkeypatch):
+    # at ell = 700 the first enlarged basis has 17640 odd-sector pairs, a
+    # 2.3 GiB dense V: over the 2 GiB cap, though under 30000 pairs
+    def assemble(*args):
+        raise AssertionError("assembled a matrix over the cap")
+
+    assert len(twobody.band_pair_list(24, 12, 2940)) == 17640
+    monkeypatch.setattr(twobody, "pair_reduced_matrix", assemble)
+    with pytest.raises(ArithmeticError, match="dimension cap"):
+        solve_two_body(BoxPotential(1.0, 1.0), 700.0)
+
+
 def test_zero_potential_ground_state():
     sol = solve_two_body(BoxPotential(0.0, 1.0), 6.0, M=10)
     assert sol.energy == pytest.approx(np.pi ** 2 * 5.0 / 36.0, rel=1e-12)

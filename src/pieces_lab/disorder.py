@@ -57,10 +57,6 @@ class PieceConfiguration:
     def n_pieces(self):
         return len(self.lengths)
 
-    def pieces(self):
-        """List of (left, right, length) triples, left to right."""
-        return list(zip(self.lefts, self.rights, self.lengths))
-
     def __repr__(self):
         return (f"PieceConfiguration(L={self.L}, mu={self.mu}, "
                 f"pieces={self.n_pieces}, seed={self.seed})")
@@ -97,7 +93,7 @@ def sample_pieces(seed, L, mu):
     while True:
         gaps = rng.exponential(1.0 / mu, size=block)
         cum = pos + np.cumsum(gaps)
-        inside = cum[cum < L]
+        inside = cum[:np.searchsorted(cum, L)]  # cum is sorted
         pts.append(inside)
         if inside.size < block:
             break

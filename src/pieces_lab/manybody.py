@@ -19,9 +19,9 @@ s_D s_D' A[p,q,p',q'], and summing over all shared remainders gives the
 Slater-Condon elements for 0, 1 and 2 differing orbitals.  So the
 removals are sorted by remainder, and each group adds one dense block
 s s^T * A[p,q,p',q'] to H.  The same grouping with one or two removals
-gives the RDMs of a CIState (rdm.py).  The per-element rule
-`_slater_condon` is kept for `block_overlap`, which couples different
-blocks, and as the reference in tests.
+gives the RDMs of a CIState (rdm.py).  `block_overlap` couples two states,
+possibly of different blocks, by the same pair removal over the union of
+their determinants.
 """
 
 import itertools
@@ -35,7 +35,6 @@ from .quadrature import cross_g_tensor, interaction_g_tensor, sine_modes
 __all__ = [
     "enumerate_occupations",
     "kinetic_lower_bound",
-    "free_filling_bound",
     "wedge",
     "TwoElectronIntegrals",
     "BlockBasis",
@@ -80,15 +79,6 @@ def free_occupation_energy(lengths, Q):
     Q = np.asarray(Q)
     P = (2 * Q + 1) * (Q + 1) * Q / 6.0  # sum of k^2, k = 1..Q
     return float(np.pi ** 2 * np.sum(P / lengths ** 2))
-
-
-def free_filling_bound(lengths, Q):
-    """Lower bound sum_j pi^2 P(Q_j)/l_j^2 with P(X)=(2X+1)(X+1)X/6.
-
-    For U >= 0 this free-filling energy bounds the interacting block
-    energy from below.
-    """
-    return free_occupation_energy(lengths, Q)
 
 
 def kinetic_lower_bound(lengths, nu):
@@ -170,9 +160,10 @@ def wedge(states):
 
 class TwoElectronIntegrals:
     """g(p, q, r, s) = int int phi_p(x) phi_q(y) U(x-y) phi_r(x) phi_s(y)
-    for orbitals p = (piece, k) of a configuration.
+    for orbitals p = (piece, k) of a configuration, as the dense
+    antisymmetrized tensor of an occupation block.
 
-    Nonzero only when piece(p) == piece(r) and piece(q) == piece(s):
+    g is nonzero only when piece(p) == piece(r) and piece(q) == piece(s):
     orbitals of different pieces have disjoint supports, so the x (or y)
     integrand vanishes pointwise.  Same-piece and neighboring-piece tables
     are built lazily from the quadrature module; piece pairs farther apart
@@ -214,23 +205,6 @@ class TwoElectronIntegrals:
                 l1, l2 = self.intervals[j1][1], self.intervals[j2][1]
                 self._cross[key] = cross_g_tensor(self.U, l1, self.M, l2, self.M, g)
         return self._cross[key]
-
-    def __call__(self, p, q, r, s):
-        if self.U is None:
-            return 0.0
-        (jp, kp), (jq, kq), (jr, kr), (js, ks) = p, q, r, s
-        if jp != jr or jq != js:
-            return 0.0
-        if jp == jq:
-            # table layout: [a, b, c, d] = s_a s_b in x, s_c s_d in y
-            return float(self._same_table(jp)[kp - 1, kr - 1, kq - 1, ks - 1])
-        a, b = (jp, jq) if jp < jq else (jq, jp)
-        t = self._cross_table(a, b)
-        if t is None:
-            return 0.0
-        if jp < jq:
-            return float(t[kp - 1, kr - 1, kq - 1, ks - 1])
-        return float(t[kq - 1, ks - 1, kp - 1, kr - 1])
 
     def antisymmetrized(self, Q):
         """Dense A[p,q,r,s] = g(p,q,r,s) - g(p,q,s,r) over the orbitals
@@ -285,33 +259,17 @@ def removals(det_index, k):
     return rows[order], removed[order], sign[order], group[order]
 
 
-def _slater_condon(D1, D2, g, lengths):
-    """Matrix element of sum_{i<j} U(x_i - x_j) between sorted determinants
-    D1, D2 (tuples of (piece, k) orbitals), plus kinetic diagonal."""
-    set1, set2 = set(D1), set(D2)
-    only1 = sorted(set1 - set2, key=D1.index)
-    only2 = sorted(set2 - set1, key=D2.index)
-    nd = len(only1)
-    if nd > 2:
-        return 0.0
-    if nd == 0:
-        val = sum(np.pi ** 2 * k ** 2 / lengths[j] ** 2 for (j, k) in D1)
-        for a, b in itertools.combinations(D1, 2):
-            val += g(a, b, a, b) - g(a, b, b, a)
-        return val
-    if nd == 1:
-        p, r = only1[0], only2[0]
-        sign = (-1) ** (D1.index(p) + D2.index(r))
-        val = 0.0
-        for q in D1:
-            if q == p:
-                continue
-            val += g(p, q, r, q) - g(p, q, q, r)
-        return sign * val
-    p, q = only1
-    r, s = only2
-    sign = (-1) ** (D1.index(p) + D1.index(q) + D2.index(r) + D2.index(s))
-    return sign * (g(p, q, r, s) - g(p, q, s, r))
+def _add_pair_interaction(H, det_index, A):
+    """Add <D| sum_{i<j} U(x_i - x_j) |D'> onto H in place, for the
+    determinants of det_index (rows of increasing orbital indices) and the
+    antisymmetrized tensor A over those orbitals: one dense update
+    s s^T * A[p, q, p', q'] per shared (n-2)-remainder (module docstring).
+    """
+    rows, pq, sign, group = removals(det_index, 2)
+    cuts = np.flatnonzero(np.diff(group)) + 1
+    for r, (p, q), s in zip(np.split(rows, cuts), np.split(pq.T, cuts, axis=1),
+                            np.split(sign, cuts)):
+        H[np.ix_(r, r)] += np.outer(s, s) * A[p[:, None], q[:, None], p, q]
 
 
 class BlockBasis:
@@ -364,14 +322,8 @@ class BlockBasis:
         return [tuple(self.orbitals[i] for i in row) for row in self.det_index.tolist()]
 
     def hamiltonian(self, g):
-        """Block Hamiltonian: kinetic diagonal plus sum_{i<j} U(x_i - x_j).
-
-        With D = R + {p, q} for every pair p < q at positions i < j of D
-        and s_D = (-1)^(i+j-1), <D| W |D'> = sum over shared (n-2)-remainders
-        R of s_D s_D' A[p, q, p', q'].  Grouping the pair removals by R makes
-        each group one dense update; this covers the Slater-Condon cases of
-        0, 1 and 2 differing orbitals at once.
-        """
+        """Block Hamiltonian: kinetic diagonal plus sum_{i<j} U(x_i - x_j),
+        the pair interaction added by grouped pair removal."""
         if g.M != self.M:
             raise ValueError("integrals and basis use different truncations M")
         ks = np.array([k for _, k in self.orbitals], dtype=float)
@@ -380,12 +332,7 @@ class BlockBasis:
         H = np.diag(eps[self.det_index].sum(1))
         if self.n < 2:
             return H
-        A = g.antisymmetrized(self.Q)
-        rows, pq, sign, group = removals(self.det_index, 2)
-        cuts = np.flatnonzero(np.diff(group)) + 1
-        for r, (p, q), s in zip(np.split(rows, cuts), np.split(pq.T, cuts, axis=1),
-                                np.split(sign, cuts)):
-            H[np.ix_(r, r)] += np.outer(s, s) * A[p[:, None], q[:, None], p, q]
+        _add_pair_interaction(H, self.det_index, g.antisymmetrized(self.Q))
         return H
 
 
@@ -416,8 +363,8 @@ class CIState:
 def solve_piece_qbody(U, ell, q, M=16, n_states=4):
     """Eigenpairs of q interacting fermions on a single piece of length ell.
 
-    q = 1 is the closed form (pi k / ell)^2; q in {2, 3} is a dense solve in
-    the q-fold antisymmetric sine basis.
+    q = 1 is the closed form (pi k / ell)^2; q in {2, 3} is the block solve
+    of occupation (q,) in the q-fold antisymmetric sine basis.
     """
     if q == 1:
         k = np.arange(1, n_states + 1)
@@ -426,12 +373,7 @@ def solve_piece_qbody(U, ell, q, M=16, n_states=4):
         raise ValueError("q must be in {1, 2, 3}")
     if M < q + 2:
         raise ValueError("M must be >= q + 2")
-    basis = BlockBasis([(0.0, ell)], (q,), M)
-    g = TwoElectronIntegrals([(0.0, ell)], U, M)
-    H = basis.hamiltonian(g)
-    w, v = eigh(H)
-    states = [CIState(basis, v[:, i], w[i]) for i in range(min(n_states, len(w)))]
-    return w[: n_states], states
+    return solve_block([(0.0, ell)], (q,), U, M, n_states)
 
 
 def solve_block(intervals, Q, U, M=12, n_states=2):
@@ -479,34 +421,37 @@ def _as_intervals(obj):
 
 
 def block_overlap(intervals_or_cfg, state_a, U, state_b, M=None):
-    """<Psi_a, W Psi_b> with W = sum_{i<j} U(x_i - x_j), by Slater-Condon
-    over the quadrature g integrals (kinetic part excluded).
+    """<Psi_a, W Psi_b> with W = sum_{i<j} U(x_i - x_j) (kinetic part
+    excluded), by grouped pair removal over the quadrature g integrals.
 
-    The states may belong to different occupation blocks of the same
-    configuration; cross-occupation values vanish (each contributing
-    integral has a pointwise-zero integrand), which this computes rather
-    than assumes.
+    Both states' determinants are mapped onto one orbital list, (piece, k)
+    with k <= M over the pieces either state occupies, and W is assembled
+    over their distinct determinants.  The states may belong to different
+    occupation blocks of the same configuration; cross-occupation values
+    vanish (each contributing integral has a pointwise-zero integrand),
+    which this computes rather than assumes.
     """
     intervals = _as_intervals(intervals_or_cfg)
     if state_a.n != state_b.n:
         raise ValueError("particle numbers differ")
     M = M or max(state_a.basis.M, state_b.basis.M)
-    g = TwoElectronIntegrals(intervals, U, M)
-    lengths = np.array([l for _, l in intervals])
-    total = 0.0
-    for i, D1 in enumerate(state_a.basis.determinants):
-        ci = state_a.coeffs[i]
-        if ci == 0.0:
-            continue
-        for j, D2 in enumerate(state_b.basis.determinants):
-            cj = state_b.coeffs[j]
-            if cj == 0.0:
-                continue
-            elem = _slater_condon(D1, D2, g, lengths)
-            if D1 == D2:
-                elem -= sum(np.pi ** 2 * k ** 2 / lengths[p] ** 2 for (p, k) in D1)
-            total += ci * cj * elem
-    return total
+    if M < max(state_a.basis.M, state_b.basis.M):
+        raise ValueError("M is below a state's local truncation")
+    Q = np.maximum(state_a.basis.Q, state_b.basis.Q)
+    occ = np.flatnonzero(Q)
+    dets = []
+    for basis in (state_a.basis, state_b.basis):
+        piece, k = np.array(basis.orbitals).T
+        dets.append((M * np.searchsorted(occ, piece) + k - 1)[basis.det_index])
+    rows, at = np.unique(np.vstack(dets), axis=0, return_inverse=True)
+    ca, cb = np.zeros(len(rows)), np.zeros(len(rows))
+    ca[at[:state_a.basis.dim]] = state_a.coeffs
+    cb[at[state_a.basis.dim:]] = state_b.coeffs
+    W = np.zeros((len(rows), len(rows)))
+    if state_a.n >= 2:
+        g = TwoElectronIntegrals(intervals, U, M)
+        _add_pair_interaction(W, rows, g.antisymmetrized(Q))
+    return float(ca @ W @ cb)
 
 
 def exact_ground_state_small(intervals_or_cfg, n, U, M=10, cap=None):
@@ -525,7 +470,7 @@ def exact_ground_state_small(intervals_or_cfg, n, U, M=10, cap=None):
     lengths = np.array([l for _, l in intervals])
     best = None
     for Q in enumerate_occupations(len(intervals), n, cap=cap or min(n, 3)):
-        if best is not None and free_filling_bound(lengths, Q) > best[0] + 1e-12:
+        if best is not None and free_occupation_energy(lengths, Q) > best[0] + 1e-12:
             continue
         w, states = solve_block(intervals, Q, U, M=M, n_states=2)
         gap = float(w[1] - w[0]) if len(w) > 1 else np.inf

@@ -92,13 +92,16 @@ def fill_free_ground_state(cfg, n):
     return StatePlan(occ, tags, {"n": n, "cutoff": float(table.energies[n - 1])})
 
 
-def build_psi_opt(cfg, rho, gamma, mu=1.0):
-    """The banded trial plan for density rho and interaction constant gamma."""
+def _bands(rho, gamma, mu):
+    """Fermi length, A*, x* and the band edges lo, mid, hi."""
     ell_rho = fermi_length(rho, mu)
     A, x = astar_xstar(gamma, mu)
-    lo = ell_rho - rho * x
-    mid = 2.0 * ell_rho + A
-    hi = 3.0 * ell_rho
+    return ell_rho, A, x, ell_rho - rho * x, 2.0 * ell_rho + A, 3.0 * ell_rho
+
+
+def build_psi_opt(cfg, rho, gamma, mu=1.0):
+    """The banded trial plan for density rho and interaction constant gamma."""
+    ell_rho, A, x, lo, mid, hi = _bands(rho, gamma, mu)
     lengths = cfg.lengths
     occ = np.zeros(cfg.n_pieces, dtype=np.int64)
     tags = [EMPTY] * cfg.n_pieces
@@ -134,17 +137,7 @@ def build_psi_opt(cfg, rho, gamma, mu=1.0):
     preferred = np.nonzero((lengths >= hi * (1.0 + rho)) & (lengths < 4.0 * ell_rho))[0]
     fallback = np.setdiff1d(np.nonzero(lengths >= hi)[0], preferred)
     for pool in (preferred, fallback):
-        if deficit == 0:
-            break
-        fill = dict.fromkeys(pool.tolist(), 0)
-        while deficit > 0 and fill:
-            j = min(fill, key=lambda i: (np.pi * (fill[i] + 1) / lengths[i]) ** 2)
-            fill[j] += 1
-            occ[j] += 1
-            tags[j] = FILLED
-            deficit -= 1
-            if fill[j] >= 3:
-                del fill[j]
+        deficit = _fill_lowest(occ, tags, lengths, pool, deficit, cap=3)
     if deficit > 0:
         # the capped long-piece capacity ~equals the mean deficit at desk
         # scale, so about half of all realizations spill over
@@ -158,27 +151,41 @@ def build_psi_opt(cfg, rho, gamma, mu=1.0):
 
 
 def _spill_over(occ, tags, lengths, hi, deficit):
-    """Place the remaining deficit on the globally lowest free marginal
-    levels among pieces the bands left empty (mostly pieces just below the
-    single band, whose first level sits just above the Fermi energy) and
-    occupied pieces of length >= hi.  Updates occ and tags in place and
-    returns the deficit left when the pool runs out."""
+    """Place the remaining deficit, uncapped, among pieces the bands left
+    empty (mostly pieces just below the single band, whose first level sits
+    just above the Fermi energy) and occupied pieces of length >= hi.
+    Updates occ and tags in place and returns the deficit left when the
+    pool runs out."""
     idx = np.nonzero(((occ > 0) & (lengths >= hi)) | (occ == 0))[0]
+    return _fill_lowest(occ, tags, lengths, idx, deficit)
+
+
+def _fill_lowest(occ, tags, lengths, idx, deficit, cap=None):
+    """Place deficit particles one at a time on the lowest free marginal
+    level (pi (occ[j] + 1) / lengths[j])^2 among the pieces idx, ties to the
+    lower index, adding at most cap particles to a piece (no cap if None).
+    Updates occ and tags in place and returns the deficit left when the
+    pieces run out."""
+    if deficit <= 0:
+        return deficit
     first = (np.pi * (occ[idx] + 1) / lengths[idx]) ** 2
     if deficit < len(idx):
         # every level placed lies at or below the deficit-th smallest first
-        # marginal level, so only the pieces whose first level does can take
-        # one; ties keep all of them, and the heap pops in the same order
+        # marginal level (each piece takes at least one), so only the pieces
+        # whose first level does can take one; ties keep all of them, and
+        # the heap pops in the same order
         keep = first <= np.partition(first, deficit - 1)[deficit - 1]
         idx, first = idx[keep], first[keep]
-    heap = list(zip(first.tolist(), idx.tolist()))
+    room = np.inf if cap is None else cap
+    heap = [(e, j, room) for e, j in zip(first.tolist(), idx.tolist())]
     heapq.heapify(heap)
     while deficit > 0 and heap:
-        _, j = heapq.heappop(heap)
+        _, j, room = heapq.heappop(heap)
         occ[j] += 1
         tags[j] = FILLED
         deficit -= 1
-        heapq.heappush(heap, ((np.pi * (occ[j] + 1) / lengths[j]) ** 2, j))
+        if room > 1:
+            heapq.heappush(heap, ((np.pi * (occ[j] + 1) / lengths[j]) ** 2, j, room - 1))
     return deficit
 
 
@@ -284,9 +291,7 @@ def _neighbour_pairs(lefts, rights, rng):
 def banded_particle_count(cfg, rho, gamma, mu=1.0):
     """Particles placed by the length bands alone (no completion):
     singles + 2 x pairs."""
-    ell_rho = fermi_length(rho, mu)
-    A, x = astar_xstar(gamma, mu)
-    lo, mid, hi = ell_rho - rho * x, 2.0 * ell_rho + A, 3.0 * ell_rho
+    _, _, _, lo, mid, hi = _bands(rho, gamma, mu)
     lengths = cfg.lengths
     singles = int(((lengths >= lo) & (lengths < mid)).sum())
     pairs = int(((lengths >= mid) & (lengths < hi)).sum())

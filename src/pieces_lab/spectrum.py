@@ -47,17 +47,39 @@ class SpectrumTable:
         return len(self.energies)
 
 
+_EPS = np.finfo(np.float64).eps
+
+
+def _level_counts(cfg, E):
+    """Per piece, the number of levels k >= 1 with (pi*k/l)^2 <= E (E > 0),
+    as floats.
+
+    floor(l*sqrt(E)/pi) can be off by one in either direction when
+    l*sqrt(E)/pi lies within a few ulps of an integer.  Scaling by
+    1 + 16 eps lifts every such value just above its integer k, to a
+    fractional part below w; only those pieces get the exact test of level
+    k, the one the level energies of enumerate_levels_below pass.
+    """
+    c = np.sqrt(E) / np.pi * (1.0 + 16.0 * _EPS)
+    x = cfg.lengths * c
+    counts = np.floor(x)
+    x -= counts
+    # l * c <= L bounds every k, so w covers the lift 16 k eps and rounding
+    w = 32.0 * _EPS * max(c * cfg.L, 1.0)
+    if x.min() < w:
+        near = np.flatnonzero(x < w)
+        k = counts[near]
+        counts[near] = k - 1.0 + ((np.pi * k / cfg.lengths[near]) ** 2 <= E)
+    return counts
+
+
 def enumerate_levels_below(cfg, E):
-    """All levels with energy <= E; per piece the count is floor(l*sqrt(E)/pi)."""
+    """All levels with energy <= E."""
     if E <= 0:
         return SpectrumTable(np.empty(0), np.empty(0, dtype=np.int64),
                              np.empty(0, dtype=np.int64), E)
     lengths = cfg.lengths
-    counts = np.floor(lengths * np.sqrt(E) / np.pi).astype(np.int64)
-    # floor can round the wrong way when l*sqrt(E)/pi is within one ulp of an
-    # integer; nudge exact boundary cases upward
-    boundary = (np.pi * (counts + 1) / lengths) ** 2 <= E
-    counts[boundary] += 1
+    counts = _level_counts(cfg, E).astype(np.int64)
     total = int(counts.sum())
     piece_index = np.repeat(np.arange(len(lengths)), counts)
     starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
@@ -70,8 +92,7 @@ def counting_function(cfg, E):
     """N_L(E): number of levels <= E divided by L."""
     if E <= 0:
         return 0.0
-    counts = np.floor(cfg.lengths * np.sqrt(E) / np.pi)
-    return float(counts.sum() / cfg.L)
+    return float(_level_counts(cfg, E).sum() / cfg.L)
 
 
 def ids_theoretical(E, mu):
@@ -132,8 +153,7 @@ def free_energy_per_particle_empirical(cfg, n, return_levels=False):
     rho = n / cfg.L
     E = fermi_energy(rho, cfg.mu) * 1.2
     for _ in range(60):
-        counts = np.floor(cfg.lengths * np.sqrt(E) / np.pi)
-        if counts.sum() >= n:
+        if _level_counts(cfg, E).sum() >= n:
             break
         E *= 2.0
     else:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pieces_lab import disorder
 from pieces_lab.disorder import (count_neighbor_pairs, count_pair_clusters,
                                  count_pieces_in_range, count_triplets,
                                  from_lengths, max_piece_length, sample_pieces,
@@ -79,6 +80,34 @@ def test_tiling_and_determinism(seed, L, mu):
     assert np.all(np.diff(cfg.cut_points) > 0)
     again = sample_pieces(seed, L, mu)
     assert np.array_equal(cfg.cut_points, again.cut_points)
+
+
+def _cuts_by_mask(seed, L, mu):
+    """Reference: sample_pieces' cut loop, truncating each block of
+    cumulative gaps with a boolean mask."""
+    rng = disorder._rng(seed)
+    pts, pos = [], 0.0
+    block = max(64, int(1.2 * mu * L) + 16)
+    while True:
+        cum = pos + np.cumsum(rng.exponential(1.0 / mu, size=block))
+        inside = cum[cum < L]
+        pts.append(inside)
+        if inside.size < block:
+            break
+        pos = cum[-1]
+        block = max(64, block // 4)
+    return np.concatenate(pts)
+
+
+def test_sample_cuts_slice_matches_mask():
+    cases = [(s, L, mu) for s in (0, 1, 2)
+             for L, mu in ((0.5, 1.0), (5.0, 1.0), (1e3, 1.0), (1e5, 0.3))]
+    # seed 3298 at L = 50 draws more cuts than its first block of 76 holds
+    cases.append((3298, 50.0, 1.0))
+    assert sample_pieces(3298, 50.0, 1.0).n_pieces - 1 >= 76
+    for seed, L, mu in cases:
+        assert np.array_equal(sample_pieces(seed, L, mu).cut_points,
+                              _cuts_by_mask(seed, L, mu))
 
 
 @pytest.mark.parametrize("bad", [(7, 0.0, 1.0), (7, -1.0, 1.0), (7, 10.0, 0.0)])

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from pieces_lab.manybody import (BlockBasis, TwoElectronIntegrals,
-                                 _slater_condon, block_overlap,
-                                 enumerate_occupations,
-                                 exact_ground_state_small, free_filling_bound,
+                                 block_overlap, enumerate_occupations,
+                                 exact_ground_state_small,
                                  free_occupation_energy, kinetic_lower_bound,
                                  occupation_block_energy, solve_block,
                                  solve_piece_qbody, wedge)
 from pieces_lab.potential import BoxPotential, ExponentialPotential
 from pieces_lab.twobody import solve_two_body
+from slater_condon import (block_overlap_per_element, element,
+                           slater_condon_hamiltonian)
 
 U = BoxPotential(1.0, 1.0)
 
@@ -69,14 +70,14 @@ def test_integrals_block_selection_rule():
     # orbitals: (piece, k); g(p, q, r, s) pairs p with r and q with s, so a
     # term that moves a particle between pieces is forbidden
     p, q = (0, 1), (1, 1)
-    assert ints(p, q, q, p) == 0.0
-    assert ints(p, p, q, q) == 0.0
+    assert element(ints, p, q, q, p) == 0.0
+    assert element(ints, p, p, q, q) == 0.0
     # the density-density term is zero out of range ...
-    assert ints(p, q, p, q) == 0.0
+    assert element(ints, p, q, p, q) == 0.0
     # ... and positive for pieces 0.5 apart, within range
     near = TwoElectronIntegrals([(0.0, 5.0), (5.5, 4.0)], U, M=4)
-    assert near(p, q, p, q) > 0.0
-    assert near(p, p, q, q) == 0.0
+    assert element(near, p, q, p, q) > 0.0
+    assert element(near, p, p, q, q) == 0.0
 
 
 def test_piece_qbody_matches_twobody():
@@ -132,17 +133,7 @@ def test_exact_ground_state_small():
 def test_free_filling_bound_holds():
     intervals = [(0.0, 8.0), (9.0, 4.0)]
     energy, Q, _, _ = exact_ground_state_small(intervals, 2, U, M=8)
-    assert free_filling_bound([8.0, 4.0], Q) <= energy + 1e-12
-
-
-def _slater_condon_hamiltonian(basis, g):
-    """Reference: the per-element Slater-Condon double loop."""
-    dets = basis.determinants
-    H = np.zeros((basis.dim, basis.dim))
-    for i, D1 in enumerate(dets):
-        for j in range(i, len(dets)):
-            H[i, j] = H[j, i] = _slater_condon(D1, dets[j], g, basis.lengths)
-    return H
+    assert free_occupation_energy([8.0, 4.0], Q) <= energy + 1e-12
 
 
 # gaps 0 (touching) and 0.6 lie inside the box range 1; gap 1.0 equals it,
@@ -168,7 +159,7 @@ def test_block_hamiltonian_matches_slater_condon(intervals, Q, U):
     g = TwoElectronIntegrals(intervals, U, M)
     H = basis.hamiltonian(g)
     ref_g = TwoElectronIntegrals(intervals, U, M)
-    ref = _slater_condon_hamiltonian(basis, ref_g)
+    ref = slater_condon_hamiltonian(basis.determinants, ref_g, basis.lengths)
     assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
     # the assembly builds the tables the per-element rule touches, no more
     assert sorted(g._same) == sorted(ref_g._same)
@@ -184,3 +175,49 @@ def test_single_occupancy_builds_no_same_piece_table():
     # pieces 0 and 2 lie 4.0 apart, beyond the box range
     assert {k: t is None for k, t in g._cross.items()} == \
         {(0, 1): False, (0, 2): True, (1, 2): False}
+
+
+POTENTIALS = [U, ExponentialPotential(1.0, 1.0)]
+
+
+@pytest.mark.parametrize("V", POTENTIALS, ids=["box", "exp"])
+@pytest.mark.parametrize("Q", [(2, 0, 0), (2, 1, 0), (1, 1, 1), (1, 0, 2)])
+def test_block_overlap_within_block(V, Q):
+    # the ground state with itself and with the first excited state
+    M = 5
+    basis = BlockBasis(NEAR, Q, M)
+    g = TwoElectronIntegrals(NEAR, V, M)
+    # with no potential the block Hamiltonian is the kinetic diagonal T
+    W = basis.hamiltonian(g) - basis.hamiltonian(TwoElectronIntegrals(NEAR, None, M))
+    _, (a, b) = solve_block(NEAR, Q, V, M=M, n_states=2)
+    for x, y in [(a, a), (a, b)]:
+        val = block_overlap(NEAR, x, V, y)
+        assert val == pytest.approx(x.coeffs @ W @ y.coeffs, rel=1e-13, abs=1e-15)
+        ref = block_overlap_per_element(NEAR, x, TwoElectronIntegrals(NEAR, V, M), y)
+        assert val == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("V", POTENTIALS, ids=["box", "exp"])
+def test_block_overlap_different_truncations(V):
+    # the same block solved at M = 5 and M = 6: both states live in the
+    # M = 6 orbital list, and the oracle reads the M = 6 tables
+    a = solve_block(NEAR, (2, 1, 0), V, M=5, n_states=1)[1][0]
+    b = solve_block(NEAR, (2, 1, 0), V, M=6, n_states=1)[1][0]
+    ints = TwoElectronIntegrals(NEAR, V, 6)
+    for x, y in [(a, b), (b, a)]:
+        val = block_overlap(NEAR, x, V, y)
+        ref = block_overlap_per_element(NEAR, x, ints, y)
+        assert val == pytest.approx(ref, rel=1e-13)
+    with pytest.raises(ValueError):
+        block_overlap(NEAR, a, V, b, M=5)
+
+
+@pytest.mark.parametrize("V", POTENTIALS, ids=["box", "exp"])
+def test_block_overlap_cross_block_exact_zero(V):
+    # touching and near pieces: the cross tables are built, yet every
+    # coupling between different occupations is a structural zero of A
+    states = {Q: solve_block(NEAR, Q, V, M=5, n_states=1)[1][0]
+              for Q in [(2, 1, 0), (1, 1, 1), (1, 0, 2), (0, 2, 1)]}
+    for Qa, Qb in [((2, 1, 0), (1, 1, 1)), ((1, 1, 1), (1, 0, 2)),
+                   ((1, 0, 2), (0, 2, 1)), ((2, 1, 0), (0, 2, 1))]:
+        assert block_overlap(NEAR, states[Qa], V, states[Qb]) == 0.0

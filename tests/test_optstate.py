@@ -193,6 +193,63 @@ def test_spill_over_candidates_match_full_pool_heap():
         assert np.array_equal(occ_new, occ_ref) and tags_new == tags_ref
 
 
+def _capped_fill_by_dict(occ, tags, lengths, pool, deficit):
+    """Reference: the completion of a pool of empty pieces by repeated min
+    over a dict of per-piece fill counts, at most 3 to a piece."""
+    fill = dict.fromkeys(pool.tolist(), 0)
+    while deficit > 0 and fill:
+        j = min(fill, key=lambda i: (np.pi * (fill[i] + 1) / lengths[i]) ** 2)
+        fill[j] += 1
+        occ[j] += 1
+        tags[j] = "filled"
+        deficit -= 1
+        if fill[j] >= 3:
+            del fill[j]
+    return deficit
+
+
+def test_capped_fill_matches_dict_loop():
+    # random pools of empty pieces with tied lengths, deficits from 1 to
+    # beyond the capped capacity
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        lengths = rng.choice([2.0, 3.0, 4.0, 6.0, 9.0], n) * rng.choice([1.0, 1.5], n)
+        occ = rng.integers(1, 3, n) * (rng.random(n) < 0.4)
+        pool = np.flatnonzero((occ == 0) & (rng.random(n) < 0.8))
+        deficit = int(rng.integers(1, 3 * len(pool) + 3))
+        occ_ref, occ_new = occ.astype(np.int64), occ.astype(np.int64)
+        tags_ref = ["filled" if q else "empty" for q in occ]
+        tags_new = list(tags_ref)
+        left = _capped_fill_by_dict(occ_ref, tags_ref, lengths, pool, deficit)
+        assert optstate._fill_lowest(occ_new, tags_new, lengths, pool, deficit,
+                                     cap=3) == left
+        assert np.array_equal(occ_new, occ_ref) and tags_new == tags_ref
+
+
+def test_capped_fill_in_build_matches_dict_loop(monkeypatch):
+    fill = optstate._fill_lowest
+    checked = []
+
+    def check(occ, tags, lengths, idx, deficit, cap=None):
+        if cap is None or deficit <= 0:
+            return fill(occ, tags, lengths, idx, deficit, cap)
+        assert np.all(occ[idx] == 0)
+        occ_ref, tags_ref = occ.copy(), list(tags)
+        left = _capped_fill_by_dict(occ_ref, tags_ref, lengths, idx, deficit)
+        out = fill(occ, tags, lengths, idx, deficit, cap)
+        assert out == left
+        assert np.array_equal(occ, occ_ref) and tags == tags_ref
+        checked.append(deficit)
+        return out
+
+    monkeypatch.setattr(optstate, "_fill_lowest", check)
+    for seed in range(4):
+        for rho in (0.05, 0.15):
+            build_psi_opt(sample_pieces(seed, 2e4, 1.0), rho, GAMMA)
+    assert len(checked) >= 8
+
+
 # ---------------------------------------------------------------------------
 # the plan energy against its per-pair loop
 

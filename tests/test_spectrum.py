@@ -21,11 +21,28 @@ def test_levels_single_piece():
     assert np.all(table.k == [1, 2, 3])
 
 
+def _exact_count(cfg, E):
+    """Levels with (pi k / l)^2 <= E, level by level."""
+    k = np.arange(1, 200)
+    return sum(int(np.sum((np.pi * k / l) ** 2 <= E)) for l in cfg.lengths)
+
+
 def test_counting_function_matches_table():
     cfg = sample_pieces(11, 500.0, 1.0)
-    for E in (0.5, 1.0, 2.5):
-        assert counting_function(cfg, E) * cfg.L == pytest.approx(
-            len(enumerate_levels_below(cfg, E)), abs=1e-9)
+    # E at a level and one ulp below it, where floor(l sqrt(E) / pi) can
+    # round either way
+    at = enumerate_levels_below(cfg, 2.5).energies[[10, -1]]
+    cases = [(cfg, E) for E in (0.5, 1.0, 2.5, *at, *np.nextafter(at, 0.0))]
+    # the floor misses the level at E = (pi / l)^2 on the first piece, and
+    # counts level 3 of the second one ulp above E
+    ell = 1.2989837167557965
+    cases += [(from_lengths([ell]), (np.pi / ell) ** 2),
+              (from_lengths([10.480521681655006]), 0.8086795361375121)]
+    for c, E in cases:
+        table = enumerate_levels_below(c, E)
+        assert np.all(table.energies <= table.cutoff)
+        assert len(table) == _exact_count(c, E)
+        assert counting_function(c, E) * c.L == pytest.approx(len(table), abs=1e-9)
 
 
 def test_table_sorted_by_energy():

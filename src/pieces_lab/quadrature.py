@@ -24,6 +24,26 @@ density-density integral between two pieces contracts their J with two
 coefficient vectors (cross_density_integral): the table is the one
 quadrature engine for every interaction integral.
 
+The table can be built over subsets of its rows and columns: every entry
+is a sum over the same u-nodes (those of the nominal mA and mB), so an
+entry of a subset table equals that entry of the full table.
+cross_density_integral builds only the frequencies at which some density
+of its batch has a non-zero coefficient: a pair state's density has none
+at odd n, nor beyond twice the reach of its sub-basis.
+
+Every J lookup of a g entry reads J[|p|, |q|] with p, q sums and
+differences of mode numbers, so the table is folded once,
+
+    E[p + R, q + C] = J[|p|, |q|],  |p| <= R = 2 mA,  |q| <= C = 2 mB,
+
+and each of the four signed terms becomes an entry of E at an address
+affine in the mode numbers.  The g tensors are then sums of four 4-D
+strided views of E.  The pair matrix over the pairs (i, i + d) is built
+block by block, one block per two offsets d, d': over the bounding i and k
+ranges of the two groups, its direct and exchange terms are eight 2-D
+strided views of E.  Every view's corner addresses are checked against
+E's shape before the view is made, so no view reads outside E.
+
 With y = x - s_u, cos(a x) cos(b y) = (cos(a x + b y) + cos(a x - b y)) / 2
 and, for each sign sigma,
 
@@ -63,8 +83,10 @@ pair_reduced_matrix keep their _NODE_CHUNK node chunks.
 """
 
 import functools
+import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "sine_modes",
@@ -154,22 +176,26 @@ _NODE_CHUNK = 512
 # small-w fallback, and the (entry, m, n) cells of the tables that
 # cross_density_integral builds per call
 _CHUNK_CELLS = 1 << 16
-# pair-matrix rows per gather in pair_reduced_matrix
-_ROW_CHUNK = 512
 
 
-def frequency_table(U, ellA, mA, ellB, mB, offset):
+def frequency_table(U, ellA, mA, ellB, mB, offset, *, rows=None, cols=None):
     """Accumulate J[m, n], 0 <= m <= 2 mA, 0 <= n <= 2 mB (see module doc).
 
+    rows and cols, sorted frequency indices (all of them by default),
+    restrict the table to J[rows][:, cols]; its entries are those of the
+    full table, from the u-nodes of mA and mB.
+
     ellA, ellB and offset may be arrays of one shape (B,): the tables of the
-    B piece pairs are then built in one pass and returned as a B x (2 mA + 1)
-    x (2 mB + 1) stack.
+    B piece pairs are then built in one pass and returned as a B x len(rows)
+    x len(cols) stack.
     """
     scalar = np.ndim(ellA) == np.ndim(ellB) == np.ndim(offset) == 0
     ellA, ellB, offset = (np.atleast_1d(np.asarray(v, dtype=np.float64))
                           for v in np.broadcast_arrays(ellA, ellB, offset))
-    alpha = (np.pi / ellA)[:, None] * np.arange(2 * mA + 1)
-    beta = (np.pi / ellB)[:, None] * np.arange(2 * mB + 1)
+    rows = np.arange(2 * mA + 1) if rows is None else np.asarray(rows)
+    cols = np.arange(2 * mB + 1) if cols is None else np.asarray(cols)
+    alpha = (np.pi / ellA)[:, None] * rows
+    beta = (np.pi / ellB)[:, None] * cols
     J = np.zeros((len(ellA), alpha.shape[1], beta.shape[1]))
     e, a, b = _u_panels(U, -offset - ellB, ellA - offset,
                         np.stack((-offset, ellA - ellB - offset), axis=1),
@@ -251,12 +277,43 @@ def _sinc_sums(c, s, xm, h, e, omega, b):
     return out
 
 
-def _gather_g(J, ellA, ellB, a, b, c, d):
-    """g[a,b,c,d] from the frequency table (0-based mode indices)."""
-    i, j = a + 1, b + 1
-    k, l = c + 1, d + 1
-    return (J[np.abs(i - j), np.abs(k - l)] - J[np.abs(i - j), k + l]
-            - J[i + j, np.abs(k - l)] + J[i + j, k + l]) / (ellA * ellB)
+def _fold(J):
+    """The folded table E[p + R, q + C] = J[|p|, |q|] of a table J of shape
+    (R + 1) x (C + 1)."""
+    E = np.concatenate((J[:0:-1], J))
+    return np.concatenate((E[:, :0:-1], E), axis=1)
+
+
+def _view(E, origin, steps, shape):
+    """Read-only view v of E with v[t] = E[origin + sum_k t_k steps[k]],
+    origin and each step a (row, column) offset.  Raises IndexError, before
+    the view is made, if a corner of the view falls outside E."""
+    corners = [origin]
+    for n, (dr, dc) in zip(shape, steps):
+        corners += [(r + (n - 1) * dr, c + (n - 1) * dc) for r, c in corners]
+    if not all(0 <= r < E.shape[0] and 0 <= c < E.shape[1] for r, c in corners):
+        raise IndexError(f"strided view {origin} + {steps} x {shape} leaves "
+                         f"the folded table of shape {E.shape}")
+    strides = tuple(dr * E.strides[0] + dc * E.strides[1] for dr, dc in steps)
+    return as_strided(E[origin[0], origin[1]:], shape, strides, writeable=False)
+
+
+def _g_tensor(J, scale):
+    """g[a,b,c,d], a, b < mA and c, d < mB, from the (2 mA + 1) x (2 mB + 1)
+    table J of the two pieces and scale = ellA ellB: with i = a + 1, ... the term
+    J[|i -/+ j|, |k -/+ l|] is a 4-D view of the folded table with strides
+    (e0, -/+e0, e1, -/+e1)."""
+    E = _fold(J)
+    R, C = J.shape[0] - 1, J.shape[1] - 1
+    g = np.zeros((R // 2, R // 2, C // 2, C // 2))
+    for s, t in itertools.product((-1, 1), repeat=2):
+        term = _view(E, (R + 1 + s, C + 1 + t), ((1, 0), (s, 0), (0, 1), (0, t)), g.shape)
+        if s == t:
+            g += term
+        else:
+            g -= term
+    g /= scale
+    return g
 
 
 def interaction_g_tensor(U, ell, m):
@@ -265,42 +322,66 @@ def interaction_g_tensor(U, ell, m):
     Indices are 0-based (mode k = index + 1).  Symmetric under a<->b, c<->d
     and (a,b)<->(c,d).
     """
-    J = frequency_table(U, ell, m, ell, m, 0.0)
-    idx = np.arange(m)
-    a, b, c, d = np.ix_(idx, idx, idx, idx)
-    return _gather_g(J, ell, ell, a, b, c, d)
+    return _g_tensor(frequency_table(U, ell, m, ell, m, 0.0), ell * ell)
 
 
 def cross_g_tensor(U, ellA, mA, ellB, mB, gap):
     """Same integral with x on a piece [0, ellA] and y on a piece of length
     ellB lying 'gap' to the RIGHT of A."""
-    offset = ellA + gap
-    J = frequency_table(U, ellA, mA, ellB, mB, offset)
-    a, b = np.ix_(np.arange(mA), np.arange(mA))
-    c, d = np.ix_(np.arange(mB), np.arange(mB))
-    return _gather_g(J, ellA, ellB, a[:, :, None, None], b[:, :, None, None],
-                     c[None, None, :, :], d[None, None, :, :])
+    return _g_tensor(frequency_table(U, ellA, mA, ellB, mB, ellA + gap), ellA * ellB)
 
 
 def pair_reduced_matrix(U, ell, pairs):
     """Interaction matrix over antisymmetric pair states phi_(i,j).
 
-    pairs: list of (i, j), 1 <= i < j.  Entry [(ij),(kl)] equals
-    <U(x-y) phi_ij, phi_kl> = g[i,k,j,l] - g[i,l,j,k].  Rows are gathered
-    from the frequency table in chunks to bound peak memory.
+    pairs: list of (i, j), 1 <= i < j, in any order.  Entry [(ij),(kl)]
+    equals <U(x-y) phi_ij, phi_kl> = g[i,k,j,l] - g[i,l,j,k].  The pairs
+    are grouped by d = j - i; for two groups d <= d' the block over their
+    bounding i and k ranges is the signed sum of eight strided views of the
+    folded self table (see module doc), from which the groups' own rows and
+    columns are taken.  The block is written to V[d, d'] and its transpose
+    to V[d', d].
     """
-    m = max(j for _, j in pairs)
-    J = frequency_table(U, ell, m, ell, m, 0.0)
-    i = np.array([p[0] - 1 for p in pairs])
-    j = np.array([p[1] - 1 for p in pairs])
-    n = len(pairs)
-    V = np.empty((n, n))
-    for lo in range(0, n, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, n)
-        a, c = np.ix_(i[lo:hi], i)
-        b, d = np.ix_(j[lo:hi], j)
-        V[lo:hi] = (_gather_g(J, ell, ell, a, c, b, d)
-                    - _gather_g(J, ell, ell, a, d, b, c))
+    i, j = np.array(pairs).T
+    m = int(j.max())
+    E = _fold(frequency_table(U, ell, m, ell, m, 0.0))
+    R = 2 * m
+    # each group: its offset d, its positions in pairs ordered by i, the
+    # first i, and the rows of its pairs within the bounding i range (a
+    # slice when they fill it)
+    groups = []
+    for d in np.unique(j - i):
+        pos = np.flatnonzero(j - i == d)
+        pos = pos[np.argsort(i[pos], kind="stable")]
+        r = i[pos] - i[pos[0]]
+        groups.append((int(d), pos, int(i[pos[0]]), int(r[-1]) + 1,
+                       np.s_[:] if np.array_equal(r, np.arange(len(r))) else r))
+    V = np.empty((len(pairs), len(pairs)))
+    for g, (d1, pos1, i1, n1, r1) in enumerate(groups):
+        for d2, pos2, k1, n2, r2 in groups[g:]:
+            shape = (n1, n2)
+            block = np.zeros(shape)
+            # V[(i, j), (k, l)] * ell^2, j = i + d1, l = k + d2, is the sum
+            # over s, t = -1, 1 of s t (J[|i + s k|, |j + t l|] (direct)
+            # - J[|i + s l|, |j + t k|] (exchange)); each term steps by
+            # (1, 1) in E per row i and by (s, t) per column k
+            for s, t in itertools.product((-1, 1), repeat=2):
+                steps = ((1, 1), (s, t))
+                direct = _view(E, (R + i1 + s * k1, R + i1 + d1 + t * (k1 + d2)),
+                               steps, shape)
+                exchange = _view(E, (R + i1 + s * (k1 + d2), R + i1 + d1 + t * k1),
+                                 steps, shape)
+                if s != t:
+                    direct, exchange = exchange, direct
+                block += direct
+                block -= exchange
+            block = block[r1][:, r2]
+            # np.put with flat indices: a setitem with np.ix_ indices is
+            # several times slower
+            np.put(V, pos1[:, None] * len(pairs) + pos2, block)
+            if d2 != d1:
+                np.put(V, pos2[:, None] * len(pairs) + pos1, block.T)
+    V /= ell * ell
     return V
 
 
@@ -329,13 +410,20 @@ def cross_density_integral(U, G_a, ell_a, G_b, ell_b, gap):
     ell_a, ell_b, gap = (np.atleast_1d(v).astype(np.float64)
                          for v in np.broadcast_arrays(ell_a, ell_b, gap))
     c_a, c_b = c_a.reshape(len(ell_a), -1), c_b.reshape(len(ell_a), -1)
+    mA, mB = c_a.shape[1] // 2, c_b.shape[1] // 2
+    # the tables hold only the frequencies at which some density of the
+    # batch has a non-zero coefficient
+    rows, cols = (np.flatnonzero(np.any(c != 0.0, axis=0)) for c in (c_a, c_b))
+    c_a, c_b = c_a[:, rows], c_b[:, cols]
+    out = np.zeros(len(ell_a))
+    # a zero density needs no table: its integrals are 0
+    live = len(out) if len(rows) and len(cols) else 0
     # the tables of a slice of the batch stay within the cell budget
-    step = max(1, _CHUNK_CELLS // (c_a.shape[1] * c_b.shape[1]))
-    out = np.empty(len(ell_a))
-    for k in range(0, len(out), step):
+    step = max(1, _CHUNK_CELLS // max(len(rows) * len(cols), 1))
+    for k in range(0, live, step):
         part = slice(k, k + step)
-        J = frequency_table(U, ell_a[part], c_a.shape[1] // 2, ell_b[part],
-                            c_b.shape[1] // 2, ell_a[part] + gap[part])
+        J = frequency_table(U, ell_a[part], mA, ell_b[part], mB,
+                            ell_a[part] + gap[part], rows=rows, cols=cols)
         out[part] = (np.einsum("km,kmn,kn->k", c_a[part], J, c_b[part])
                      / (ell_a[part] * ell_b[part]))
     return out if batch else float(out[0])

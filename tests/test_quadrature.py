@@ -6,12 +6,13 @@ from pieces_lab import quadrature
 from pieces_lab.manybody import solve_block
 from pieces_lab.optstate import _piece_rdms
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
-                                  PolynomialPotential)
+                                  PolynomialPotential, TabulatedPotential)
 from pieces_lab.quadrature import (cosine_coefficients, cross_density_integral,
                                    cross_g_tensor, frequency_table,
-                                   interaction_g_tensor, sine_modes)
+                                   interaction_g_tensor, pair_reduced_matrix,
+                                   sine_modes)
 from pieces_lab.rdm import rdm1
-from pieces_lab.twobody import solve_two_body
+from pieces_lab.twobody import band_pair_list, pair_matrix_element, solve_two_body
 
 
 def _s(k, ell):
@@ -321,3 +322,156 @@ def test_stacked_cross_density_matches_scalar(U, cells, monkeypatch):
         J = frequency_table(U, lA[k], 2, lB[k], 3, lA[k] + gap[k])
         scale = np.abs(ca[k]) @ np.abs(J) @ np.abs(cb[k]) / (lA[k] * lB[k])
         assert abs(val[k] - ref) <= 1e-13 * scale, k
+
+
+# ---------------------------------------------------------------------------
+# the fancy-index gather from the frequency table: the oracle for the strided
+# views of the folded table
+
+
+def _gather_g(J, ellA, ellB, a, b, c, d):
+    """g[a,b,c,d] from the frequency table (0-based mode indices)."""
+    i, j = a + 1, b + 1
+    k, l = c + 1, d + 1
+    return (J[np.abs(i - j), np.abs(k - l)] - J[np.abs(i - j), k + l]
+            - J[i + j, np.abs(k - l)] + J[i + j, k + l]) / (ellA * ellB)
+
+
+def _gathered_pair_matrix(U, ell, pairs):
+    """<U phi_ij, phi_kl> = g[i,k,j,l] - g[i,l,j,k], gathered entry by entry."""
+    m = max(j for _, j in pairs)
+    J = frequency_table(U, ell, m, ell, m, 0.0)
+    i = np.array([p[0] - 1 for p in pairs])
+    j = np.array([p[1] - 1 for p in pairs])
+    a, c = np.ix_(i, i)
+    b, d = np.ix_(j, j)
+    return _gather_g(J, ell, ell, a, c, b, d) - _gather_g(J, ell, ell, a, d, b, c)
+
+
+_GRID = np.linspace(0.0, 1.5, 151)
+FAMILIES = POTENTIALS + [TabulatedPotential(_GRID, np.exp(-2.0 * _GRID ** 2))]
+
+
+def _shuffled_two_parity_pairs(seed):
+    """Pairs of both reflection sectors with mixed d, about 40% of them
+    dropped (gaps in i within a d group), in random order."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(1, 30) for j in range(i + 1, min(30, max(i + 9, 10)) + 1)]
+    pairs = [p for p in pairs if rng.random() < 0.6]
+    return [pairs[k] for k in rng.permutation(len(pairs))]
+
+
+PAIR_LISTS = {"band-trial": band_pair_list(12, 12, 56),
+              "band-corner": band_pair_list(24, 12, 56),
+              "shuffled-a": _shuffled_two_parity_pairs(1),
+              "shuffled-b": _shuffled_two_parity_pairs(2),
+              "single": [(3, 8)]}
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_LISTS))
+@pytest.mark.parametrize("U", FAMILIES, ids=lambda U: U.family)
+def test_pair_matrix_matches_gather(U, kind):
+    pairs = PAIR_LISTS[kind]
+    V = pair_reduced_matrix(U, 7.3, pairs)
+    ref = _gathered_pair_matrix(U, 7.3, pairs)
+    assert np.abs(V - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("U", FAMILIES, ids=lambda U: U.family)
+def test_pair_matrix_edge_addresses(U):
+    # (1, 2) against (m - 1, m) and (m - 1, m) with itself read the folded
+    # table's first and last rows and columns
+    ell, m = 5.0, 9
+    for ij, kl in (((1, 2), (m - 1, m)), ((m - 1, m), (m - 1, m))):
+        ref = _gathered_pair_matrix(U, ell, [ij, kl])
+        assert abs(pair_matrix_element(U, ell, ij, kl) - ref[0, 1]) <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("U", FAMILIES, ids=lambda U: U.family)
+def test_g_tensors_match_gather(U):
+    ell, m = 5.0, 5
+    J = frequency_table(U, ell, m, ell, m, 0.0)
+    idx = np.arange(m)
+    ref = _gather_g(J, ell, ell, *np.ix_(idx, idx, idx, idx))
+    assert np.abs(interaction_g_tensor(U, ell, m) - ref).max() <= 1e-13 * np.abs(ref).max()
+    ellA, mA, ellB, mB, gap = 3.0, 3, 4.5, 6, 0.2
+    J = frequency_table(U, ellA, mA, ellB, mB, ellA + gap)
+    a, b = np.ix_(np.arange(mA), np.arange(mA))
+    c, d = np.ix_(np.arange(mB), np.arange(mB))
+    ref = _gather_g(J, ellA, ellB, a[:, :, None, None], b[:, :, None, None],
+                    c[None, None, :, :], d[None, None, :, :])
+    g = cross_g_tensor(U, ellA, mA, ellB, mB, gap)
+    assert g.shape == (mA, mA, mB, mB)
+    assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_strided_view_checks_its_corners():
+    E = quadrature._fold(np.arange(12.0).reshape(3, 4))
+    assert E.shape == (5, 7) and E[0, 0] == E[4, 6] == E[4, 0] == 11.0
+    v = quadrature._view(E, (2, 3), ((1, 1), (-1, 1)), (3, 2))
+    assert [v[t] for t in ((0, 0), (2, 0), (0, 1), (2, 1))] == [E[2, 3], E[4, 5], E[1, 4], E[3, 6]]
+    with pytest.raises(IndexError):
+        quadrature._view(E, (2, 3), ((1, 1), (-1, 1)), (3, 3))
+
+
+# ---------------------------------------------------------------------------
+# tables over subsets of the frequencies
+
+
+@pytest.mark.parametrize("U", POTENTIALS[:2], ids=lambda U: U.family)
+def test_frequency_table_subsets_match_full_table(U):
+    rng = np.random.default_rng(11)
+    lA, lB, gap = _stacked_cases(U)
+    # self tables (ellB = ellA, offset 0) and cross tables, as a batch and
+    # as a scalar call
+    for mA, mB, ellB, offset in [(6, 6, lA, np.zeros_like(lA)), (3, 5, lB, lA + gap)]:
+        rows = np.sort(rng.choice(2 * mA + 1, mA, replace=False))
+        cols = np.sort(rng.choice(2 * mB + 1, mB + 2, replace=False))
+        full = frequency_table(U, lA, mA, ellB, mB, offset)
+        sub = frequency_table(U, lA, mA, ellB, mB, offset, rows=rows, cols=cols)
+        assert sub.shape == (len(lA), len(rows), len(cols))
+        assert np.abs(sub - full[:, rows][:, :, cols]).max() <= 1e-15 * np.abs(full).max()
+        full = frequency_table(U, lA[4], mA, ellB[4], mB, offset[4])
+        sub = frequency_table(U, lA[4], mA, ellB[4], mB, offset[4], rows=rows, cols=cols)
+        assert np.abs(sub - full[np.ix_(rows, cols)]).max() <= 1e-15 * np.abs(full).max()
+
+
+def _full_contraction(U, ca, la, cb, lb, gap):
+    J = frequency_table(U, la, len(ca) // 2, lb, len(cb) // 2, la + gap)
+    return ca @ J @ cb / (la * lb), np.abs(ca) @ np.abs(J) @ np.abs(cb) / (la * lb)
+
+
+@pytest.mark.parametrize("U", POTENTIALS[:2], ids=lambda U: U.family)
+def test_cross_density_over_used_frequencies_matches_full_table(U):
+    pair = cosine_coefficients(solve_two_body(U, 7.5, M=12, rtol=1e-4).one_body_rdm())
+    assert (pair[1::2] == 0.0).all() and (pair == 0.0).any()
+    fill = cosine_coefficients(np.eye(3))
+    dense = np.random.default_rng(4).normal(size=(3, 9))
+    assert (dense != 0.0).all()
+    la, lb, gap = np.array([7.5, 7.1, 6.8]), np.array([4.0, 5.5, 4.2]), np.array([0.3, 0.0, 0.5])
+    # pair and fill densities, with a zero density on either side, and
+    # coefficients without a zero column
+    zero = np.zeros_like
+    for ca, cb in [(np.stack((pair, zero(pair), pair)), np.stack((fill, fill, zero(fill)))),
+                   (dense, dense[::-1])]:
+        val = cross_density_integral(U, ca, la, cb, lb, gap)
+        for k in range(len(la)):
+            ref, scale = _full_contraction(U, ca[k], la[k], cb[k], lb[k], gap[k])
+            one = cross_density_integral(U, ca[k], la[k], cb[k], lb[k], gap[k])
+            for v in (val[k], one):
+                if scale == 0.0:  # a zero density: exactly 0
+                    assert v == 0.0, k
+                else:
+                    assert abs(v - ref) <= 1e-13 * scale, k
+
+
+def test_cross_density_of_zero_density_builds_no_table(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("built a table for a zero density")
+
+    monkeypatch.setattr(quadrature, "frequency_table", build)
+    U = BoxPotential(1.0, 1.0)
+    assert cross_density_integral(U, np.zeros((2, 2)), 3.0, np.eye(2), 4.0, 0.1) == 0.0
+    val = cross_density_integral(U, np.zeros((3, 5)), np.ones(3), np.ones((3, 7)),
+                                 np.ones(3), np.zeros(3))
+    assert np.array_equal(val, np.zeros(3))

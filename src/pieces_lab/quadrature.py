@@ -50,10 +50,24 @@ and, for each sign sigma,
     int cos(a x + sigma b y) dx = [sin(a x) cos(b y)
                                    + sigma cos(a x) sin(b y)] / (a + sigma b)
 
-between x_lo and x_hi.  The bracket separates in m and n, so its sum over
-all u-nodes is two matrix products over the node axis, (2 mA + 1) x nodes
-times nodes x (2 mB + 1), shared by both signs and followed by one
-elementwise division.
+between x_lo and x_hi.  At each end of the overlap one factor sits on a
+piece edge: x_lo = max(0, s_u) is either x = 0, where sin(a x) = 0, or
+y = 0, where sin(b y) = 0; x_hi = min(lA, s_u + lB) is either x = lA,
+where cos(a x) = (-1)^m, or y = lB, where cos(b y) = (-1)^n.  Summed over
+the u-nodes, the two bracket terms are therefore
+
+    P[m, n] = A0[m] + (-1)^n A1[m],    Q[m, n] = B0[n] + (-1)^m B1[n],
+
+with A0 = -sum c_u sin(a s_u) over the lower ends at y = 0, A1 = sum c_u
+sin(a x_hi) over the upper ends at y = lB, B0 = sum c_u sin(b s_u) over the
+lower ends at x = 0 and B1 = sum c_u sin(b (lA - s_u)) over the upper ends
+at x = lA: one sine per node end and frequency, and no product over the
+node axis.  Each end's kind is read from the comparison that formed it
+(x_lo > 0, x_hi < lA), so the edge factors are exact.  Then
+
+    J[m, n] = (1/2) sum_sigma (P[m, n] + sigma Q[m, n]) / (a_m + sigma b_n)
+
+elementwise.
 
 The division is ill-conditioned where w = a_m + sigma b_n is small: the
 bracket is a difference of O(1) numbers carrying a rounding error of about
@@ -72,21 +86,21 @@ division-free bound at the widest node.
 The table has a leading batch axis: with arrays ellA, ellB and offset (mA
 and mB shared) it returns one table per piece pair, built in one pass.
 The u-panels of every entry come from array code (the same edges,
-clipping, subdivision and Gauss-Legendre rule), dead panels and nodes are
-dropped by a stable compaction, and each entry's live nodes fill one row
-of a zero-padded layout, so the brackets are batched matrix products and
-the small-w fallback runs over the stacked entries.  A scalar call is a
-batch of one.  Every stacked intermediate (a batch chunk's trigonometric
-tables, a block of the fallback, a slice of cross_density_integral's
-tables) is bounded by _CHUNK_CELLS cells; the large self tables of
-pair_reduced_matrix keep their _NODE_CHUNK node chunks.
+clipping, subdivision and Gauss-Legendre rule), and dead panels and nodes
+are dropped by a stable compaction.  The sine sums run over the node ends
+of all entries at once and are added up per entry; for the small-w
+fallback each entry's live nodes fill one row of a zero-padded layout.
+Entries are taken in chunks by falling panel count, so the rows of a
+chunk's layout are of nearly equal length.  A scalar call is a batch of
+one.  Every stacked intermediate (a chunk's tables and padded nodes, a
+block of a sine table, a block of the fallback, a slice of
+cross_density_integral's tables) is bounded by _CHUNK_CELLS cells.
 """
 
 import functools
 import itertools
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "sine_modes",
@@ -161,18 +175,16 @@ def _u_nodes(U, ellA, ellB, offset, e, a, b):
     x_lo = np.maximum(0.0, u + offset[e])
     x_hi = np.minimum(ellA[e], u + offset[e] + ellB[e])
     # a boolean mask compacts stably: each entry's live nodes stay
-    # contiguous and in order, as frequency_table's padded layout needs
+    # contiguous and in order, as the per-entry sums of _stacked_table need
     keep = (c != 0.0) & (x_hi > x_lo)
     return e[keep], u[keep], c[keep], x_lo[keep], x_hi[keep]
 
 
 # Gauss-Legendre order of every u-panel
 _NODES_PER_PANEL = 32
-# u-nodes per matrix product in frequency_table: bounds each (2 mA + 1) x
-# 2 _NODE_CHUNK trigonometric table (16 MB at mA = 1000)
-_NODE_CHUNK = 512
-# cells of each stacked intermediate: the (entry, table row, node) cells of
-# a batch chunk's brackets, the (entry, node) cells of a block of the
+# cells of each stacked intermediate: the (entry, m, n) cells and the
+# padded (entry, node) layout of a batch chunk, the (end, frequency) cells
+# of a block of a sine table, the (entry, node) cells of a block of the
 # small-w fallback, and the (entry, m, n) cells of the tables that
 # cross_density_integral builds per call
 _CHUNK_CELLS = 1 << 16
@@ -200,63 +212,94 @@ def frequency_table(U, ellA, mA, ellB, mB, offset, *, rows=None, cols=None):
     e, a, b = _u_panels(U, -offset - ellB, ellA - offset,
                         np.stack((-offset, ellA - ellB - offset), axis=1),
                         mA / ellA + mB / ellB)
-    if len(e):
-        # entries per chunk, each counted with the most nodes any entry can
-        # have, up to the _NODE_CHUNK nodes of one product
-        nodes = min(_NODES_PER_PANEL * np.bincount(e).max(), _NODE_CHUNK)
-        step = max(1, _CHUNK_CELLS // (2 * nodes * max(alpha.shape[1], beta.shape[1])))
-        ends = np.searchsorted(e, np.arange(0, len(ellA) + step, step))
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            if lo == hi:
-                continue
-            entries, layout = _padded_nodes(
-                *_u_nodes(U, ellA, ellB, offset, e[lo:hi], a[lo:hi], b[lo:hi]), offset)
-            # an entry without live nodes (beyond U's range, or U zero
-            # there) keeps its zero table
-            if len(entries):
-                J[entries] = _stacked_table(alpha[entries], beta[entries], *layout)
+    # the panels by falling panel count of their entry: a stable sort keeps
+    # each entry's panels together and in order.  An entry without panels
+    # keeps its zero table
+    panels = np.bincount(e, minlength=len(ellA))
+    by_count = np.argsort(-panels[e], kind="stable")
+    e, a, b = e[by_count], a[by_count], b[by_count]
+    # the first panel of each entry, then the end
+    starts = np.append(_runs(e)[0], len(e))
+    k = 0
+    while k < len(starts) - 1:
+        # a chunk of entries holds at most _CHUNK_CELLS cells of tables and
+        # of padded nodes; its first entry has the most panels, so its
+        # padded nodes are nearly all live
+        n = max(1, _CHUNK_CELLS // max(J.shape[1] * J.shape[2],
+                                       _NODES_PER_PANEL * panels[e[starts[k]]]))
+        part = slice(starts[k], starts[min(k + n, len(starts) - 1)])
+        e_u, u, c, x_lo, x_hi = _u_nodes(U, ellA, ellB, offset, e[part], a[part], b[part])
+        # the entries that have live nodes (an entry without them, U zero
+        # there, keeps its zero table)
+        first, k_u = _runs(e_u)
+        if len(first):
+            entries = e_u[first]
+            J[entries] = _stacked_table(alpha[entries], beta[entries], rows, cols,
+                                        ellA[entries], first, k_u, c, u + offset[e_u],
+                                        x_lo, x_hi)
+        k += n
     return J[0] if scalar else J
 
 
-def _padded_nodes(e, u, c, x_lo, x_hi, offset):
-    """The entries that have live nodes, and their nodes (c, s = u + offset,
-    x_lo, x_hi) in a zero-padded layout: row k holds the nodes of the k-th
-    such entry in their order, and padding cells carry weight 0.  The nodes
-    must come grouped by entry, as _u_nodes leaves them."""
-    entries, first, count = np.unique(e, return_index=True, return_counts=True)
-    row = np.repeat(np.arange(len(entries)), count)
-    col = np.arange(len(e)) - np.repeat(first, count)
-    layout = np.zeros((4, len(entries), count.max(initial=0)))
-    layout[:, row, col] = c, u + offset[e], x_lo, x_hi
-    return entries, layout
+def _runs(e):
+    """The index of the first element of each run of equal values in e, and
+    the run of every element."""
+    new = np.empty(len(e), dtype=bool)
+    new[:1] = True
+    np.not_equal(e[1:], e[:-1], out=new[1:])
+    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
-def _stacked_table(alpha, beta, c, s, x_lo, x_hi):
-    """The tables of a batch chunk from its nodes in the padded layout."""
-    # P = sum_u c_u [sin(a x) cos(b y)], Q = sum_u c_u [cos(a x) sin(b y)],
-    # brackets taken between x_lo and x_hi, with y = x - s_u
-    P = np.zeros((len(alpha), alpha.shape[1], beta.shape[1]))
-    Q = np.zeros_like(P)
-    for k in range(0, c.shape[1], _NODE_CHUNK):
-        part = np.s_[:, k:k + _NODE_CHUNK]
-        x = np.concatenate((x_hi[part], x_lo[part]), axis=1)
-        y = x - np.concatenate((s[part], s[part]), axis=1)
-        cy = np.concatenate((c[part], -c[part]), axis=1)[:, :, None]
-        ax = alpha[:, :, None] * x[:, None, :]
-        by = y[:, :, None] * beta[:, None, :]
-        P += np.sin(ax) @ (cy * np.cos(by))
-        Q += np.cos(ax) @ (cy * np.sin(by))
-    xm, h = 0.5 * (x_hi + x_lo), 0.5 * (x_hi - x_lo)
-    width = np.max(x_hi - x_lo, axis=1)[:, None, None]
+def _stacked_table(alpha, beta, rows, cols, ellA, first, e, c, s, x_lo, x_hi):
+    """The tables of a batch chunk from its nodes, grouped by entry as
+    _u_nodes leaves them: e is the chunk entry of each node, and the nodes
+    of entry k start at first[k]."""
+    # the bracket sums P and Q from one sine per node end (see module doc):
+    # a lower end x_lo > 0 is at y = 0, else at x = 0; an upper end
+    # x_hi < ellA is at y = ellB, else at x = ellA
+    at_s = x_lo > 0.0
+    at_y = x_hi < ellA[e]
+    A0 = _sine_sums(alpha, e[at_s], x_lo[at_s], -c[at_s])
+    A1 = _sine_sums(alpha, e[at_y], x_hi[at_y], c[at_y])
+    B0 = _sine_sums(beta, e[~at_s], s[~at_s], c[~at_s])
+    B1 = _sine_sums(beta, e[~at_y], x_hi[~at_y] - s[~at_y], c[~at_y])
+    P = A0[:, :, None] + A1[:, :, None] * (1 - 2 * (cols % 2))
+    Q = B0[:, None, :] + B1[:, None, :] * (1 - 2 * (rows % 2))[:, None]
+    # the nodes in a zero-padded layout for the small-w fallback: row k
+    # holds the nodes of entry k in their order, padding cells weight 0
+    col = np.arange(len(e)) - first[e]
+    layout = np.zeros((4, len(first), col.max() + 1))
+    layout[:, e, col] = c, s, 0.5 * (x_hi + x_lo), 0.5 * (x_hi - x_lo)
+    width = np.maximum.reduceat(x_hi - x_lo, first)[:, None, None]
     J = np.zeros_like(P)
-    for sign in (1.0, -1.0):
+    for sign, T in ((1.0, P + Q), (-1.0, P - Q)):
         omega = alpha[:, :, None] + sign * beta[:, None, :]
-        small = np.abs(omega) * width < 1.0
-        T = (P + sign * Q) / np.where(small, 1.0, omega)
-        e, i, j = np.nonzero(small)
-        T[e, i, j] = _sinc_sums(c, s, xm, h, e, omega[e, i, j], sign * beta[e, j])
-        J += 0.5 * T
+        k, i, j = np.nonzero(np.abs(omega) * width < 1.0)
+        small = _sinc_sums(*layout, k, omega[k, i, j], sign * beta[k, j])
+        omega[k, i, j] = 1.0
+        T /= omega
+        T[k, i, j] = small
+        J += T
+    J *= 0.5
     return J
+
+
+def _sine_sums(freq, e, x, w):
+    """S[k, f] = sum of w sin(freq[k, f] x) over the node ends (e, x, w) of
+    chunk entry k, the ends grouped by entry."""
+    S = np.zeros(freq.shape)
+    step = max(1, _CHUNK_CELLS // max(freq.shape[1], 1))
+    for lo in range(0, len(e), step):
+        ek, xk, wk = e[lo:lo + step], x[lo:lo + step], w[lo:lo + step]
+        # a block inside one entry (every block of a scalar call) sums as
+        # one vector-matrix product
+        if ek[0] == ek[-1]:
+            S[ek[0]] += wk @ np.sin(xk[:, None] * freq[ek[0]])
+        else:
+            first = _runs(ek)[0]
+            S[ek[first]] += np.add.reduceat(wk[:, None] * np.sin(xk[:, None] * freq[ek]),
+                                            first)
+    return S
 
 
 def _sinc_sums(c, s, xm, h, e, omega, b):
@@ -285,17 +328,24 @@ def _fold(J):
 
 
 def _view(E, origin, steps, shape):
-    """Read-only view v of E with v[t] = E[origin + sum_k t_k steps[k]],
-    origin and each step a (row, column) offset.  Raises IndexError, before
-    the view is made, if a corner of the view falls outside E."""
-    corners = [origin]
+    """Read-only view v of the C-contiguous E with v[t] = E[origin + sum_k
+    t_k steps[k]], origin and each step a (row, column) offset.  Raises
+    IndexError, before the view is made, if a corner of the view falls
+    outside E."""
+    (r, c), (sr, sc) = origin, E.strides
+    # the least and greatest row and column over the corners
+    r_lo = r_hi = r
+    c_lo = c_hi = c
     for n, (dr, dc) in zip(shape, steps):
-        corners += [(r + (n - 1) * dr, c + (n - 1) * dc) for r, c in corners]
-    if not all(0 <= r < E.shape[0] and 0 <= c < E.shape[1] for r, c in corners):
+        dr, dc = (n - 1) * dr, (n - 1) * dc
+        r_lo, r_hi = (r_lo + dr, r_hi) if dr < 0 else (r_lo, r_hi + dr)
+        c_lo, c_hi = (c_lo + dc, c_hi) if dc < 0 else (c_lo, c_hi + dc)
+    if r_lo < 0 or c_lo < 0 or r_hi >= E.shape[0] or c_hi >= E.shape[1]:
         raise IndexError(f"strided view {origin} + {steps} x {shape} leaves "
                          f"the folded table of shape {E.shape}")
-    strides = tuple(dr * E.strides[0] + dc * E.strides[1] for dr, dc in steps)
-    return as_strided(E[origin[0], origin[1]:], shape, strides, writeable=False)
+    v = np.ndarray(shape, E.dtype, E, r * sr + c * sc, [dr * sr + dc * sc for dr, dc in steps])
+    v.flags.writeable = False
+    return v
 
 
 def _g_tensor(J, scale):

@@ -154,10 +154,14 @@ def _loop_cos_cos_integral(alpha, beta, shift, x_lo, x_hi):
                   + half(alpha - beta, beta * shift))
 
 
-def _loop_frequency_table(U, ellA, mA, ellB, mB, offset, nodes_per_panel=32):
-    alpha = (np.pi / ellA) * np.arange(2 * mA + 1)[:, None]
-    beta = (np.pi / ellB) * np.arange(2 * mB + 1)[None, :]
-    J = np.zeros((2 * mA + 1, 2 * mB + 1))
+def _loop_frequency_table(U, ellA, mA, ellB, mB, offset, nodes_per_panel=32,
+                          rows=None, cols=None):
+    """J[rows][:, cols] (all of J by default) from the u-nodes of mA and mB."""
+    rows = np.arange(2 * mA + 1) if rows is None else np.asarray(rows)
+    cols = np.arange(2 * mB + 1) if cols is None else np.asarray(cols)
+    alpha = (np.pi / ellA) * rows[:, None]
+    beta = (np.pi / ellB) * cols[None, :]
+    J = np.zeros((len(rows), len(cols)))
     for u, cu, x_lo, x_hi in _loop_u_nodes(U, ellA, ellB, offset,
                                            mA / ellA + mB / ellB,
                                            lambda a, b: nodes_per_panel):
@@ -181,11 +185,17 @@ POTENTIALS = [BoxPotential(1.0, 1.0), ExponentialPotential(1.0, 1.0),
 
 
 @pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
-@pytest.mark.parametrize("ell,m", [(5.0, 6), (40.0, 50)])
+@pytest.mark.parametrize("ell,m", [(5.0, 6), (40.0, 50), (7.5, 56), (40.0, 171)])
 def test_frequency_table_self_matches_node_loop(U, ell, m):
+    # m = 56 and m = 171: the sizes of the pair-bin and box-ladder self
+    # tables.  At m = 171 the loop builds every 13th frequency and its
+    # neighbour (the diagonal, the entries next to it, the first and last)
     J = frequency_table(U, ell, m, ell, m, 0.0)
-    ref = _loop_frequency_table(U, ell, m, ell, m, 0.0)
-    assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+    idx = np.arange(2 * m + 1)
+    if m > 100:
+        idx = np.union1d(np.union1d(idx[::13], idx[1::13]), idx[-2:])
+    ref = _loop_frequency_table(U, ell, m, ell, m, 0.0, rows=idx, cols=idx)
+    assert np.max(np.abs(J[np.ix_(idx, idx)] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
@@ -302,6 +312,26 @@ def test_stacked_tables_cover_every_edge_case():
     assert np.isin(-offset[9:12], a).all() and np.isin((lA - lB - offset)[9:12], a).all()
 
 
+def test_stacked_tables_cover_every_end_class():
+    # the batch above has live nodes at both kinds of each overlap end:
+    # x_lo = 0 or x_lo = s, and x_hi = ellA or x_hi = s + ellB, in all four
+    # combinations
+    U = POTENTIALS[0]
+    lA, lB, gap = _stacked_cases(U)
+    offset = lA + gap
+    e, u, c, x_lo, x_hi = quadrature._u_nodes(U, lA, lB, offset, *quadrature._u_panels(
+        U, -offset - lB, lA - offset, np.stack((-offset, lA - lB - offset), axis=1),
+        3 / lA + 7 / lB))
+    s = u + offset[e]
+    at_s, at_y = x_lo > 0.0, x_hi < lA[e]
+    assert np.array_equal(x_lo[at_s], s[at_s]) and not x_lo[~at_s].any()
+    assert np.array_equal(x_hi[at_y], s[at_y] + lB[e][at_y])
+    assert np.array_equal(x_hi[~at_y], lA[e][~at_y])
+    for lo_class in (at_s, ~at_s):
+        for hi_class in (at_y, ~at_y):
+            assert (lo_class & hi_class).any()
+
+
 @pytest.mark.parametrize("cells", [None, 64])
 @pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
 def test_stacked_cross_density_matches_scalar(U, cells, monkeypatch):
@@ -410,8 +440,18 @@ def test_strided_view_checks_its_corners():
     assert E.shape == (5, 7) and E[0, 0] == E[4, 6] == E[4, 0] == 11.0
     v = quadrature._view(E, (2, 3), ((1, 1), (-1, 1)), (3, 2))
     assert [v[t] for t in ((0, 0), (2, 0), (0, 1), (2, 1))] == [E[2, 3], E[4, 5], E[1, 4], E[3, 6]]
+    assert not v.flags.writeable
     with pytest.raises(IndexError):
         quadrature._view(E, (2, 3), ((1, 1), (-1, 1)), (3, 3))
+    # with steps (-1, 1) and (1, -1) the view spans rows r - 2 .. r + 2 and
+    # columns c - 2 .. c + 2 of E; each extreme leaves E in turn
+    steps = ((-1, 1), (1, -1))
+    v = quadrature._view(E, (2, 3), steps, (3, 3))
+    for t in np.ndindex(3, 3):
+        assert v[t] == E[2 - t[0] + t[1], 3 + t[0] - t[1]]
+    for origin in ((1, 3), (3, 3), (2, 1), (2, 5)):
+        with pytest.raises(IndexError):
+            quadrature._view(E, origin, steps, (3, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,10 @@ from .potential import (BoxPotential, ExponentialPotential,
 from .twobody import (TwoBodySolution, astar_xstar, free_pair_state,
                       gamma_star, gamma_via_K, gamma_via_fit,
                       pair_matrix_element, solve_two_body)
-from .manybody import (BlockBasis, CIState, TwoElectronIntegrals,
-                       block_overlap, enumerate_occupations,
-                       exact_ground_state_small, kinetic_lower_bound,
-                       occupation_block_energy, solve_block,
-                       solve_piece_qbody, wedge)
+from .manybody import (BlockBasis, CIState, block_overlap,
+                       enumerate_occupations, exact_ground_state_small,
+                       kinetic_lower_bound, occupation_block_energy,
+                       solve_block, solve_piece_qbody, wedge)
 from .rdm import (DensityMatrix, antisymmetrized_product,
                   coefficient_distance_bound, factorized_rdm, pair_index,
                   rdm1, rdm2, trace_norm_distance)

@@ -12,16 +12,17 @@ pieces.
 A block Hamiltonian is assembled by pair removal.  A block's determinants
 are rows of increasing indices into its orbital list, and the pair
 interaction has the antisymmetrized tensor A[p,q,r,s] = g(p,q,r,s) -
-g(p,q,s,r) over those orbitals.  Removing the pair at positions i < j of a
-determinant D leaves an (n-2)-orbital remainder R, with sign
-(-1)^(i+j-1).  Two determinants that share a remainder couple through
-s_D s_D' A[p,q,p',q'], and summing over all shared remainders gives the
-Slater-Condon elements for 0, 1 and 2 differing orbitals.  So the
-removals are sorted by remainder, and each group adds one dense block
-s s^T * A[p,q,p',q'] to H.  The same grouping with one or two removals
-gives the RDMs of a CIState (rdm.py).  `block_overlap` couples two states,
-possibly of different blocks, by the same pair removal over the union of
-their determinants.
+g(p,q,s,r) over those orbitals, built by _antisymmetrized from the
+same-piece and cross-piece g tensors of the quadrature module.  Removing
+the pair at positions i < j of a determinant D leaves an (n-2)-orbital
+remainder R, with sign (-1)^(i+j-1).  Two determinants that share a
+remainder couple through s_D s_D' A[p,q,p',q'], and summing over all
+shared remainders gives the Slater-Condon elements for 0, 1 and 2
+differing orbitals.  So the removals are sorted by remainder, and each
+group adds one dense block s s^T * A[p,q,p',q'] to H.  The same grouping
+with one or two removals gives the RDMs of a CIState (rdm.py).
+`block_overlap` couples two states, possibly of different blocks, by the
+same pair removal over the union of their determinants.
 """
 
 import itertools
@@ -36,7 +37,6 @@ __all__ = [
     "enumerate_occupations",
     "kinetic_lower_bound",
     "wedge",
-    "TwoElectronIntegrals",
     "BlockBasis",
     "CIState",
     "solve_piece_qbody",
@@ -155,82 +155,41 @@ def wedge(states):
 
 
 # ---------------------------------------------------------------------------
-# two-electron integrals over piece-tagged orbitals
+# the antisymmetrized interaction tensor of a block
 
 
-class TwoElectronIntegrals:
-    """g(p, q, r, s) = int int phi_p(x) phi_q(y) U(x-y) phi_r(x) phi_s(y)
-    for orbitals p = (piece, k) of a configuration, as the dense
-    antisymmetrized tensor of an occupation block.
+def _antisymmetrized(intervals, Q, U, M):
+    """Dense A[p,q,r,s] = g(p,q,r,s) - g(p,q,s,r) over the orbitals
+    (piece, k), k <= M, of the pieces with Q_j > 0, in (piece, k) order,
+    where g(p, q, r, s) = int int phi_p(x) phi_q(y) U(x-y) phi_r(x) phi_s(y).
 
-    g is nonzero only when piece(p) == piece(r) and piece(q) == piece(s):
-    orbitals of different pieces have disjoint supports, so the x (or y)
-    integrand vanishes pointwise.  Same-piece and neighboring-piece tables
-    are built lazily from the quadrature module; piece pairs farther apart
-    than the interaction range give exact zeros.
+    g vanishes unless piece(p) == piece(r) and piece(q) == piece(s):
+    orbitals of different pieces have disjoint supports.  So only the
+    tables a Q-block can reach are built: the same-piece table of a piece
+    holding at least two particles, and the cross table of each pair of
+    occupied pieces closer than the range of U (beyond it g is zero).
+    intervals lists (left, length) per piece; U None gives zeros.
     """
-
-    def __init__(self, intervals, U, M):
-        # intervals: list of (left, length)
-        self.intervals = [(float(a), float(l)) for a, l in intervals]
-        self.U = U
-        self.M = int(M)
-        if U is None:
-            self.range = 0.0
-        elif U.support_radius is not None:
-            self.range = U.support_radius
-        else:
-            self.range = U.effective_radius(1e-12)
-        self._same = {}
-        self._cross = {}
-
-    def gap(self, j1, j2):
-        """Distance between pieces j1 < j2 (0 for adjacent pieces)."""
-        a1, l1 = self.intervals[j1]
-        a2, _ = self.intervals[j2]
-        return a2 - (a1 + l1)
-
-    def _same_table(self, j):
-        if j not in self._same:
-            self._same[j] = interaction_g_tensor(self.U, self.intervals[j][1], self.M)
-        return self._same[j]
-
-    def _cross_table(self, j1, j2):
-        key = (j1, j2)
-        if key not in self._cross:
-            g = self.gap(j1, j2)
-            if g >= self.range:
-                self._cross[key] = None
-            else:
-                l1, l2 = self.intervals[j1][1], self.intervals[j2][1]
-                self._cross[key] = cross_g_tensor(self.U, l1, self.M, l2, self.M, g)
-        return self._cross[key]
-
-    def antisymmetrized(self, Q):
-        """Dense A[p,q,r,s] = g(p,q,r,s) - g(p,q,s,r) over the orbitals
-        (piece, k), k <= M, of the pieces with Q_j > 0, in (piece, k) order.
-
-        Only the tables a Q-block can reach are built: the same-piece table
-        of a piece holding at least two particles, and the cross table of
-        each pair of occupied pieces (None, hence zero, beyond the range).
-        """
-        occ = [j for j, q in enumerate(Q) if q > 0]
-        m = self.M
-        G = np.zeros((m * len(occ),) * 4)
-        if self.U is not None:
-            blk = [slice(m * a, m * (a + 1)) for a in range(len(occ))]
-            for a, ja in enumerate(occ):
-                # table layout [a, b, c, d] = s_a s_b in x, s_c s_d in y, while
-                # g(p, q, r, s) has p, r in x and q, s in y
-                if Q[ja] >= 2:
-                    G[blk[a], blk[a], blk[a], blk[a]] = \
-                        self._same_table(ja).transpose(0, 2, 1, 3)
-                for b in range(a + 1, len(occ)):
-                    t = self._cross_table(ja, occ[b])
-                    if t is not None:
-                        G[blk[a], blk[b], blk[a], blk[b]] = t.transpose(0, 2, 1, 3)
-                        G[blk[b], blk[a], blk[b], blk[a]] = t.transpose(2, 0, 3, 1)
-        return G - G.transpose(0, 1, 3, 2)
+    occ = [j for j, q in enumerate(Q) if q > 0]
+    G = np.zeros((M * len(occ),) * 4)
+    if U is not None:
+        rng = U.effective_radius(1e-12)
+        blk = [slice(M * a, M * (a + 1)) for a in range(len(occ))]
+        for a, ja in enumerate(occ):
+            # table layout [a, b, c, d] = s_a s_b in x, s_c s_d in y, while
+            # g(p, q, r, s) has p, r in x and q, s in y
+            left, ell = intervals[ja]
+            if Q[ja] >= 2:
+                G[blk[a], blk[a], blk[a], blk[a]] = \
+                    interaction_g_tensor(U, ell, M).transpose(0, 2, 1, 3)
+            for b in range(a + 1, len(occ)):
+                left_b, ell_b = intervals[occ[b]]
+                gap = left_b - (left + ell)
+                if gap < rng:
+                    t = cross_g_tensor(U, ell, M, ell_b, M, gap)
+                    G[blk[a], blk[b], blk[a], blk[b]] = t.transpose(0, 2, 1, 3)
+                    G[blk[b], blk[a], blk[b], blk[a]] = t.transpose(2, 0, 3, 1)
+    return G - G.transpose(0, 1, 3, 2)
 
 
 def removals(det_index, k):
@@ -321,18 +280,18 @@ class BlockBasis:
         """The determinants as tuples of (piece, k) orbitals."""
         return [tuple(self.orbitals[i] for i in row) for row in self.det_index.tolist()]
 
-    def hamiltonian(self, g):
+    def hamiltonian(self, U):
         """Block Hamiltonian: kinetic diagonal plus sum_{i<j} U(x_i - x_j),
-        the pair interaction added by grouped pair removal."""
-        if g.M != self.M:
-            raise ValueError("integrals and basis use different truncations M")
+        the pair interaction added by grouped pair removal (U None: the
+        kinetic diagonal alone)."""
         ks = np.array([k for _, k in self.orbitals], dtype=float)
         ls = self.lengths[[j for j, _ in self.orbitals]]
         eps = np.pi ** 2 * ks ** 2 / ls ** 2
         H = np.diag(eps[self.det_index].sum(1))
         if self.n < 2:
             return H
-        _add_pair_interaction(H, self.det_index, g.antisymmetrized(self.Q))
+        _add_pair_interaction(H, self.det_index,
+                              _antisymmetrized(self.intervals, self.Q, U, self.M))
         return H
 
 
@@ -355,10 +314,6 @@ class CIState:
     def n(self):
         return sum(self.basis.Q)
 
-    def orbital_list(self):
-        """Orbitals (piece, k), k <= M, of the occupied pieces."""
-        return list(self.basis.orbitals)
-
 
 def solve_piece_qbody(U, ell, q, M=16, n_states=4):
     """Eigenpairs of q interacting fermions on a single piece of length ell.
@@ -379,8 +334,7 @@ def solve_piece_qbody(U, ell, q, M=16, n_states=4):
 def solve_block(intervals, Q, U, M=12, n_states=2):
     """Lowest eigenpairs of the Hamiltonian restricted to occupation Q."""
     basis = BlockBasis(intervals, Q, M)
-    g = TwoElectronIntegrals(intervals, U, M)
-    H = basis.hamiltonian(g)
+    H = basis.hamiltonian(U)
     if basis.dim == 1:
         w = np.array([H[0, 0]])
         v = np.ones((1, 1))
@@ -449,17 +403,17 @@ def block_overlap(intervals_or_cfg, state_a, U, state_b, M=None):
     cb[at[state_a.basis.dim:]] = state_b.coeffs
     W = np.zeros((len(rows), len(rows)))
     if state_a.n >= 2:
-        g = TwoElectronIntegrals(intervals, U, M)
-        _add_pair_interaction(W, rows, g.antisymmetrized(Q))
+        _add_pair_interaction(W, rows, _antisymmetrized(intervals, Q, U, M))
     return float(ca @ W @ cb)
 
 
-def exact_ground_state_small(intervals_or_cfg, n, U, M=10, cap=None):
+def exact_ground_state_small(intervals_or_cfg, n, U, M=10):
     """Exact ground state over all occupations, for n <= 4, few pieces.
 
-    Enumerates occupation blocks (pruned by the free-filling lower bound),
-    solves each exactly, and returns (energy, Q, CIState, gap) with the gap
-    to the winning block's second level.  Ties at 1e-10 go to the
+    Enumerates occupation blocks with at most min(n, 3) particles per
+    piece (pruned by the free-filling lower bound), solves each exactly,
+    and returns (energy, Q, CIState, gap) with the gap to the winning
+    block's second level.  Ties at 1e-10 go to the
     lexicographically smallest occupation.
     """
     intervals = _as_intervals(intervals_or_cfg)
@@ -469,7 +423,7 @@ def exact_ground_state_small(intervals_or_cfg, n, U, M=10, cap=None):
         raise ValueError("too many pieces; prune first")
     lengths = np.array([l for _, l in intervals])
     best = None
-    for Q in enumerate_occupations(len(intervals), n, cap=cap or min(n, 3)):
+    for Q in enumerate_occupations(len(intervals), n, cap=min(n, 3)):
         if best is not None and free_occupation_energy(lengths, Q) > best[0] + 1e-12:
             continue
         w, states = solve_block(intervals, Q, U, M=M, n_states=2)

@@ -237,7 +237,7 @@ def energy_of_plan(cfg, plan, U):
         total += sum(solve_two_body(U, l, M=16).energy for l in pair_lengths)
     if U is None:
         return total
-    rng = U.support_radius if U.support_radius is not None else U.effective_radius(1e-10)
+    rng = U.effective_radius(1e-10)
     a, b, gap = _neighbour_pairs(cfg.lefts[occ_idx], cfg.rights[occ_idx], rng)
     # one solve per pair piece with a neighbour in range (cached per length
     # bin); a density is the 1-RDM of a pair's bin solution or the free fill
@@ -361,7 +361,7 @@ def subadditivity_check(intervals1, n1, intervals2, n2, U, M=8):
     Eu, _, _, _ = exact_ground_state_small(list(intervals1) + list(intervals2),
                                            n1 + n2, U, M=M)
     G1, G2 = _piece_rdms(st1), _piece_rdms(st2)
-    rng = U.support_radius if U.support_radius is not None else U.effective_radius(1e-12)
+    rng = U.effective_radius(1e-12)
     near = []  # (G, ell) of the left piece, (G, ell) of the right one, gap
     for p1, (a1, l1) in enumerate(intervals1):
         for p2, (a2, l2) in enumerate(intervals2):
@@ -387,7 +387,7 @@ BOUND_CONSTANTS = {"11far": 1.0, "11close": 4.0, "12": 1.0,
                    "12close": 10.0, "22": 1.0}
 
 
-def cross_piece_bound_check(U, ell1, ell2, a, which, i=1, j=1):
+def cross_piece_bound_check(U, ell1, ell2, a, which):
     """Quadrature check of one cross-piece interaction bound.
 
     which:
@@ -397,16 +397,16 @@ def cross_piece_bound_check(U, ell1, ell2, a, which, i=1, j=1):
       '12close'  LHS = O(Z(a) / (l1^3 sqrt(l2)))         (fitted constant)
       '22'       LHS = O(min(1, a^-2 Z(a)) / sqrt(l1 l2)) (fitted constant)
     LHS is the density-density interaction integral between eigenstates of
-    the two pieces at distance a (one-particle level i resp. j; '12'/'22'
-    use the two-body ground-state density, trace 2).
+    the two pieces at distance a (the one-particle ground level, 1-RDM
+    [[1.0]]; '12'/'22' use the two-body ground-state density, trace 2).
     Returns dict with lhs, rhs_shape and ratio = lhs / rhs_shape.
     """
     Z = lambda x: tail_Z(U, x)
     pair = lambda ell: solve_two_body(U, ell, M=12, rtol=1e-4).one_body_rdm()
     if which in ("11far", "11close"):
-        Ga, Gb = np.diag(np.eye(i)[-1]), np.diag(np.eye(j)[-1])
+        Ga, Gb = np.ones((1, 1)), np.ones((1, 1))
     elif which in ("12", "12close"):
-        Ga, Gb = np.diag(np.eye(i)[-1]), pair(ell2)
+        Ga, Gb = np.ones((1, 1)), pair(ell2)
     elif which == "22":
         Ga, Gb = pair(ell1), pair(ell2)
     else:
@@ -432,13 +432,13 @@ def cross_piece_bound_check(U, ell1, ell2, a, which, i=1, j=1):
             "constant": C, "ok": ratio <= C}
 
 
-def neighbor_energy_ladder(U, gap=0.5, ells=(5.0, 10.0, 20.0, 40.0), M=10):
-    """Two electrons in neighboring pieces [0, l] and [l+gap, 2l+gap]:
-    deviation of the exact ground energy from pi^2/l1^2 + pi^2/l2^2, with
-    the fitted decay order in l over a doubling ladder."""
+def neighbor_energy_ladder(U, ells=(5.0, 10.0, 20.0, 40.0), M=10):
+    """Two electrons in neighboring pieces [0, l] and [l + 0.5, 2l + 0.5]
+    (gap 0.5): deviation of the exact ground energy from pi^2/l1^2 +
+    pi^2/l2^2, with the fitted decay order in l over a doubling ladder."""
     devs = []
     for l in ells:
-        iv = [(0.0, l), (l + gap, l)]
+        iv = [(0.0, l), (l + 0.5, l)]
         E, Q, _, _ = exact_ground_state_small(iv, 2, U, M=M)
         devs.append(E - 2.0 * np.pi ** 2 / l ** 2)
     devs = np.array(devs)

@@ -159,13 +159,11 @@ def factorized_rdm(substates):
     return DensityMatrix(modes, G, 1), DensityMatrix(total.modes, M2, 2)
 
 
-def trace_norm_distance(A, B, P=None):
-    """|| (A - B) P ||_tr via singular values."""
+def trace_norm_distance(A, B):
+    """|| A - B ||_tr via singular values."""
     MA = A.matrix if isinstance(A, DensityMatrix) else np.asarray(A)
     MB = B.matrix if isinstance(B, DensityMatrix) else np.asarray(B)
     D = MA - MB
-    if P is not None:
-        D = D @ P
     if D.size == 0:
         return 0.0
     return float(svdvals(D).sum())

@@ -142,7 +142,7 @@ def free_energy_per_particle_theoretical(rho, mu):
     return val / rho
 
 
-def free_energy_per_particle_empirical(cfg, n, return_levels=False):
+def free_energy_per_particle_empirical(cfg, n):
     """Mean of the n smallest levels of the configuration.
 
     The enumeration cutoff starts at the IDS-predicted Fermi energy for
@@ -161,8 +161,6 @@ def free_energy_per_particle_empirical(cfg, n, return_levels=False):
     table = enumerate_levels_below(cfg, E)
     if len(table) < n:
         raise ValueError("n exceeds available levels")
-    if return_levels:
-        return float(table.energies[:n].mean()), table
     return float(table.energies[:n].mean())
 
 

@@ -265,20 +265,19 @@ def gamma_via_fit(U, ell_list, M=24, rtol=1e-6):
     return float(gamma)
 
 
-def gamma_via_K(U, R=None, N=400):
-    """gamma = (5 pi^2 / 2) <phi, (I + K/4)^-1 phi> on a symmetric grid over [-R, R]."""
-    if N < 200:
-        raise ValueError("N must be at least 200")
-    if R is None:
-        if U.support_radius is not None:
-            R = U.support_radius
-        else:
-            R = U.effective_radius(1e-14)
+# total Gauss-Legendre nodes of gamma_via_K's grid, shared among its panels
+_K_NODES = 400
+
+
+def gamma_via_K(U):
+    """gamma = (5 pi^2 / 2) <phi, (I + K/4)^-1 phi> on a symmetric grid over
+    [-R, R], R = U.effective_radius(1e-14), of about _K_NODES nodes."""
+    R = U.effective_radius(1e-14)
     # composite Gauss-Legendre: panels split at 0 and at kinks of U
     edges = sorted({0.0, R} | {b for b in U.breakpoints() if b < R})
     edges = [-e for e in reversed(edges) if e > 0] + list(edges)
     nodes, weights = [], []
-    n_per = max(40, N // max(1, len(edges) - 1))
+    n_per = max(40, _K_NODES // max(1, len(edges) - 1))
     for a, b in zip(edges[:-1], edges[1:]):
         x, w = np.polynomial.legendre.leggauss(n_per)
         nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))

@@ -15,8 +15,8 @@ from scipy.stats import beta, kstest
 from pieces_lab.disorder import (count_pair_clusters, count_pieces_in_range,
                                  max_piece_length, sample_pieces,
                                  sample_pieces_conditioned)
-from pieces_lab.manybody import (BlockBasis, TwoElectronIntegrals,
-                                 block_overlap, enumerate_occupations,
+from pieces_lab.manybody import (BlockBasis, block_overlap,
+                                 enumerate_occupations,
                                  exact_ground_state_small, solve_block)
 from pieces_lab.optstate import (BOUND_CONSTANTS, asymptotics_check,
                                  banded_fraction_prediction,
@@ -32,7 +32,7 @@ from pieces_lab.spectrum import (counting_function, enumerate_levels_below,
                                  free_energy_per_particle_theoretical,
                                  ids_theoretical)
 from pieces_lab.twobody import gamma_via_K, gamma_via_fit, solve_two_body
-from slater_condon import slater_condon_hamiltonian
+from slater_condon import Tables, slater_condon_hamiltonian
 
 BOX = BoxPotential(1.0, 1.0)
 EXP = ExponentialPotential(1.0, 1.0)
@@ -178,8 +178,8 @@ def test_08_exact_diagonalization_oracle():
         for Q in enumerate_occupations(2, 2, 2):
             dets.extend(BlockBasis(intervals, Q, M).determinants)
         dets = sorted(set(dets))
-        g = TwoElectronIntegrals(intervals, BOX, M)
-        H = slater_condon_hamiltonian(dets, g, [l for _, l in intervals])
+        H = slater_condon_hamiltonian(dets, Tables(intervals, BOX, M),
+                                      [l for _, l in intervals])
         full = np.linalg.eigvalsh(H)[0]
         worst = max(worst, abs(blockwise - full) / abs(full))
     dt = time.time() - t0

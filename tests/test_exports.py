@@ -1,0 +1,75 @@
+"""The package's public names are consistent: every name a module lists in
+__all__ exists, every name pieces_lab/__init__.py imports is public in its
+module, and the names and options taken out of the API stay out."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import pieces_lab
+
+INIT = Path(pieces_lab.__file__)
+MODULES = sorted(p.stem for p in INIT.parent.glob("*.py")
+                 if p.stem != "__init__" and "__all__" in p.read_text())
+
+
+def _package_imports():
+    """(module, name) of every `from .module import name` in __init__.py."""
+    tree = ast.parse(INIT.read_text())
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(f"pieces_lab.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+    assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_package_imports_are_public():
+    imports = _package_imports()
+    assert imports and {m for m, _ in imports} <= set(MODULES)
+    private = [(m, name) for m, name in imports
+               if name not in importlib.import_module(f"pieces_lab.{m}").__all__]
+    assert not private
+
+
+# (module, attribute path) of names taken out of the API
+REMOVED_NAMES = [
+    ("manybody", "TwoElectronIntegrals"),
+    ("manybody", "CIState.orbital_list"),
+]
+
+# (module, function, parameter) of options no caller set, taken out
+REMOVED_OPTIONS = [
+    ("spectrum", "free_energy_per_particle_empirical", "return_levels"),
+    ("manybody", "exact_ground_state_small", "cap"),
+    ("twobody", "gamma_via_K", "R"),
+    ("twobody", "gamma_via_K", "N"),
+    ("rdm", "trace_norm_distance", "P"),
+    ("optstate", "cross_piece_bound_check", "i"),
+    ("optstate", "cross_piece_bound_check", "j"),
+    ("optstate", "neighbor_energy_ladder", "gap"),
+]
+
+
+@pytest.mark.parametrize("module,path", REMOVED_NAMES, ids=lambda v: v)
+def test_removed_names_stay_removed(module, path):
+    obj = importlib.import_module(f"pieces_lab.{module}")
+    *parents, name = path.split(".")
+    for part in parents:
+        obj = getattr(obj, part)
+    assert not hasattr(obj, name)
+    assert name not in dir(pieces_lab)
+
+
+@pytest.mark.parametrize("module,func,option", REMOVED_OPTIONS, ids=lambda v: v)
+def test_removed_options_stay_removed(module, func, option):
+    f = getattr(importlib.import_module(f"pieces_lab.{module}"), func)
+    assert option not in inspect.signature(f).parameters

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from pieces_lab.manybody import (BlockBasis, TwoElectronIntegrals,
-                                 block_overlap, enumerate_occupations,
+from pieces_lab import manybody
+from pieces_lab.manybody import (BlockBasis, block_overlap,
+                                 enumerate_occupations,
                                  exact_ground_state_small,
                                  free_occupation_energy, kinetic_lower_bound,
                                  occupation_block_energy, solve_block,
                                  solve_piece_qbody, wedge)
 from pieces_lab.potential import BoxPotential, ExponentialPotential
+from pieces_lab.quadrature import cross_g_tensor, interaction_g_tensor
 from pieces_lab.twobody import solve_two_body
-from slater_condon import (block_overlap_per_element, element,
+from slater_condon import (Tables, block_overlap_per_element, element,
                            slater_condon_hamiltonian)
 
 U = BoxPotential(1.0, 1.0)
@@ -66,18 +68,27 @@ def test_wedge_cross_piece_zero():
 def test_integrals_block_selection_rule():
     # intervals are (left, length): the pieces lie 2.0 apart, beyond the
     # unit box's range
-    ints = TwoElectronIntegrals([(0.0, 5.0), (7.0, 4.0)], U, M=4)
+    far = [(0.0, 5.0), (7.0, 4.0)]
+    tables = Tables(far, U, M=4)
     # orbitals: (piece, k); g(p, q, r, s) pairs p with r and q with s, so a
     # term that moves a particle between pieces is forbidden
     p, q = (0, 1), (1, 1)
-    assert element(ints, p, q, q, p) == 0.0
-    assert element(ints, p, p, q, q) == 0.0
+    assert element(tables, p, q, q, p) == 0.0
+    assert element(tables, p, p, q, q) == 0.0
     # the density-density term is zero out of range ...
-    assert element(ints, p, q, p, q) == 0.0
+    assert element(tables, p, q, p, q) == 0.0
     # ... and positive for pieces 0.5 apart, within range
-    near = TwoElectronIntegrals([(0.0, 5.0), (5.5, 4.0)], U, M=4)
-    assert element(near, p, q, p, q) > 0.0
-    assert element(near, p, p, q, q) == 0.0
+    near = [(0.0, 5.0), (5.5, 4.0)]
+    near_tables = Tables(near, U, M=4)
+    assert element(near_tables, p, q, p, q) > 0.0
+    assert element(near_tables, p, p, q, q) == 0.0
+    # the block tensor agrees: p is orbital 0 and q orbital 4, and with one
+    # particle per piece only the density-density term and its exchange
+    # remain
+    assert not manybody._antisymmetrized(far, (1, 1), U, 4).any()
+    A = manybody._antisymmetrized(near, (1, 1), U, 4)
+    assert A[0, 4, 0, 4] == -A[0, 4, 4, 0] == element(near_tables, p, q, p, q)
+    assert np.count_nonzero(A[:4, :4]) == np.count_nonzero(A[4:, 4:]) == 0
 
 
 def test_piece_qbody_matches_twobody():
@@ -149,32 +160,47 @@ BLOCKS = [
 ]
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The g tables the package builds, one record per call in the format
+    of Tables.built: ("same", ell) and ("cross", ellA, ellB, gap)."""
+    calls = []
+
+    def same(U, ell, m):
+        calls.append(("same", ell))
+        return interaction_g_tensor(U, ell, m)
+
+    def cross(U, ellA, mA, ellB, mB, gap):
+        calls.append(("cross", ellA, ellB, gap))
+        return cross_g_tensor(U, ellA, mA, ellB, mB, gap)
+
+    monkeypatch.setattr(manybody, "interaction_g_tensor", same)
+    monkeypatch.setattr(manybody, "cross_g_tensor", cross)
+    return calls
+
+
 @pytest.mark.parametrize("U", [None, BoxPotential(0.0, 1.0), U,
                                ExponentialPotential(1.0, 1.0)],
                          ids=["none", "box0", "box1", "exp"])
 @pytest.mark.parametrize("intervals,Q", BLOCKS)
-def test_block_hamiltonian_matches_slater_condon(intervals, Q, U):
+def test_block_hamiltonian_matches_slater_condon(intervals, Q, U, built):
     M = 5
     basis = BlockBasis(intervals, Q, M)
-    g = TwoElectronIntegrals(intervals, U, M)
-    H = basis.hamiltonian(g)
-    ref_g = TwoElectronIntegrals(intervals, U, M)
-    ref = slater_condon_hamiltonian(basis.determinants, ref_g, basis.lengths)
+    H = basis.hamiltonian(U)
+    ref_tables = Tables(intervals, U, M)
+    ref = slater_condon_hamiltonian(basis.determinants, ref_tables, basis.lengths)
     assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
-    # the assembly builds the tables the per-element rule touches, no more
-    assert sorted(g._same) == sorted(ref_g._same)
-    assert {k: t is None for k, t in g._cross.items()} == \
-        {k: t is None for k, t in ref_g._cross.items()}
+    # the assembly builds the tables the per-element rule touches, no more,
+    # and each of them once
+    assert sorted(built) == ref_tables.built()
 
 
-def test_single_occupancy_builds_no_same_piece_table():
+def test_single_occupancy_builds_no_same_piece_table(built):
     intervals = [(0.0, 5.0), (5.0, 4.0), (9.0, 6.0)]  # touching pieces
-    g = TwoElectronIntegrals(intervals, U, 6)
-    BlockBasis(intervals, (1, 1, 1), 6).hamiltonian(g)
-    assert g._same == {}
-    # pieces 0 and 2 lie 4.0 apart, beyond the box range
-    assert {k: t is None for k, t in g._cross.items()} == \
-        {(0, 1): False, (0, 2): True, (1, 2): False}
+    BlockBasis(intervals, (1, 1, 1), 6).hamiltonian(U)
+    # no same-piece table; pieces 0 and 2 lie 4.0 apart, beyond the box
+    # range, so only the pairs (0, 1) and (1, 2) get a cross table
+    assert sorted(built) == [("cross", 4.0, 6.0, 0.0), ("cross", 5.0, 4.0, 0.0)]
 
 
 POTENTIALS = [U, ExponentialPotential(1.0, 1.0)]
@@ -186,14 +212,13 @@ def test_block_overlap_within_block(V, Q):
     # the ground state with itself and with the first excited state
     M = 5
     basis = BlockBasis(NEAR, Q, M)
-    g = TwoElectronIntegrals(NEAR, V, M)
     # with no potential the block Hamiltonian is the kinetic diagonal T
-    W = basis.hamiltonian(g) - basis.hamiltonian(TwoElectronIntegrals(NEAR, None, M))
+    W = basis.hamiltonian(V) - basis.hamiltonian(None)
     _, (a, b) = solve_block(NEAR, Q, V, M=M, n_states=2)
     for x, y in [(a, a), (a, b)]:
         val = block_overlap(NEAR, x, V, y)
         assert val == pytest.approx(x.coeffs @ W @ y.coeffs, rel=1e-13, abs=1e-15)
-        ref = block_overlap_per_element(NEAR, x, TwoElectronIntegrals(NEAR, V, M), y)
+        ref = block_overlap_per_element(NEAR, x, Tables(NEAR, V, M), y)
         assert val == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
 
@@ -203,10 +228,10 @@ def test_block_overlap_different_truncations(V):
     # M = 6 orbital list, and the oracle reads the M = 6 tables
     a = solve_block(NEAR, (2, 1, 0), V, M=5, n_states=1)[1][0]
     b = solve_block(NEAR, (2, 1, 0), V, M=6, n_states=1)[1][0]
-    ints = TwoElectronIntegrals(NEAR, V, 6)
+    tables = Tables(NEAR, V, 6)
     for x, y in [(a, b), (b, a)]:
         val = block_overlap(NEAR, x, V, y)
-        ref = block_overlap_per_element(NEAR, x, ints, y)
+        ref = block_overlap_per_element(NEAR, x, tables, y)
         assert val == pytest.approx(ref, rel=1e-13)
     with pytest.raises(ValueError):
         block_overlap(NEAR, a, V, b, M=5)

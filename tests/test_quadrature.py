@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -330,6 +332,58 @@ def test_stacked_tables_cover_every_end_class():
     for lo_class in (at_s, ~at_s):
         for hi_class in (at_y, ~at_y):
             assert (lo_class & hi_class).any()
+
+
+def _fallback_entries(U, lA, mA, lB, mB, offset):
+    """(omega, sign b) of every entry of one table with |omega| W < 1, W the
+    widest node overlap of the per-node loop, and the counts of entries
+    that W / 2 in place of W, or the narrowest overlap, would move across
+    the criterion."""
+    widths = [x_hi - x_lo for _, _, x_lo, x_hi in
+              _loop_u_nodes(U, lA, lB, offset, mA / lA + mB / lB, lambda a, b: 32)]
+    if not widths:
+        return [], 0, 0
+    W, narrow = max(widths), min(widths)
+    alpha = (np.pi / lA) * np.arange(2 * mA + 1)
+    beta = (np.pi / lB) * np.arange(2 * mB + 1)
+    entries, halved, narrowed = [], 0, 0
+    for sign in (1.0, -1.0):
+        omega = alpha[:, None] + sign * beta[None, :]
+        b = np.broadcast_to(sign * beta, omega.shape)
+        small = np.abs(omega) * W < 1.0
+        entries += zip(omega[small].tolist(), b[small].tolist())
+        halved += np.count_nonzero(small & (np.abs(omega) * W >= 0.5))
+        narrowed += np.count_nonzero(~small & (np.abs(omega) * narrow < 1.0))
+    return entries, halved, narrowed
+
+
+@pytest.mark.parametrize("U", POTENTIALS[:2], ids=lambda U: U.family)
+def test_fallback_takes_entries_below_the_widest_overlap(U, monkeypatch):
+    # the entries summed in the division-free form are exactly those with
+    # |omega| W < 1, W the widest node overlap of their table: checked on
+    # a scalar cross table and on the stacked batch, whose node overlaps
+    # are of unequal width
+    seen = []
+    sinc_sums = quadrature._sinc_sums
+
+    def record(c, s, xm, h, e, omega, b):
+        seen.extend(zip(omega.tolist(), b.tolist()))
+        return sinc_sums(c, s, xm, h, e, omega, b)
+
+    monkeypatch.setattr(quadrature, "_sinc_sums", record)
+    lA, lB, gap = _stacked_cases(U)
+    for ellA, mA, ellB, mB, offset in [(5.0, 6, 3.7, 5, 5.3), (lA, 3, lB, 7, lA + gap)]:
+        seen.clear()
+        frequency_table(U, ellA, mA, ellB, mB, offset)
+        expected, halved, narrowed = [], 0, 0
+        for entry in zip(*np.atleast_1d(ellA, ellB, offset)):
+            part = _fallback_entries(U, entry[0], mA, entry[1], mB, entry[2])
+            expected += part[0]
+            halved, narrowed = halved + part[1], narrowed + part[2]
+        assert Counter(seen) == Counter(expected)
+        # the case reaches what it is meant to: a W half as wide, or the
+        # narrowest overlap, would each move some entries across
+        assert halved > 0 and narrowed > 0
 
 
 @pytest.mark.parametrize("cells", [None, 64])

@@ -33,7 +33,7 @@ def _remove(det, orbs):
 def _det_amplitudes(state):
     """(sorted mode list, {sorted determinant: coeff}) of a state."""
     if hasattr(state, "basis"):  # CIState
-        modes = sorted(state.orbital_list())
+        modes = sorted(state.basis.orbitals)
         amps = {}
         for det, c in zip(state.basis.determinants, state.coeffs):
             if c != 0.0:

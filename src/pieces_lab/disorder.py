@@ -6,6 +6,8 @@ points are the "pieces"; everything downstream (spectra, ground states) is a
 function of the sorted piece lengths.
 """
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -29,6 +31,12 @@ class PieceConfiguration:
         seed: seed used to generate the cuts (None for hand-built configs).
         cut_points: strictly increasing array of interior cut positions.
         lefts, rights, lengths: piece endpoints and lengths, left to right.
+        sorted_lengths: the piece lengths in ascending order, built on
+            first use.
+
+    Every array is read-only; cut_points, lefts and rights are views of one
+    copy of the edges, so the caller's cut array is neither kept nor
+    frozen.
     """
 
     def __init__(self, L, mu, cut_points, seed=None):
@@ -43,19 +51,23 @@ class PieceConfiguration:
         self.L = float(L)
         self.mu = float(mu)
         self.seed = seed
-        self.cut_points = cut_points
         edges = np.concatenate(([0.0], cut_points, [L]))
+        edges.flags.writeable = False
+        self.cut_points = edges[1:-1]
         self.lefts = edges[:-1]
         self.rights = edges[1:]
         self.lengths = self.rights - self.lefts
-        self.lefts.flags.writeable = False
-        self.rights.flags.writeable = False
         self.lengths.flags.writeable = False
-        self.cut_points.flags.writeable = False
 
     @property
     def n_pieces(self):
         return len(self.lengths)
+
+    @functools.cached_property
+    def sorted_lengths(self):
+        s = np.sort(self.lengths)
+        s.flags.writeable = False
+        return s
 
     def __repr__(self):
         return (f"PieceConfiguration(L={self.L}, mu={self.mu}, "

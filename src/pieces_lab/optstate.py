@@ -29,8 +29,8 @@ import heapq
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .spectrum import (enumerate_levels_below, fermi_energy, fermi_length,
-                       free_energy_per_particle_empirical)
+from .spectrum import (fermi_length, free_energy_per_particle_empirical,
+                       lowest_levels)
 from .twobody import astar_xstar, gamma_star, solve_two_body
 from .potential import tail_Z
 from .quadrature import cosine_coefficients, cross_density_integral
@@ -78,16 +78,8 @@ class StatePlan:
 
 def fill_free_ground_state(cfg, n):
     """Occupy the n globally lowest one-particle levels."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    E = fermi_energy(n / cfg.L, 1.0)
-    table = enumerate_levels_below(cfg, E)
-    while len(table) < n:
-        E *= 2.0
-        table = enumerate_levels_below(cfg, E)
-    occ = np.zeros(cfg.n_pieces, dtype=np.int64)
-    for j in table.piece_index[:n]:
-        occ[j] += 1
+    table = lowest_levels(cfg, n)
+    occ = np.bincount(table.piece_index[:n], minlength=cfg.n_pieces)
     tags = [EMPTY if q == 0 else FILLED for q in occ]
     return StatePlan(occ, tags, {"n": n, "cutoff": float(table.energies[n - 1])})
 

@@ -17,6 +17,7 @@ __all__ = [
     "SpectrumTable",
     "enumerate_levels_below",
     "counting_function",
+    "lowest_levels",
     "ids_theoretical",
     "fermi_length",
     "fermi_energy",
@@ -52,7 +53,7 @@ _EPS = np.finfo(np.float64).eps
 
 def _level_counts(cfg, E):
     """Per piece, the number of levels k >= 1 with (pi*k/l)^2 <= E (E > 0),
-    as floats.
+    as floats; enumerate_levels_below lays out its table from them.
 
     floor(l*sqrt(E)/pi) can be off by one in either direction when
     l*sqrt(E)/pi lies within a few ulps of an integer.  Scaling by
@@ -89,10 +90,33 @@ def enumerate_levels_below(cfg, E):
 
 
 def counting_function(cfg, E):
-    """N_L(E): number of levels <= E divided by L."""
+    """N_L(E): number of levels <= E divided by L.
+
+    Level k of a piece of length l is below E when (pi*k/l)^2 <= E, so for
+    each k = 1 .. floor(max(l) sqrt(E)/pi) + 1 the count is the number of
+    pieces longer than about t_k = pi*k/sqrt(E).  Two searchsorted calls on
+    cfg.sorted_lengths, at t_k (1 -+ 64 eps), split the pieces into those
+    that surely fail, those that surely pass, and the few in between, which
+    get the exact test.  Correctly rounded division and squaring make that
+    test monotone in l, so the count is exact: it equals the length of
+    enumerate_levels_below(cfg, E).
+    """
     if E <= 0:
         return 0.0
-    return float(_level_counts(cfg, E).sum() / cfg.L)
+    s = cfg.sorted_lengths
+    r = np.sqrt(E)
+    k = np.arange(1.0, np.floor(s[-1] * r / np.pi) + 2.0)
+    t = np.pi * k / r
+    lo = np.searchsorted(s, t * (1.0 - 64.0 * _EPS), side="left")
+    hi = np.searchsorted(s, t * (1.0 + 64.0 * _EPS), side="right")
+    count = int((len(s) - hi).sum())
+    width = hi - lo
+    if width.any():
+        start = np.repeat(lo - np.cumsum(width) + width, width)
+        i = np.arange(width.sum()) + start
+        kk = np.repeat(k, width)
+        count += int(np.count_nonzero((np.pi * kk / s[i]) ** 2 <= E))
+    return count / cfg.L
 
 
 def ids_theoretical(E, mu):
@@ -142,26 +166,29 @@ def free_energy_per_particle_theoretical(rho, mu):
     return val / rho
 
 
-def free_energy_per_particle_empirical(cfg, n):
-    """Mean of the n smallest levels of the configuration.
+def lowest_levels(cfg, n):
+    """A table holding the n lowest levels of the configuration, and maybe
+    more.
 
-    The enumeration cutoff starts at the IDS-predicted Fermi energy for
-    density n/L and doubles until at least n levels are present.
+    The cutoff starts at 1.2 times the IDS-predicted Fermi energy for
+    density n/L and doubles, at most 60 times, until the table holds n
+    levels.  The table's order is total, so its first n entries are the
+    same whatever cutoff it stopped at.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rho = n / cfg.L
-    E = fermi_energy(rho, cfg.mu) * 1.2
+    E = fermi_energy(n / cfg.L, cfg.mu) * 1.2
     for _ in range(60):
-        if _level_counts(cfg, E).sum() >= n:
-            break
+        table = enumerate_levels_below(cfg, E)
+        if len(table) >= n:
+            return table
         E *= 2.0
-    else:
-        raise ValueError("n exceeds all enumerable levels")
-    table = enumerate_levels_below(cfg, E)
-    if len(table) < n:
-        raise ValueError("n exceeds available levels")
-    return float(table.energies[:n].mean())
+    raise ValueError("n exceeds all enumerable levels")
+
+
+def free_energy_per_particle_empirical(cfg, n):
+    """Mean of the n smallest levels of the configuration."""
+    return float(lowest_levels(cfg, n).energies[:n].mean())
 
 
 def rescale_check(cfg, U, ell, mu, rtol=1e-8):

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pieces_lab import disorder
-from pieces_lab.disorder import (count_neighbor_pairs, count_pair_clusters,
-                                 count_pieces_in_range, count_triplets,
+from pieces_lab.disorder import (PieceConfiguration, count_neighbor_pairs,
+                                 count_pair_clusters, count_pieces_in_range, count_triplets,
                                  from_lengths, max_piece_length, sample_pieces,
                                  sample_pieces_conditioned)
 
@@ -108,6 +108,26 @@ def test_sample_cuts_slice_matches_mask():
     for seed, L, mu in cases:
         assert np.array_equal(sample_pieces(seed, L, mu).cut_points,
                               _cuts_by_mask(seed, L, mu))
+
+
+def test_configuration_leaves_caller_cuts_alone():
+    cuts = np.array([1.0, 2.0])
+    cfg = PieceConfiguration(3.0, 1.0, cuts)
+    assert cuts.flags.writeable
+    cuts[0] = 0.5
+    assert cfg.cut_points[0] == 1.0
+    # the cuts are the inner edges, stored once and read-only
+    assert np.shares_memory(cfg.cut_points, cfg.lefts)
+    for a in (cfg.cut_points, cfg.lefts, cfg.rights, cfg.lengths):
+        assert not a.flags.writeable
+
+
+def test_sorted_lengths():
+    cfg = sample_pieces(5, 200.0, 1.0)
+    s = cfg.sorted_lengths
+    assert np.array_equal(s, np.sort(cfg.lengths))
+    assert not s.flags.writeable
+    assert cfg.sorted_lengths is s
 
 
 @pytest.mark.parametrize("bad", [(7, 0.0, 1.0), (7, -1.0, 1.0), (7, 10.0, 0.0)])

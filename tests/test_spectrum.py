@@ -9,7 +9,8 @@ from pieces_lab.spectrum import (counting_function, enumerate_levels_below,
                                  fermi_energy, fermi_length,
                                  free_energy_per_particle_empirical,
                                  free_energy_per_particle_theoretical,
-                                 ids_theoretical, rescale_check)
+                                 ids_theoretical, lowest_levels,
+                                 rescale_check)
 
 
 def test_levels_single_piece():
@@ -23,8 +24,23 @@ def test_levels_single_piece():
 
 def _exact_count(cfg, E):
     """Levels with (pi k / l)^2 <= E, level by level."""
-    k = np.arange(1, 200)
-    return sum(int(np.sum((np.pi * k / l) ** 2 <= E)) for l in cfg.lengths)
+    count = 0
+    for l in cfg.lengths:
+        k = np.arange(1, int(l * np.sqrt(E) / np.pi) + 3)
+        count += int(np.sum((np.pi * k / l) ** 2 <= E))
+    return count
+
+
+def _check_counts(c, E):
+    table = enumerate_levels_below(c, E)
+    assert np.all(table.energies <= table.cutoff)
+    assert len(table) == _exact_count(c, E)
+    assert counting_function(c, E) * c.L == pytest.approx(len(table), abs=1e-9)
+
+
+def _ulps(E):
+    """E and the floats one ulp below and above it."""
+    return (np.nextafter(E, 0.0), E, np.nextafter(E, np.inf))
 
 
 def test_counting_function_matches_table():
@@ -38,11 +54,48 @@ def test_counting_function_matches_table():
     ell = 1.2989837167557965
     cases += [(from_lengths([ell]), (np.pi / ell) ** 2),
               (from_lengths([10.480521681655006]), 0.8086795361375121)]
+    # repeated lengths: ties in the sorted copy, at a level shared by three
+    # pieces and by the longer ones' levels
+    ties = from_lengths([2.0, 3.0, 2.0, 2.0, 3.0, 0.5])
+    l2 = ties.lengths[0]
+    cases += [(ties, E) for k in (1, 2, 3) for E in _ulps((np.pi * k / l2) ** 2)]
+    # a single piece, at its levels and in between
+    one = from_lengths([5.0])
+    cases += [(one, E) for E in (0.1, 5.0, *_ulps((np.pi * 4 / 5.0) ** 2))]
+    # below the first level of the longest piece the count is 0
+    top = cfg.sorted_lengths[-1]
+    first = (np.pi / top) ** 2
+    cases += [(cfg, E) for E in (0.5 * first, np.nextafter(first, 0.0))]
+    assert counting_function(cfg, np.nextafter(first, 0.0)) == 0.0
+    # the top level of the longest piece, the last k of the sum
+    k_top = int(top * np.sqrt(2.5) / np.pi)
+    cases += [(cfg, E) for E in _ulps((np.pi * k_top / top) ** 2)]
     for c, E in cases:
-        table = enumerate_levels_below(c, E)
-        assert np.all(table.energies <= table.cutoff)
-        assert len(table) == _exact_count(c, E)
-        assert counting_function(c, E) * c.L == pytest.approx(len(table), abs=1e-9)
+        _check_counts(c, E)
+
+
+@given(lengths=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=30),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_counting_function_at_levels(lengths, data):
+    cfg = from_lengths(lengths)
+    j = data.draw(st.integers(0, cfg.n_pieces - 1))
+    k = data.draw(st.integers(1, 40))
+    E = data.draw(st.sampled_from(_ulps((np.pi * k / cfg.lengths[j]) ** 2)))
+    _check_counts(cfg, E)
+
+
+def test_lowest_levels_do_not_depend_on_the_cutoff():
+    cfg = from_lengths(np.random.default_rng(4).exponential(1.0 / 3.0, 60),
+                       mu=3.0)
+    n = 25
+    table = lowest_levels(cfg, n)
+    assert len(table) >= n
+    full = enumerate_levels_below(cfg, 4.0 * table.cutoff)
+    for name in ("energies", "piece_index", "k"):
+        assert np.array_equal(getattr(table, name)[:n], getattr(full, name)[:n])
+    with pytest.raises(ValueError):
+        lowest_levels(cfg, 0)
 
 
 def test_table_sorted_by_energy():

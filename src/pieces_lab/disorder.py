@@ -32,7 +32,8 @@ class PieceConfiguration:
         cut_points: strictly increasing array of interior cut positions.
         lefts, rights, lengths: piece endpoints and lengths, left to right.
         sorted_lengths: the piece lengths in ascending order, built on
-            first use.
+            first use; the counting function counts the pieces at least
+            as long as each level threshold in it.
 
     Every array is read-only; cut_points, lefts and rights are views of one
     copy of the edges, so the caller's cut array is neither kept nor
@@ -111,8 +112,7 @@ def sample_pieces(seed, L, mu):
             break
         pos = cum[-1]
         block = max(64, block // 4)
-    cuts = np.concatenate(pts) if pts else np.empty(0)
-    return PieceConfiguration(L, mu, cuts, seed=seed)
+    return PieceConfiguration(L, mu, np.concatenate(pts), seed=seed)
 
 
 def sample_pieces_conditioned(seed, L, m):

@@ -8,6 +8,10 @@ states has the closed form
 
 from which Fermi energy/length at density rho and the free ground-state
 energy per particle follow.
+
+Level k of a piece of length l lies at or below E exactly when l >= l_k,
+the least float with (pi*k/l_k)^2 <= E; the level table and the counting
+function both read these thresholds.
 """
 
 import numpy as np
@@ -48,43 +52,47 @@ class SpectrumTable:
         return len(self.energies)
 
 
-_EPS = np.finfo(np.float64).eps
+def _level_thresholds(E, longest):
+    """l_k for k = 1 .. floor(longest sqrt(E)/pi) + 1, given
+    E >= (pi/longest)^2.
 
-
-def _level_counts(cfg, E):
-    """Per piece, the number of levels k >= 1 with (pi*k/l)^2 <= E (E > 0),
-    as floats; enumerate_levels_below lays out its table from them.
-
-    floor(l*sqrt(E)/pi) can be off by one in either direction when
-    l*sqrt(E)/pi lies within a few ulps of an integer.  Scaling by
-    1 + 16 eps lifts every such value just above its integer k, to a
-    fractional part below w; only those pieces get the exact test of level
-    k, the one the level energies of enumerate_levels_below pass.
+    Correctly rounded division and squaring make the test (pi*k/l)^2 <= E
+    monotone in l.  Each l_k starts at pi*k/sqrt(E), an ulp or two from the
+    boundary, and steps one ulp up while the test fails, then one ulp down
+    while the float below still passes.
     """
-    c = np.sqrt(E) / np.pi * (1.0 + 16.0 * _EPS)
-    x = cfg.lengths * c
-    counts = np.floor(x)
-    x -= counts
-    # l * c <= L bounds every k, so w covers the lift 16 k eps and rounding
-    w = 32.0 * _EPS * max(c * cfg.L, 1.0)
-    if x.min() < w:
-        near = np.flatnonzero(x < w)
-        k = counts[near]
-        counts[near] = k - 1.0 + ((np.pi * k / cfg.lengths[near]) ** 2 <= E)
-    return counts
+    r = np.sqrt(E)
+    pk = np.pi * np.arange(1.0, np.floor(longest * r / np.pi) + 2.0)
+    t = pk / r
+    start = t.copy()
+    while True:
+        up = (pk / t) ** 2 > E
+        if not up.any():
+            break
+        t[up] = np.nextafter(t[up], np.inf)
+    # a threshold that stepped up already has a failing float below it
+    down = t == start
+    while down.any():
+        below = np.nextafter(t, 0.0)
+        down &= (pk / below) ** 2 <= E
+        t[down] = below[down]
+    return t
 
 
 def enumerate_levels_below(cfg, E):
-    """All levels with energy <= E."""
-    if E <= 0:
-        return SpectrumTable(np.empty(0), np.empty(0, dtype=np.int64),
-                             np.empty(0, dtype=np.int64), E)
+    """All levels with energy <= E: a piece of length l holds the levels k
+    with l >= l_k."""
     lengths = cfg.lengths
-    counts = _level_counts(cfg, E).astype(np.int64)
-    total = int(counts.sum())
-    piece_index = np.repeat(np.arange(len(lengths)), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    k = np.arange(total, dtype=np.int64) - np.repeat(starts, counts) + 1
+    longest = lengths.max()
+    if E < (np.pi / longest) ** 2:
+        empty = np.empty(0, dtype=np.int64)
+        return SpectrumTable(np.empty(0), empty, empty, E)
+    thresholds = _level_thresholds(E, longest)
+    pieces = np.flatnonzero(lengths >= thresholds[0])
+    counts = np.searchsorted(thresholds, lengths[pieces], side="right")
+    piece_index = np.repeat(pieces, counts)
+    starts = np.cumsum(counts) - counts
+    k = np.arange(len(piece_index)) - np.repeat(starts, counts) + 1
     energies = (np.pi * k / lengths[piece_index]) ** 2
     return SpectrumTable(energies, piece_index, k, E)
 
@@ -92,31 +100,15 @@ def enumerate_levels_below(cfg, E):
 def counting_function(cfg, E):
     """N_L(E): number of levels <= E divided by L.
 
-    Level k of a piece of length l is below E when (pi*k/l)^2 <= E, so for
-    each k = 1 .. floor(max(l) sqrt(E)/pi) + 1 the count is the number of
-    pieces longer than about t_k = pi*k/sqrt(E).  Two searchsorted calls on
-    cfg.sorted_lengths, at t_k (1 -+ 64 eps), split the pieces into those
-    that surely fail, those that surely pass, and the few in between, which
-    get the exact test.  Correctly rounded division and squaring make that
-    test monotone in l, so the count is exact: it equals the length of
+    The sum over k of the pieces at least l_k long, each count one
+    searchsorted on cfg.sorted_lengths; it equals the length of
     enumerate_levels_below(cfg, E).
     """
-    if E <= 0:
-        return 0.0
     s = cfg.sorted_lengths
-    r = np.sqrt(E)
-    k = np.arange(1.0, np.floor(s[-1] * r / np.pi) + 2.0)
-    t = np.pi * k / r
-    lo = np.searchsorted(s, t * (1.0 - 64.0 * _EPS), side="left")
-    hi = np.searchsorted(s, t * (1.0 + 64.0 * _EPS), side="right")
-    count = int((len(s) - hi).sum())
-    width = hi - lo
-    if width.any():
-        start = np.repeat(lo - np.cumsum(width) + width, width)
-        i = np.arange(width.sum()) + start
-        kk = np.repeat(k, width)
-        count += int(np.count_nonzero((np.pi * kk / s[i]) ** 2 <= E))
-    return count / cfg.L
+    if E < (np.pi / s[-1]) ** 2:
+        return 0.0
+    count = (len(s) - np.searchsorted(s, _level_thresholds(E, s[-1]))).sum()
+    return int(count) / cfg.L
 
 
 def ids_theoretical(E, mu):

@@ -238,16 +238,18 @@ def test_10_psi_opt_particle_count():
     # per-seed scatter of the count fraction is ~0.014, so a 20-seed mean
     # (s.e. ~3e-3) cannot resolve the 5 rho^3 = 6e-4 band; the mean is
     # taken over 2000 seeds instead (s.e. ~3e-4), which still finishes in
-    # a few seconds
+    # a few seconds; each seed's configuration serves both densities
     t0 = time.time()
     gamma = gamma_via_K(BOX)
-    devs = {}
-    for rho in (0.05, 0.1):
-        n = round(rho * L)
-        fr = [banded_particle_count(sample_pieces(s, L, MU), rho, gamma) / n
-              for s in range(2000)]
-        pred = banded_fraction_prediction(rho, gamma)
-        devs[rho] = abs(float(np.mean(fr)) - pred)
+    fr = {0.05: [], 0.1: []}
+    for s in range(2000):
+        cfg = sample_pieces(s, L, MU)
+        for rho in fr:
+            fr[rho].append(banded_particle_count(cfg, rho, gamma)
+                           / round(rho * L))
+    devs = {rho: abs(float(np.mean(f))
+                     - banded_fraction_prediction(rho, gamma))
+            for rho, f in fr.items()}
     dt = time.time() - t0
     ok = all(devs[r] <= 5 * r ** 3 for r in devs) and dt <= 60
     assert _report(10, "trial-state particle count", ok,

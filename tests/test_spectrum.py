@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from pieces_lab.disorder import from_lengths, sample_pieces
 from pieces_lab.potential import BoxPotential
-from pieces_lab.spectrum import (counting_function, enumerate_levels_below,
+from pieces_lab.spectrum import (SpectrumTable, _level_thresholds,
+                                 counting_function, enumerate_levels_below,
                                  fermi_energy, fermi_length,
                                  free_energy_per_particle_empirical,
                                  free_energy_per_particle_theoretical,
@@ -31,11 +32,57 @@ def _exact_count(cfg, E):
     return count
 
 
+_EPS = np.finfo(np.float64).eps
+
+
+def _floor_table(cfg, E):
+    """The level table by a second route (E > 0): per piece, the level
+    count floor(l sqrt(E) / pi (1 + 16 eps)), where the factor lifts every
+    value within a few ulps of an integer k above it, and the exact test of
+    level k on the pieces whose lifted value lies within a window above k."""
+    lengths = cfg.lengths
+    c = np.sqrt(E) / np.pi * (1.0 + 16.0 * _EPS)
+    x = lengths * c
+    counts = np.floor(x)
+    x -= counts
+    # l * c <= L bounds every k, so w covers the lift 16 k eps and rounding
+    w = 32.0 * _EPS * max(c * cfg.L, 1.0)
+    near = np.flatnonzero(x < w)
+    k = counts[near]
+    counts[near] = k - 1.0 + ((np.pi * k / lengths[near]) ** 2 <= E)
+    counts = counts.astype(np.int64)
+    piece_index = np.repeat(np.arange(len(lengths)), counts)
+    starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
+    k = np.arange(counts.sum(), dtype=np.int64) - np.repeat(starts, counts) + 1
+    energies = (np.pi * k / lengths[piece_index]) ** 2
+    return SpectrumTable(energies, piece_index, k, E)
+
+
+def _assert_same_table(table, ref):
+    for name in ("energies", "piece_index", "k"):
+        assert np.array_equal(getattr(table, name), getattr(ref, name))
+
+
+def _check_thresholds(E, longest):
+    """Each l_k passes (pi k / l)^2 <= E and the float below it fails; the
+    level after the last threshold fails on the longest piece."""
+    thresholds = _level_thresholds(E, longest)
+    k = np.arange(1, len(thresholds) + 1)
+    assert np.all((np.pi * k / thresholds) ** 2 <= E)
+    assert np.all((np.pi * k / np.nextafter(thresholds, 0.0)) ** 2 > E)
+    assert (np.pi * (len(thresholds) + 1) / longest) ** 2 > E
+
+
 def _check_counts(c, E):
     table = enumerate_levels_below(c, E)
+    ref = _floor_table(c, E)
+    _assert_same_table(table, ref)
     assert np.all(table.energies <= table.cutoff)
     assert len(table) == _exact_count(c, E)
-    assert counting_function(c, E) * c.L == pytest.approx(len(table), abs=1e-9)
+    assert counting_function(c, E) == len(ref) / c.L
+    longest = c.lengths.max()
+    if E >= (np.pi / longest) ** 2:
+        _check_thresholds(E, longest)
 
 
 def _ulps(E):
@@ -72,6 +119,38 @@ def test_counting_function_matches_table():
     cases += [(cfg, E) for E in _ulps((np.pi * k_top / top) ** 2)]
     for c, E in cases:
         _check_counts(c, E)
+
+
+def test_level_thresholds_are_least_passing_floats():
+    cfg = sample_pieces(11, 500.0, 1.0)
+    longest = cfg.lengths.max()
+    at = enumerate_levels_below(cfg, 2.5).energies[[10, -1]]
+    for E in (0.5, 2.5, *at, *np.nextafter(at, 0.0), *np.nextafter(at, 5.0)):
+        _check_thresholds(E, longest)
+    # the two boundary instances of test_counting_function_matches_table
+    ell = 1.2989837167557965
+    for E in _ulps((np.pi / ell) ** 2):
+        _check_thresholds(E, ell)
+    for E in _ulps(0.8086795361375121):
+        _check_thresholds(E, 10.480521681655006)
+    # at the first level of the longest piece the table starts; one ulp
+    # below it the table is empty and the count 0
+    first = (np.pi / longest) ** 2
+    assert _level_thresholds(first, longest)[0] <= longest
+    assert len(enumerate_levels_below(cfg, first)) >= 1
+    below = np.nextafter(first, 0.0)
+    assert len(enumerate_levels_below(cfg, below)) == 0
+    assert counting_function(cfg, below) == 0.0
+
+
+def test_large_tables_match_floor_route():
+    cfg = sample_pieces(11000, 1e6, 1.0)
+    for rho in (0.1, 0.05, 0.02):
+        cutoff = lowest_levels(cfg, round(rho * cfg.L)).cutoff
+        table = enumerate_levels_below(cfg, cutoff)
+        ref = _floor_table(cfg, cutoff)
+        _assert_same_table(table, ref)
+        assert counting_function(cfg, cutoff) == len(ref) / cfg.L
 
 
 @given(lengths=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=30),

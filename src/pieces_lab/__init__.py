@@ -29,13 +29,11 @@ from .potential import (BoxPotential, ExponentialPotential,
                         InteractionPotential, PolynomialPotential,
                         TabulatedPotential, check_HU, f_Z, potential_from_spec,
                         split_principal, tail_Z)
-from .twobody import (TwoBodySolution, astar_xstar, free_pair_state,
-                      gamma_star, gamma_via_K, gamma_via_fit,
-                      pair_matrix_element, solve_two_body)
+from .twobody import (TwoBodySolution, astar_xstar, gamma_star, gamma_via_K,
+                      gamma_via_fit, solve_two_body)
 from .manybody import (BlockBasis, CIState, block_overlap,
                        enumerate_occupations, exact_ground_state_small,
-                       kinetic_lower_bound, occupation_block_energy,
-                       solve_block, solve_piece_qbody, wedge)
+                       kinetic_lower_bound, solve_block, wedge)
 from .rdm import (DensityMatrix, antisymmetrized_product,
                   coefficient_distance_bound, factorized_rdm, pair_index,
                   rdm1, rdm2, trace_norm_distance)

@@ -38,8 +38,7 @@ from .twobody import (astar_xstar, gamma_star, gamma_via_K, gamma_via_fit,
 
 KNOWN_KEYS = {
     "model": {"L", "mu", "rho", "n", "potential", "gamma_source", "gamma"},
-    "numeric": {"M", "rtol", "B", "ell_list", "grid_points", "alpha",
-                "e_max", "instances"},
+    "numeric": {"M", "rtol", "ell_list", "grid_points", "e_max"},
     "run": {"seed", "replicas", "out"},
 }
 
@@ -47,13 +46,13 @@ DEFAULTS = {
     "L": 1e5, "mu": 1.0, "rho": 0.1, "n": None,
     "potential": "box height=1 radius=1", "gamma_source": "kernel",
     "gamma": None,
-    "M": 24, "rtol": 1e-6, "B": 3.0, "ell_list": "20,40,80",
-    "grid_points": 50, "alpha": 1e-3, "e_max": 3.0, "instances": 10,
+    "M": 24, "rtol": 1e-6, "ell_list": "20,40,80", "grid_points": 50,
+    "e_max": 3.0,
     "seed": 0, "replicas": 1, "out": "out",
 }
 
-FLOAT_KEYS = {"L", "mu", "rho", "gamma", "rtol", "B", "alpha", "e_max"}
-INT_KEYS = {"n", "M", "grid_points", "instances", "seed", "replicas"}
+FLOAT_KEYS = {"L", "mu", "rho", "gamma", "rtol", "e_max"}
+INT_KEYS = {"n", "M", "grid_points", "seed", "replicas"}
 
 
 class ConfigError(Exception):
@@ -108,6 +107,15 @@ def _potential(cfg):
         return potential_from_spec(spec)
     except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from exc
+
+
+def _required_potential(cfg, subcommand):
+    """The configured potential of a subcommand that has no meaning
+    without one (potential = none is a config error)."""
+    U = _potential(cfg)
+    if U is None:
+        raise ConfigError(f"{subcommand} requires a potential")
+    return U
 
 
 def _gamma(cfg, U):
@@ -202,9 +210,7 @@ def run_free_energy(cfg):
 
 
 def run_two_body(cfg):
-    U = _potential(cfg)
-    if U is None:
-        raise ConfigError("two-body requires a potential")
+    U = _required_potential(cfg, "two-body")
     ells = [float(t) for t in cfg["ell_list"].split(",")]
     rows = []
     for ell in ells:
@@ -279,15 +285,13 @@ def run_exact_small(cfg):
 
 
 def run_rdm(cfg):
-    U = _potential(cfg)
+    U = _required_potential(cfg, "rdm")
     rows = []
     ok = True
     for seed in _seeds(cfg):
         rng = np.random.Generator(np.random.Philox(seed))
         ell = float(rng.uniform(6.0, 12.0))
-        sol = solve_two_body(U, ell, M=12) if U is not None else None
-        if sol is None:
-            raise ConfigError("rdm requires a potential")
+        sol = solve_two_body(U, ell, M=12)
         g1, g2 = rdm1(sol), rdm2(sol)
         tr1, tr2 = g1.trace, g2.trace
         fac1, fac2 = factorized_rdm([sol])
@@ -301,7 +305,7 @@ def run_rdm(cfg):
 
 
 def run_subadd(cfg):
-    U = _potential(cfg)
+    U = _required_potential(cfg, "subadd")
     rows = []
     ok = True
     for seed in _seeds(cfg):
@@ -321,7 +325,7 @@ def run_subadd(cfg):
 
 
 def run_bounds(cfg):
-    U = _potential(cfg)
+    U = _required_potential(cfg, "bounds")
     rows = []
     ok = True
     for which in ("11far", "11close", "12", "12close", "22"):

@@ -5,9 +5,10 @@ diagonal over occupation vectors Q (particles per piece): orbitals in
 distinct pieces have disjoint supports, so any matrix element moving a
 particle between pieces vanishes identically.  This module provides the
 occupation bookkeeping, determinant (CI) bases within a block, the block
-Hamiltonians built on the quadrature g-tensors, exact ground states for
-tiny n, and pointwise wedge evaluators for states living on disjoint
-pieces.
+Hamiltonians built on the quadrature g-tensors and their lowest eigenpairs
+(solve_block, for one piece as for several), exact ground states for tiny
+n, and pointwise wedge evaluators for states living on disjoint pieces.
+Pieces are given as lists of (left, length) intervals.
 
 A block Hamiltonian is assembled by pair removal.  A block's determinants
 are rows of increasing indices into its orbital list, and the pair
@@ -31,7 +32,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh
 
-from .quadrature import cross_g_tensor, interaction_g_tensor, sine_modes
+from .quadrature import cross_g_tensor, interaction_g_tensor
 
 __all__ = [
     "enumerate_occupations",
@@ -39,8 +40,6 @@ __all__ = [
     "wedge",
     "BlockBasis",
     "CIState",
-    "solve_piece_qbody",
-    "occupation_block_energy",
     "solve_block",
     "block_overlap",
     "exact_ground_state_small",
@@ -54,23 +53,11 @@ DIMENSION_CAP = 200_000
 # occupation vectors
 
 
-def enumerate_occupations(n_pieces, n, cap=None):
-    """All occupation vectors of total n over n_pieces with per-piece cap."""
-    if cap is None:
-        cap = n
-    out = []
-
-    def rec(prefix, remaining):
-        i = len(prefix)
-        if i == n_pieces:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for q in range(min(cap, remaining) + 1):
-            rec(prefix + [q], remaining - q)
-
-    rec([], n)
-    return out
+def enumerate_occupations(n_pieces, n, cap):
+    """All occupation vectors of total n over n_pieces with per-piece cap,
+    in lexicographic order."""
+    return [Q for Q in itertools.product(range(min(cap, n) + 1), repeat=n_pieces)
+            if sum(Q) == n]
 
 
 def free_occupation_energy(lengths, Q):
@@ -307,74 +294,19 @@ class CIState:
             self.coeffs = self.coeffs / nrm
 
     @property
-    def occupation(self):
-        return self.basis.Q
-
-    @property
     def n(self):
         return sum(self.basis.Q)
-
-
-def solve_piece_qbody(U, ell, q, M=16, n_states=4):
-    """Eigenpairs of q interacting fermions on a single piece of length ell.
-
-    q = 1 is the closed form (pi k / ell)^2; q in {2, 3} is the block solve
-    of occupation (q,) in the q-fold antisymmetric sine basis.
-    """
-    if q == 1:
-        k = np.arange(1, n_states + 1)
-        return (np.pi * k / ell) ** 2, [("orbital", int(kk)) for kk in k]
-    if q not in (2, 3):
-        raise ValueError("q must be in {1, 2, 3}")
-    if M < q + 2:
-        raise ValueError("M must be >= q + 2")
-    return solve_block([(0.0, ell)], (q,), U, M, n_states)
 
 
 def solve_block(intervals, Q, U, M=12, n_states=2):
     """Lowest eigenpairs of the Hamiltonian restricted to occupation Q."""
     basis = BlockBasis(intervals, Q, M)
-    H = basis.hamiltonian(U)
-    if basis.dim == 1:
-        w = np.array([H[0, 0]])
-        v = np.ones((1, 1))
-    else:
-        w, v = eigh(H, subset_by_index=[0, min(n_states, basis.dim) - 1])
+    w, v = eigh(basis.hamiltonian(U),
+                subset_by_index=[0, min(n_states, basis.dim) - 1])
     return w, [CIState(basis, v[:, i], w[i]) for i in range(v.shape[1])]
 
 
-def occupation_block_energy(intervals_or_cfg, Q, U, mode="exact", M=12):
-    """Ground energy of the occupation-Q block.
-
-    mode='decoupled': sum of per-piece q-body ground energies (no cross-piece
-    interaction).  mode='exact': lowest eigenvalue of the full block
-    Hamiltonian including cross-piece terms.
-    """
-    intervals = _as_intervals(intervals_or_cfg)
-    if mode == "decoupled":
-        total = 0.0
-        for (a, l), q in zip(intervals, Q):
-            if q == 0:
-                continue
-            if q == 1:
-                total += np.pi ** 2 / l ** 2
-            else:
-                w, _ = solve_piece_qbody(U, l, q, M=max(M, q + 2), n_states=1)
-                total += w[0]
-        return total
-    if mode != "exact":
-        raise ValueError("mode must be 'decoupled' or 'exact'")
-    w, _ = solve_block(intervals, Q, U, M=M, n_states=1)
-    return float(w[0])
-
-
-def _as_intervals(obj):
-    if hasattr(obj, "lefts") and hasattr(obj, "lengths"):
-        return list(zip(obj.lefts, obj.lengths))
-    return [(float(a), float(l)) for a, l in obj]
-
-
-def block_overlap(intervals_or_cfg, state_a, U, state_b, M=None):
+def block_overlap(intervals, state_a, U, state_b, M=None):
     """<Psi_a, W Psi_b> with W = sum_{i<j} U(x_i - x_j) (kinetic part
     excluded), by grouped pair removal over the quadrature g integrals.
 
@@ -385,7 +317,6 @@ def block_overlap(intervals_or_cfg, state_a, U, state_b, M=None):
     vanish (each contributing integral has a pointwise-zero integrand),
     which this computes rather than assumes.
     """
-    intervals = _as_intervals(intervals_or_cfg)
     if state_a.n != state_b.n:
         raise ValueError("particle numbers differ")
     M = M or max(state_a.basis.M, state_b.basis.M)
@@ -407,7 +338,7 @@ def block_overlap(intervals_or_cfg, state_a, U, state_b, M=None):
     return float(ca @ W @ cb)
 
 
-def exact_ground_state_small(intervals_or_cfg, n, U, M=10):
+def exact_ground_state_small(intervals, n, U, M=10):
     """Exact ground state over all occupations, for n <= 4, few pieces.
 
     Enumerates occupation blocks with at most min(n, 3) particles per
@@ -416,7 +347,6 @@ def exact_ground_state_small(intervals_or_cfg, n, U, M=10):
     block's second level.  Ties at 1e-10 go to the
     lexicographically smallest occupation.
     """
-    intervals = _as_intervals(intervals_or_cfg)
     if n > 4:
         raise ValueError("exact solver limited to n <= 4")
     if len(intervals) > 8:

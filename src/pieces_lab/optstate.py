@@ -123,33 +123,24 @@ def build_psi_opt(cfg, rho, gamma, mu=1.0):
         if deficit < 0:
             raise ValueError("band assignment exceeds n; rho too large for this rule")
     # completion: lowest free levels in long pieces, preferred band first with
-    # a soft per-piece cap of 3; any remainder goes uncapped into the long
-    # pieces (at desk scale the capped capacity ~equals the mean deficit, so
-    # the cap alone is exceeded on a finite fraction of realizations)
+    # a soft per-piece cap of 3.  At desk scale the capped capacity ~equals
+    # the mean deficit, so about half of all realizations spill over: the
+    # remainder goes, uncapped, to pieces the bands left empty (mostly pieces
+    # just below the single band, whose first level sits just above the Fermi
+    # energy) and to occupied pieces of length >= hi.
     preferred = np.nonzero((lengths >= hi * (1.0 + rho)) & (lengths < 4.0 * ell_rho))[0]
     fallback = np.setdiff1d(np.nonzero(lengths >= hi)[0], preferred)
     for pool in (preferred, fallback):
         deficit = _fill_lowest(occ, tags, lengths, pool, deficit, cap=3)
-    if deficit > 0:
-        # the capped long-piece capacity ~equals the mean deficit at desk
-        # scale, so about half of all realizations spill over
-        deficit = _spill_over(occ, tags, lengths, hi, deficit)
+    deficit = _fill_lowest(occ, tags, lengths,
+                           np.nonzero(((occ > 0) & (lengths >= hi)) | (occ == 0))[0],
+                           deficit)
     if deficit > 0:
         raise ValueError("not enough pieces to complete the particle count")
     return StatePlan(occ, tags, {
         "ell_rho": ell_rho, "A_star": A, "x_star": x,
         "lo": lo, "mid": mid, "hi": hi, "n": n, "rho": rho, "mu": mu,
     })
-
-
-def _spill_over(occ, tags, lengths, hi, deficit):
-    """Place the remaining deficit, uncapped, among pieces the bands left
-    empty (mostly pieces just below the single band, whose first level sits
-    just above the Fermi energy) and occupied pieces of length >= hi.
-    Updates occ and tags in place and returns the deficit left when the
-    pool runs out."""
-    idx = np.nonzero(((occ > 0) & (lengths >= hi)) | (occ == 0))[0]
-    return _fill_lowest(occ, tags, lengths, idx, deficit)
 
 
 def _fill_lowest(occ, tags, lengths, idx, deficit, cap=None):

@@ -333,11 +333,11 @@ def tail_Z(U, x):
     return float(vals[i])
 
 
-def f_Z(U, X, eps=0.0):
-    """min over alpha in [0,1] of alpha^(1-eps)*(Z(0)-Z(alpha X)) + Z(alpha X).
+def f_Z(U, X):
+    """min over alpha in [0,1] of alpha*(Z(0)-Z(alpha X)) + Z(alpha X).
 
-    eps = 0 is correct whenever Z decays polynomially or faster, which holds
-    for every built-in family.
+    The weight alpha^(1-eps) at eps = 0 is correct whenever Z decays
+    polynomially or faster, which holds for every built-in family.
     """
     if X <= 0:
         raise ValueError("X must be positive")
@@ -347,7 +347,7 @@ def f_Z(U, X, eps=0.0):
 
     def obj(alpha):
         z = tail_Z(U, alpha * X)
-        return alpha ** (1.0 - eps) * (Z0 - z) + z
+        return alpha * (Z0 - z) + z
 
     alphas = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, 60)))
     vals = np.array([obj(a) for a in alphas])
@@ -370,17 +370,17 @@ def split_principal(U, B, ell_rho):
     return TruncatedPotential(U, cutoff), ResidualPotential(U, cutoff)
 
 
-def check_HU(U, x_max=1e3):
+def check_HU(U):
     """Admissibility report: finite moments k <= 3 and decaying tail Z.
 
-    Z is sampled on a geometric grid up to x_max; the check requires the
+    Z is sampled on a geometric grid up to 1000; the check requires the
     final value to drop below 10% of the peak (or vanish identically).
     """
     report = {}
     moments = {k: U.moment(k) for k in range(4)}
     report["moments"] = moments
     report["moments_finite"] = all(math.isfinite(m) for m in moments.values())
-    xs = np.geomspace(1.0, x_max, 25)
+    xs = np.geomspace(1.0, 1e3, 25)
     zs = np.array([tail_Z(U, x) for x in xs])
     z0 = tail_Z(U, 0.0)
     report["Z0"] = z0
@@ -394,7 +394,7 @@ def check_HU(U, x_max=1e3):
         if not report["moments_finite"]:
             bad.append("non-finite moment")
         if not report["Z_decays"]:
-            bad.append(f"Z does not decay: Z({x_max:g}) = {zs[-1]:.3g}")
+            bad.append(f"Z does not decay: Z({xs[-1]:g}) = {zs[-1]:.3g}")
         report["failures"] = bad
     return report
 

@@ -51,9 +51,6 @@ class DensityMatrix:
     def eigenvalues(self):
         return np.linalg.eigvalsh(self.matrix)
 
-    def index(self, mode):
-        return self.modes.index(mode)
-
 
 def rdm1(state):
     """One-particle RDM gamma[p, r] = <a^dag_r a_p> by contraction."""

@@ -5,8 +5,10 @@ Galerkin solve in the antisymmetric free basis
     phi_(i,j)(x, y) = (s_i(x) s_j(y) - s_j(x) s_i(y)) / sqrt(2),  i < j,
 
 with s_k the normalized Dirichlet sine modes.  The kinetic part is diagonal
-(pi^2 (i^2 + j^2) / ell^2); the interaction matrix comes from the band
-quadrature in quadrature.py.  The large-ell expansion of the ground energy,
+(pi^2 (i^2 + j^2) / ell^2); the interaction matrix <U phi_ij, phi_kl> is
+quadrature.pair_reduced_matrix.  A TwoBodySolution over the single pair
+(i, j) with coefficient 1 evaluates the free state phi_(i,j).  The large-ell
+expansion of the ground energy,
 
     E0(ell) = 5 pi^2 / ell^2 + gamma / ell^3 + O(ell^-5),
 
@@ -51,8 +53,6 @@ from .quadrature import pair_reduced_matrix, sine_modes
 
 __all__ = [
     "TwoBodySolution",
-    "free_pair_state",
-    "pair_matrix_element",
     "solve_two_body",
     "gamma_via_fit",
     "gamma_via_K",
@@ -75,31 +75,6 @@ def band_pair_list(M, D, K):
     """
     return [(i, j) for i in range(1, K)
             for j in range(i + 1, min(K, max(i + D, M)) + 1, 2)]
-
-
-def free_pair_state(i, j, ell):
-    """Normalized antisymmetric free state phi_(i,j) and its energy."""
-    if not (1 <= i < j):
-        raise ValueError("need 1 <= i < j")
-
-    def phi(x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        si = np.sqrt(2.0 / ell) * np.sin(np.pi * i * np.asarray([x, y]) / ell)
-        sj = np.sqrt(2.0 / ell) * np.sin(np.pi * j * np.asarray([x, y]) / ell)
-        return (si[0] * sj[1] - sj[0] * si[1]) / np.sqrt(2.0)
-
-    energy = np.pi ** 2 * (i * i + j * j) / ell ** 2
-    return phi, energy
-
-
-def pair_matrix_element(U, ell, ij, kl):
-    """<U(x-y) phi_ij, phi_kl> on [0, ell]."""
-    i, j = ij
-    k, l = kl
-    if not (1 <= i < j and 1 <= k < l):
-        raise ValueError("pair indices must satisfy 1 <= i < j")
-    return float(pair_reduced_matrix(U, ell, [ij, kl])[0, 1])
 
 
 class SolveStage(NamedTuple):

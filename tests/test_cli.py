@@ -41,6 +41,11 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(_cfg(tmp_path, BASE + "\nparallel = 2\n"))
     with pytest.raises(ConfigError, match="unknown"):
         load_config(_cfg(tmp_path, BASE + "\n[nosuch]\nx = 1\n"))
+    # keys that no subcommand reads are not accepted either
+    for key in ("B", "alpha", "instances"):
+        text = BASE.replace("ell_list = 10,20", f"ell_list = 10,20\n{key} = 1")
+        with pytest.raises(ConfigError, match=f"numeric.{key}"):
+            load_config(_cfg(tmp_path, text))
 
 
 def test_invalid_values_rejected(tmp_path):
@@ -85,6 +90,15 @@ def test_gamma_zero_potential(tmp_path):
     assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == 0
     row = (out / "gamma.csv").read_text().strip().splitlines()[1]
     assert [float(v) for v in row.split(",")] == [0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("subcommand", ["two-body", "rdm", "subadd", "bounds"])
+def test_potential_required(tmp_path, capsys, subcommand):
+    cfg = _cfg(tmp_path, BASE.replace("potential = box height=1 radius=1",
+                                      "potential = none"))
+    assert main([subcommand, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{subcommand} requires a potential" in capsys.readouterr().err
 
 
 def test_seed_override(tmp_path):

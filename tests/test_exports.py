@@ -44,6 +44,12 @@ def test_package_imports_are_public():
 REMOVED_NAMES = [
     ("manybody", "TwoElectronIntegrals"),
     ("manybody", "CIState.orbital_list"),
+    ("manybody", "solve_piece_qbody"),
+    ("manybody", "occupation_block_energy"),
+    ("manybody", "CIState.occupation"),
+    ("twobody", "pair_matrix_element"),
+    ("twobody", "free_pair_state"),
+    ("rdm", "DensityMatrix.index"),
 ]
 
 # (module, function, parameter) of options no caller set, taken out
@@ -56,6 +62,8 @@ REMOVED_OPTIONS = [
     ("optstate", "cross_piece_bound_check", "i"),
     ("optstate", "cross_piece_bound_check", "j"),
     ("optstate", "neighbor_energy_ladder", "gap"),
+    ("potential", "f_Z", "eps"),
+    ("potential", "check_HU", "x_max"),
 ]
 
 

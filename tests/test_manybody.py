@@ -6,8 +6,7 @@ from pieces_lab.manybody import (BlockBasis, block_overlap,
                                  enumerate_occupations,
                                  exact_ground_state_small,
                                  free_occupation_energy, kinetic_lower_bound,
-                                 occupation_block_energy, solve_block,
-                                 solve_piece_qbody, wedge)
+                                 solve_block, wedge)
 from pieces_lab.potential import BoxPotential, ExponentialPotential
 from pieces_lab.quadrature import cross_g_tensor, interaction_g_tensor
 from pieces_lab.twobody import solve_two_body
@@ -18,11 +17,16 @@ U = BoxPotential(1.0, 1.0)
 
 
 def test_enumerate_occupations():
+    # lexicographic order: exact_ground_state_small's tie rule relies on it
     occs = enumerate_occupations(3, 2, 2)
-    assert sorted(occs) == [(0, 0, 2), (0, 1, 1), (0, 2, 0),
-                            (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    assert occs == [(0, 0, 2), (0, 1, 1), (0, 2, 0),
+                    (1, 0, 1), (1, 1, 0), (2, 0, 0)]
     capped = enumerate_occupations(3, 2, 1)
-    assert all(max(q) <= 1 for q in capped)
+    assert capped == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    # C(11, 7) compositions of 4 into 8 parts, less the 8 with a part of 4
+    big = enumerate_occupations(8, 4, 3)
+    assert big == sorted(set(big)) and len(big) == 330 - 8
+    assert all(sum(Q) == 4 and max(Q) <= 3 for Q in big)
 
 
 def test_free_occupation_energy():
@@ -93,13 +97,13 @@ def test_integrals_block_selection_rule():
 
 def test_piece_qbody_matches_twobody():
     ref = solve_two_body(U, 10.0, M=20)
-    e2 = solve_piece_qbody(U, 10.0, 2, M=20)[0][0]
+    e2 = solve_block([(0.0, 10.0)], (2,), U, M=20, n_states=1)[0][0]
     assert e2 == pytest.approx(ref.energy, rel=1e-4)
 
 
 def test_piece_qbody_free_limit():
     z = BoxPotential(0.0, 1.0)
-    e3 = solve_piece_qbody(z, 5.0, 3, M=10)[0][0]
+    e3 = solve_block([(0.0, 5.0)], (3,), z, M=10, n_states=1)[0][0]
     assert e3 == pytest.approx(np.pi ** 2 * 14.0 / 25.0, rel=1e-10)
 
 
@@ -123,8 +127,9 @@ def test_block_overlap_orthogonality():
 
 def test_occupation_block_energy_decoupled_vs_exact():
     intervals = [(0.0, 6.0), (56.0, 6.0)]  # far apart: no interaction
-    ex = occupation_block_energy(intervals, (1, 1), U, mode="exact", M=8)
-    de = occupation_block_energy(intervals, (1, 1), U, mode="decoupled", M=8)
+    ex = solve_block(intervals, (1, 1), U, M=8, n_states=1)[0][0]
+    de = sum(solve_block([iv], (1,), U, M=8, n_states=1)[0][0]
+             for iv in intervals)
     assert ex == pytest.approx(de, rel=1e-9)
 
 

@@ -153,18 +153,20 @@ def _spill_over_per_piece(occ, tags, lengths, hi, deficit):
 
 def test_spill_over_matches_per_piece_heap(monkeypatch):
     seen = []
-    spill = optstate._spill_over
+    fill = optstate._fill_lowest
 
-    def record(occ, tags, lengths, hi, deficit):
-        seen.append((occ.copy(), list(tags), lengths, hi, deficit))
-        return spill(occ, tags, lengths, hi, deficit)
+    def record(occ, tags, lengths, idx, deficit, cap=None):
+        if cap is None:  # the uncapped spill-over call
+            seen.append((occ.copy(), list(tags), lengths, deficit))
+        return fill(occ, tags, lengths, idx, deficit, cap)
 
-    monkeypatch.setattr(optstate, "_spill_over", record)
+    monkeypatch.setattr(optstate, "_fill_lowest", record)
     for seed in (0, 4, 9):  # samples whose bands and long pieces fall short
         cfg = sample_pieces(seed, 1e5, 1.0)
         plan = build_psi_opt(cfg, 0.05, GAMMA)
-        occ, tags, lengths, hi, deficit = seen.pop()
+        occ, tags, lengths, deficit = seen.pop()
         assert deficit > 0
+        hi = plan.thresholds["hi"]
         assert _spill_over_per_piece(occ, tags, lengths, hi, deficit) == 0
         assert np.array_equal(plan.occupation, occ)
         assert plan.tags == tags
@@ -189,7 +191,8 @@ def test_spill_over_candidates_match_full_pool_heap():
         tags_ref = ["filled" if q else "empty" for q in occ]
         tags_new = list(tags_ref)
         left = _spill_over_per_piece(occ_ref, tags_ref, lengths, hi, deficit)
-        assert optstate._spill_over(occ_new, tags_new, lengths, hi, deficit) == left
+        pool = np.nonzero(((occ_new > 0) & (lengths >= hi)) | (occ_new == 0))[0]
+        assert optstate._fill_lowest(occ_new, tags_new, lengths, pool, deficit) == left
         assert np.array_equal(occ_new, occ_ref) and tags_new == tags_ref
 
 

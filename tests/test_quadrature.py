@@ -14,7 +14,7 @@ from pieces_lab.quadrature import (cosine_coefficients, cross_density_integral,
                                    interaction_g_tensor, pair_reduced_matrix,
                                    sine_modes)
 from pieces_lab.rdm import rdm1
-from pieces_lab.twobody import band_pair_list, pair_matrix_element, solve_two_body
+from pieces_lab.twobody import band_pair_list, solve_two_body
 
 
 def _s(k, ell):
@@ -468,7 +468,8 @@ def test_pair_matrix_edge_addresses(U):
     ell, m = 5.0, 9
     for ij, kl in (((1, 2), (m - 1, m)), ((m - 1, m), (m - 1, m))):
         ref = _gathered_pair_matrix(U, ell, [ij, kl])
-        assert abs(pair_matrix_element(U, ell, ij, kl) - ref[0, 1]) <= 1e-13 * np.abs(ref).max()
+        entry = pair_reduced_matrix(U, ell, [ij, kl])[0, 1]
+        assert abs(entry - ref[0, 1]) <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("U", FAMILIES, ids=lambda U: U.family)

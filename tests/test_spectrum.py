@@ -231,7 +231,7 @@ def test_empirical_free_energy_exact_small_case():
 
 def test_rescale_check():
     cfg = from_lengths([3.0, 7.0])
-    assert rescale_check(cfg, BoxPotential(1.0, 1.0), 5.0, 2.0)
+    assert rescale_check(cfg, BoxPotential(1.0, 1.0), 5.0, 2.0)["ok"]
 
 
 def test_domain_errors():

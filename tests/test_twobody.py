@@ -6,9 +6,9 @@ from pieces_lab import twobody
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
                                   PolynomialPotential, TabulatedPotential)
 from pieces_lab.quadrature import pair_reduced_matrix
-from pieces_lab.twobody import (_solve, astar_xstar, free_pair_state,
+from pieces_lab.twobody import (TwoBodySolution, _solve, astar_xstar,
                                 gamma_star, gamma_via_K, gamma_via_fit,
-                                pair_matrix_element, solve_two_body)
+                                solve_two_body)
 
 _GRID = np.linspace(0.0, 1.5, 151)
 FAMILIES = {"box": BoxPotential(1.0, 1.0),
@@ -53,22 +53,24 @@ def _reference_solve(U, ell, M=24, rtol=1e-6):
 
 
 def test_free_pair_state():
+    # the one-pair solution is the free state phi_(1,2)
     ell = 4.0
-    phi, E = free_pair_state(1, 2, ell)
-    assert E == pytest.approx(np.pi ** 2 * 5.0 / 16.0)
+    pair = TwoBodySolution(ell, [(1, 2)], np.pi ** 2 * 5.0 / ell ** 2,
+                           np.ones(1), 0.0)
     # antisymmetry and normalization on a grid
     x = np.linspace(0, ell, 201)
     X, Y = np.meshgrid(x, x)
-    vals = phi(X, Y)
-    assert np.allclose(vals, -phi(Y, X), atol=1e-12)
+    vals = pair.evaluate(X.ravel(), Y.ravel()).reshape(X.shape)
+    swapped = pair.evaluate(Y.ravel(), X.ravel()).reshape(X.shape)
+    assert np.allclose(vals, -swapped, atol=1e-12)
     norm = np.trapezoid(np.trapezoid(vals ** 2, x, axis=1), x)
     assert norm == pytest.approx(1.0, abs=1e-3)
 
 
 def test_pair_matrix_element_symmetric():
     U = BoxPotential(1.0, 1.0)
-    a = pair_matrix_element(U, 5.0, (1, 2), (1, 3))
-    b = pair_matrix_element(U, 5.0, (1, 3), (1, 2))
+    a = pair_reduced_matrix(U, 5.0, [(1, 2), (1, 3)])[0, 1]
+    b = pair_reduced_matrix(U, 5.0, [(1, 3), (1, 2)])[0, 1]
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -79,7 +81,7 @@ def test_pair_matrix_element_is_pair_matrix_entry():
     V = pair_reduced_matrix(U, 5.0, pairs)
     for ij, kl in (((2, 6), (1, 4)), ((1, 2), (3, 6)), ((4, 6), (4, 6))):
         entry = V[pairs.index(ij), pairs.index(kl)]
-        assert pair_matrix_element(U, 5.0, ij, kl) == pytest.approx(
+        assert pair_reduced_matrix(U, 5.0, [ij, kl])[0, 1] == pytest.approx(
             entry, rel=1e-13, abs=1e-15)
 
 

@@ -36,23 +36,24 @@ from .spectrum import (counting_function, fermi_energy,
 from .twobody import (astar_xstar, gamma_star, gamma_via_K, gamma_via_fit,
                       solve_two_body)
 
+# key: (section, type, default), in the order of the summary's config echo
 KNOWN_KEYS = {
-    "model": {"L", "mu", "rho", "n", "potential", "gamma_source", "gamma"},
-    "numeric": {"M", "rtol", "ell_list", "grid_points", "e_max"},
-    "run": {"seed", "replicas", "out"},
+    "L": ("model", float, 1e5),
+    "mu": ("model", float, 1.0),
+    "rho": ("model", float, 0.1),
+    "n": ("model", int, None),
+    "potential": ("model", str, "box height=1 radius=1"),
+    "gamma_source": ("model", str, "kernel"),
+    "gamma": ("model", float, None),
+    "M": ("numeric", int, 24),
+    "rtol": ("numeric", float, 1e-6),
+    "ell_list": ("numeric", str, "20,40,80"),
+    "grid_points": ("numeric", int, 50),
+    "e_max": ("numeric", float, 3.0),
+    "seed": ("run", int, 0),
+    "replicas": ("run", int, 1),
+    "out": ("run", str, "out"),
 }
-
-DEFAULTS = {
-    "L": 1e5, "mu": 1.0, "rho": 0.1, "n": None,
-    "potential": "box height=1 radius=1", "gamma_source": "kernel",
-    "gamma": None,
-    "M": 24, "rtol": 1e-6, "ell_list": "20,40,80", "grid_points": 50,
-    "e_max": 3.0,
-    "seed": 0, "replicas": 1, "out": "out",
-}
-
-FLOAT_KEYS = {"L", "mu", "rho", "gamma", "rtol", "e_max"}
-INT_KEYS = {"n", "M", "grid_points", "seed", "replicas"}
 
 
 class ConfigError(Exception):
@@ -68,26 +69,26 @@ def load_config(path):
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    cfg = dict(DEFAULTS)
-    unknown = []
+    cfg = {key: default for key, (_, _, default) in KNOWN_KEYS.items()}
+    given, unknown = {}, []
     for section in parser.sections():
-        if section not in KNOWN_KEYS:
+        if section not in {s for s, _, _ in KNOWN_KEYS.values()}:
             unknown.append(f"[{section}]")
             continue
         for key, value in parser.items(section):
-            if key not in KNOWN_KEYS[section]:
+            if key not in KNOWN_KEYS or KNOWN_KEYS[key][0] != section:
                 unknown.append(f"{section}.{key}")
                 continue
-            cfg[key] = value
+            given[key] = value
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
-    for key in FLOAT_KEYS:
-        if isinstance(cfg[key], str):
-            cfg[key] = float(cfg[key])
-    for key in INT_KEYS:
-        if isinstance(cfg[key], str):
-            cfg[key] = int(cfg[key])
-    if cfg["L"] <= 0 or cfg["mu"] <= 0 or cfg["rho"] <= 0:
+    for key, value in given.items():
+        section, kind, _ = KNOWN_KEYS[key]
+        try:
+            cfg[key] = kind(value)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from exc
+    if not (cfg["L"] > 0 and cfg["mu"] > 0 and cfg["rho"] > 0):
         raise ConfigError("L, mu and rho must be positive")
     if cfg["replicas"] < 1:
         raise ConfigError("replicas must be >= 1")
@@ -244,8 +245,8 @@ def run_psi_opt(cfg):
     for seed in _seeds(cfg):
         pc = sample_pieces(seed, cfg["L"], cfg["mu"])
         n = round(cfg["rho"] * pc.L)
-        frac = banded_particle_count(pc, cfg["rho"], gamma, cfg["mu"]) / n
-        rep = asymptotics_check(pc, cfg["rho"], U, gamma, cfg["mu"])
+        frac = banded_particle_count(pc, cfg["rho"], gamma) / n
+        rep = asymptotics_check(pc, cfg["rho"], U, gamma)
         rows.append([seed, frac, pred, rep["ratio"]])
         fracs.append(frac)
         if rep["ratio"] is not None:

@@ -219,6 +219,4 @@ def count_triplets(cfg, ell, ell_prime, ell_second, d):
 
 
 def max_piece_length(cfg):
-    if cfg.n_pieces == 0:
-        raise ValueError("empty configuration")
     return float(cfg.lengths.max())

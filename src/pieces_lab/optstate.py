@@ -3,8 +3,8 @@
 Two plans are built here: the non-interacting ground state (fill the n
 globally lowest levels) and the near-optimal interacting trial state whose
 per-piece assignment depends only on the piece length through three
-thresholds derived from the Fermi length and the two-body interaction
-constant gamma:
+thresholds derived from the Fermi length at cfg.mu and the two-body
+interaction constant gamma:
 
     empty                length < l_rho - rho x*      or >= 3 l_rho
     one ground particle  [l_rho - rho x*, 2 l_rho + A*)
@@ -12,9 +12,10 @@ constant gamma:
 
 with A* = mu gamma / 8 pi^2 and x* = 1 - exp(-A*).  The particle deficit is
 completed by free levels in long pieces (preferring lengths in
-[3 l_rho (1+rho), 4 l_rho)).  The plan energy adds closed-form kinetic
-terms, cached interacting pair energies, and density-density cross terms
-between pieces within interaction range.
+[3 l_rho (1+rho), 4 l_rho)).  A plan is the occupations plus a mask of
+the pair pieces.  The plan energy adds closed-form kinetic terms, cached
+interacting pair energies, and density-density cross terms between pieces
+within interaction range.
 
 Every piece density is given by its 1-RDM over the piece's Dirichlet modes
 and integrated by quadrature.cross_density_integral: a free fill of q
@@ -51,22 +52,19 @@ __all__ = [
     "neighbor_energy_ladder",
 ]
 
-EMPTY, SINGLE, PAIR, FILLED = "empty", "single", "pair", "filled"
-
-
 class StatePlan:
     """Per-piece assignment produced by a filling rule.
 
-    occupation[j] particles in piece j; tags[j] in {empty, single, pair,
-    filled} where 'filled' means the lowest occupation[j] free levels.
+    occupation[j] particles in piece j; pair[j] if they are an interacting
+    pair, else they fill the lowest occupation[j] free levels.
     """
 
-    def __init__(self, occupation, tags, thresholds=None):
+    def __init__(self, occupation, pair, thresholds=None):
         self.occupation = np.asarray(occupation, dtype=np.int64)
-        self.tags = list(tags)
+        self.pair = np.asarray(pair, dtype=bool)
         self.thresholds = dict(thresholds or {})
-        if len(self.tags) != len(self.occupation):
-            raise ValueError("tags/occupation length mismatch")
+        if self.pair.shape != self.occupation.shape:
+            raise ValueError("pair/occupation shape mismatch")
 
     @property
     def n(self):
@@ -80,8 +78,8 @@ def fill_free_ground_state(cfg, n):
     """Occupy the n globally lowest one-particle levels."""
     table = lowest_levels(cfg, n)
     occ = np.bincount(table.piece_index[:n], minlength=cfg.n_pieces)
-    tags = [EMPTY if q == 0 else FILLED for q in occ]
-    return StatePlan(occ, tags, {"n": n, "cutoff": float(table.energies[n - 1])})
+    return StatePlan(occ, np.zeros(cfg.n_pieces, dtype=bool),
+                     {"n": n, "cutoff": float(table.energies[n - 1])})
 
 
 def _bands(rho, gamma, mu):
@@ -91,64 +89,56 @@ def _bands(rho, gamma, mu):
     return ell_rho, A, x, ell_rho - rho * x, 2.0 * ell_rho + A, 3.0 * ell_rho
 
 
-def build_psi_opt(cfg, rho, gamma, mu=1.0):
-    """The banded trial plan for density rho and interaction constant gamma."""
-    ell_rho, A, x, lo, mid, hi = _bands(rho, gamma, mu)
+def build_psi_opt(cfg, rho, gamma):
+    """The banded trial plan at cfg.mu for density rho and gamma."""
+    ell_rho, A, x, lo, mid, hi = _bands(rho, gamma, cfg.mu)
     lengths = cfg.lengths
-    occ = np.zeros(cfg.n_pieces, dtype=np.int64)
-    tags = [EMPTY] * cfg.n_pieces
-    occ[(lengths >= lo) & (lengths < mid)] = 1
-    occ[(lengths >= mid) & (lengths < hi)] = 2
-    for j in np.nonzero(occ)[0]:
-        tags[j] = SINGLE if occ[j] == 1 else PAIR
+    single = (lengths >= lo) & (lengths < mid)
+    pair = (lengths >= mid) & (lengths < hi)
     n = int(round(rho * cfg.L))
-    deficit = n - int(occ.sum())
+    deficit = n - int(single.sum()) - 2 * int(pair.sum())
     if deficit < 0:
         # finite-size overshoot: both the band count and n fluctuate by
         # O(sqrt(n)), so the bands can exceed n.  Trim deterministically by
         # dropping the most expensive particles: singles in the shortest
-        # occupied pieces, then pair demotions.
-        singles = sorted((j for j in np.nonzero(occ)[0] if occ[j] == 1),
-                         key=lambda j: lengths[j])
-        while deficit < 0 and singles:
-            j = singles.pop(0)
-            occ[j], tags[j] = 0, EMPTY
-            deficit += 1
-        pairs = sorted((j for j in np.nonzero(occ)[0] if occ[j] == 2),
-                       key=lambda j: lengths[j])
-        while deficit < 0 and pairs:
-            j = pairs.pop(0)
-            occ[j], tags[j] = 1, SINGLE
-            deficit += 1
+        # occupied pieces, then pair demotions (ties to the lower index).
+        for band in (single, pair):
+            idx = np.flatnonzero(band)
+            drop = idx[np.argsort(lengths[idx], kind="stable")[:-deficit]]
+            band[drop] = False
+            if band is pair:
+                single[drop] = True
+            deficit += len(drop)
         if deficit < 0:
             raise ValueError("band assignment exceeds n; rho too large for this rule")
+    occ = single + 2 * pair
     # completion: lowest free levels in long pieces, preferred band first with
     # a soft per-piece cap of 3.  At desk scale the capped capacity ~equals
     # the mean deficit, so about half of all realizations spill over: the
     # remainder goes, uncapped, to pieces the bands left empty (mostly pieces
     # just below the single band, whose first level sits just above the Fermi
-    # energy) and to occupied pieces of length >= hi.
+    # energy) and to occupied pieces of length >= hi, never to a pair.
     preferred = np.nonzero((lengths >= hi * (1.0 + rho)) & (lengths < 4.0 * ell_rho))[0]
     fallback = np.setdiff1d(np.nonzero(lengths >= hi)[0], preferred)
     for pool in (preferred, fallback):
-        deficit = _fill_lowest(occ, tags, lengths, pool, deficit, cap=3)
-    deficit = _fill_lowest(occ, tags, lengths,
+        deficit = _fill_lowest(occ, lengths, pool, deficit, cap=3)
+    deficit = _fill_lowest(occ, lengths,
                            np.nonzero(((occ > 0) & (lengths >= hi)) | (occ == 0))[0],
                            deficit)
     if deficit > 0:
         raise ValueError("not enough pieces to complete the particle count")
-    return StatePlan(occ, tags, {
+    return StatePlan(occ, pair, {
         "ell_rho": ell_rho, "A_star": A, "x_star": x,
-        "lo": lo, "mid": mid, "hi": hi, "n": n, "rho": rho, "mu": mu,
+        "lo": lo, "mid": mid, "hi": hi, "n": n, "rho": rho, "mu": cfg.mu,
     })
 
 
-def _fill_lowest(occ, tags, lengths, idx, deficit, cap=None):
+def _fill_lowest(occ, lengths, idx, deficit, cap=None):
     """Place deficit particles one at a time on the lowest free marginal
     level (pi (occ[j] + 1) / lengths[j])^2 among the pieces idx, ties to the
     lower index, adding at most cap particles to a piece (no cap if None).
-    Updates occ and tags in place and returns the deficit left when the
-    pieces run out."""
+    Updates occ in place and returns the deficit left when the pieces run
+    out."""
     if deficit <= 0:
         return deficit
     first = (np.pi * (occ[idx] + 1) / lengths[idx]) ** 2
@@ -165,7 +155,6 @@ def _fill_lowest(occ, tags, lengths, idx, deficit, cap=None):
     while deficit > 0 and heap:
         _, j, room = heapq.heappop(heap)
         occ[j] += 1
-        tags[j] = FILLED
         deficit -= 1
         if room > 1:
             heapq.heappush(heap, ((np.pi * (occ[j] + 1) / lengths[j]) ** 2, j, room - 1))
@@ -187,12 +176,13 @@ def energy_of_plan(cfg, plan, U):
     """Total energy of the plan state.
 
     Per-piece terms: closed form pi^2 k^2/l^2 sums for singles and free
-    fills, interacting two-body ground energies for pairs (cubic-spline
-    cache over the pair band).  Cross terms: density-density integrals
-    between occupied pieces within interaction range.  A pair's density is
-    that of the two-body ground state solved on the piece's 0.05-wide
-    length bin (one solve per bin, shared across samples), dilated to the
-    piece: the same mode coefficients, so the same 1-RDM.
+    fills, interacting two-body ground energies for plan.pair (over three
+    pairs: a cubic-spline cache over the band [mid, hi) of plan.thresholds).
+    Cross terms: density-density integrals between occupied pieces within
+    interaction range.  A pair's density is that of the two-body ground
+    state solved on the piece's 0.05-wide length bin (one solve per bin,
+    shared across samples), dilated to the piece: the same mode
+    coefficients, so the same 1-RDM.
 
     The in-range piece pairs are found array-at-a-time, each distinct
     density's cosine coefficients are computed once, and the pairs are
@@ -203,17 +193,13 @@ def energy_of_plan(cfg, plan, U):
     occ_idx = plan.occupied()
     q = plan.occupation[occ_idx]
     ell = lengths[occ_idx]
-    is_pair = np.array([U is not None and plan.tags[j] == PAIR for j in occ_idx],
-                       dtype=bool)
+    is_pair = plan.pair[occ_idx] & (U is not None)  # no potential: free fills
     total = free_occupation_energy(ell[~is_pair], q[~is_pair])
     pair_lengths = ell[is_pair]
     if len(pair_lengths) > 3:
         # key the spline by the plan's pair band (not per-sample extremes)
         # so the cache is shared across disorder realizations
-        if "mid" in plan.thresholds and "hi" in plan.thresholds:
-            lmin, lmax = plan.thresholds["mid"], plan.thresholds["hi"]
-        else:
-            lmin, lmax = pair_lengths.min(), pair_lengths.max()
+        lmin, lmax = plan.thresholds["mid"], plan.thresholds["hi"]
         pad = max(1e-3, 0.01 * (lmax - lmin))
         total += float(np.sum(_pair_energy_spline(U, lmin - pad, lmax + pad)(pair_lengths)))
     else:
@@ -271,10 +257,10 @@ def _neighbour_pairs(lefts, rights, rng):
     return a[keep], b[keep], gap[keep]
 
 
-def banded_particle_count(cfg, rho, gamma, mu=1.0):
+def banded_particle_count(cfg, rho, gamma):
     """Particles placed by the length bands alone (no completion):
     singles + 2 x pairs."""
-    _, _, _, lo, mid, hi = _bands(rho, gamma, mu)
+    _, _, _, lo, mid, hi = _bands(rho, gamma, cfg.mu)
     lengths = cfg.lengths
     singles = int(((lengths >= lo) & (lengths < mid)).sum())
     pairs = int(((lengths >= mid) & (lengths < hi)).sum())
@@ -302,16 +288,16 @@ def second_order_prediction(rho, mu, gamma):
     return float(np.pi ** 2 * gs * (rho / mu ** 2) / ell_rho ** 3)
 
 
-def asymptotics_check(cfg, rho, U, gamma, mu=1.0):
+def asymptotics_check(cfg, rho, U, gamma):
     """Measured excess energy of the trial plan against the second-order
     prediction: r = (E(plan)/n - free energy per particle) / prediction."""
     if gamma == 0 or U is None:
         return {"ratio": None, "note": "no interaction"}
-    plan = build_psi_opt(cfg, rho, gamma, mu=mu)
+    plan = build_psi_opt(cfg, rho, gamma)
     n = plan.n
     e_plan = energy_of_plan(cfg, plan, U) / n
     e_free = free_energy_per_particle_empirical(cfg, n)
-    pred = second_order_prediction(rho, mu, gamma)
+    pred = second_order_prediction(rho, cfg.mu, gamma)
     return {
         "ratio": (e_plan - e_free) / pred,
         "plan_energy_per_particle": e_plan,

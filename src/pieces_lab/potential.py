@@ -80,7 +80,7 @@ class InteractionPotential:
                       points=pts or None, limit=300, epsabs=1e-13, epsrel=1e-11)
         return 2.0 * val
 
-    def effective_radius(self, tol=1e-12):
+    def effective_radius(self, tol):
         """Radius beyond which the tail integral is below tol (absolute)."""
         if self.support_radius is not None:
             return self.support_radius
@@ -188,16 +188,14 @@ class PolynomialPotential(InteractionPotential):
 class TabulatedPotential(InteractionPotential):
     """Even potential given by linear interpolation of samples on u >= 0.
 
-    Zero beyond the last grid point unless a tail majorant
-    (callable v -> bound on int_v^inf U) is declared; without one, the
-    support ends at the last grid point and tail functionals vanish beyond
-    it.  Compared and hashed by identity, so caches key a table by the
-    object: its arrays and majorant have no cheap value equality.
+    Zero beyond the last grid point, where its support ends and the tail
+    functionals vanish.  Compared and hashed by identity, so caches key a
+    table by the object: its arrays have no cheap value equality.
     """
 
     family = "table"
 
-    def __init__(self, u_grid, values, tail_majorant=None):
+    def __init__(self, u_grid, values):
         u_grid = np.asarray(u_grid, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         if u_grid.ndim != 1 or u_grid.shape != values.shape:
@@ -208,35 +206,24 @@ class TabulatedPotential(InteractionPotential):
             raise ValueError("values must be non-negative")
         self.u_grid = u_grid
         self.values = values
-        self.tail_majorant = tail_majorant
-        if tail_majorant is None:
-            self.support_radius = float(u_grid[-1])
+        self.support_radius = float(u_grid[-1])
 
     def __call__(self, u):
         u = np.abs(np.asarray(u, dtype=np.float64))
         return np.interp(u, self.u_grid, self.values, right=0.0)
 
     def tail_integral(self, v):
-        if self.tail_majorant is not None and v >= self.u_grid[-1]:
-            return float(self.tail_majorant(v))
         u, w = self.u_grid, self.values
         mask = u >= v
         uu = np.concatenate(([v], u[mask]))
         ww = np.concatenate(([np.interp(v, u, w, right=0.0)], w[mask]))
-        within = float(np.trapezoid(ww, uu))
-        if self.tail_majorant is not None:
-            within += float(self.tail_majorant(u[-1]))
-        return within
+        return float(np.trapezoid(ww, uu))
 
     def breakpoints(self):
         return list(self.u_grid[1:])
 
     def scaled(self, amp, xscale):
-        tail = None
-        if self.tail_majorant is not None:
-            base = self.tail_majorant
-            tail = lambda v: amp * xscale * base(v / xscale)
-        return TabulatedPotential(xscale * self.u_grid, amp * self.values, tail)
+        return TabulatedPotential(xscale * self.u_grid, amp * self.values)
 
     def __repr__(self):
         return f"TabulatedPotential(n={len(self.u_grid)}, max_u={self.u_grid[-1]})"

@@ -126,10 +126,10 @@ def sine_modes(m, ell, x):
     return np.sqrt(2.0 / ell) * np.sin(np.pi * k * x[None, :] / ell)
 
 
-def _u_panels(U, lo, hi, extra_edges, dens, max_cycles=6.0):
+def _u_panels(U, lo, hi, extra_edges, dens):
     """u-panels covering [lo_e, hi_e] clipped to U's effective support, for
     each batch entry e, split at kinks of U and at the entry's extra edges
-    (a B x k array) and subdivided so no panel spans more than max_cycles
+    (a B x k array) and subdivided so no panel spans more than _MAX_CYCLES
     oscillation cycles (density dens_e).
 
     Returns (e, a, b): the entry and the ends of every panel, entry by entry
@@ -149,7 +149,7 @@ def _u_panels(U, lo, hi, extra_edges, dens, max_cycles=6.0):
     e = np.nonzero(live)[0]
     a, b = a[live], b[live]
     # np.linspace(a, b, n + 1) of each segment, as one array
-    n_sub = np.maximum(1, np.ceil((b - a) / (max_cycles / np.maximum(dens[e], 1e-12))))
+    n_sub = np.maximum(1, np.ceil((b - a) / (_MAX_CYCLES / np.maximum(dens[e], 1e-12))))
     n_sub = n_sub.astype(np.int64)
     seg = np.repeat(np.arange(len(a)), n_sub)
     k = np.arange(len(seg)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
@@ -180,8 +180,9 @@ def _u_nodes(U, ellA, ellB, offset, e, a, b):
     return e[keep], u[keep], c[keep], x_lo[keep], x_hi[keep]
 
 
-# Gauss-Legendre order of every u-panel
+# Gauss-Legendre order of every u-panel, and the most oscillation cycles it spans
 _NODES_PER_PANEL = 32
+_MAX_CYCLES = 6.0
 # cells of each stacked intermediate: the (entry, m, n) cells and the
 # padded (entry, node) layout of a batch chunk, the (end, frequency) cells
 # of a block of a sine table, the (entry, node) cells of a block of the

@@ -219,7 +219,7 @@ def _solve(U, ell, M, rtol):
         D, K = D + 4, K_big
 
 
-def gamma_via_fit(U, ell_list, M=24, rtol=1e-6):
+def gamma_via_fit(U, ell_list):
     """gamma from the expansion E0 = 5 pi^2/ell^2 + gamma/ell^3 + ...
 
     Fits the model E0*ell^3 - 5 pi^2 ell = gamma + c/ell on the top three
@@ -230,7 +230,7 @@ def gamma_via_fit(U, ell_list, M=24, rtol=1e-6):
         raise ValueError("need at least 3 ell values")
     vals = []
     for ell in ells:
-        sol = solve_two_body(U, ell, M=M, rtol=rtol)
+        sol = solve_two_body(U, ell)
         vals.append(sol.energy * ell ** 3 - 5.0 * np.pi ** 2 * ell)
     vals = np.array(vals)
     top = ells[-3:]

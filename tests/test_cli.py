@@ -56,6 +56,27 @@ def test_invalid_values_rejected(tmp_path):
                          BASE + "gamma_source = given\n"))
 
 
+@pytest.mark.parametrize("old,new,where", [
+    ("L = 5000", "L = 1e5x", "model.L"),
+    ("replicas = 2", "replicas = two", "run.replicas"),
+])
+def test_malformed_number_exit_code(tmp_path, capsys, old, new, where):
+    cfg = _cfg(tmp_path, BASE.replace(old, new))
+    with pytest.raises(ConfigError, match=where):
+        load_config(cfg)
+    assert main(["pieces-stats", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {where}: " in capsys.readouterr().err
+
+
+def test_nan_density_rejected(tmp_path):
+    cfg = _cfg(tmp_path, BASE.replace("rho = 0.1", "rho = nan"))
+    with pytest.raises(ConfigError, match="must be positive"):
+        load_config(cfg)
+    assert main(["free-energy", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_missing_config_exit_code(tmp_path):
     assert main(["ids", "--config", str(tmp_path / "nope.ini")]) == 2
 

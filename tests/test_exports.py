@@ -64,6 +64,14 @@ REMOVED_OPTIONS = [
     ("optstate", "neighbor_energy_ladder", "gap"),
     ("potential", "f_Z", "eps"),
     ("potential", "check_HU", "x_max"),
+    ("potential", "TabulatedPotential", "tail_majorant"),
+    ("twobody", "gamma_via_fit", "M"),
+    ("twobody", "gamma_via_fit", "rtol"),
+    ("spectrum", "rescale_check", "rtol"),
+    ("quadrature", "_u_panels", "max_cycles"),
+    ("optstate", "build_psi_opt", "mu"),
+    ("optstate", "banded_particle_count", "mu"),
+    ("optstate", "asymptotics_check", "mu"),
 ]
 
 

@@ -15,7 +15,7 @@ from pieces_lab.optstate import (StatePlan, banded_fraction_prediction,
                                  second_order_prediction, subadditivity_check)
 from pieces_lab.potential import BoxPotential, ExponentialPotential
 from pieces_lab.quadrature import cross_density_integral
-from pieces_lab.spectrum import free_energy_per_particle_empirical
+from pieces_lab.spectrum import fermi_length, free_energy_per_particle_empirical
 from pieces_lab.twobody import gamma_via_K, solve_two_body
 
 U = BoxPotential(1.0, 1.0)
@@ -38,12 +38,41 @@ def test_build_psi_opt_particle_total_and_bands():
     plan = build_psi_opt(cfg, rho, GAMMA)
     assert plan.n == round(rho * cfg.L)
     lo, mid, hi = (plan.thresholds[k] for k in ("lo", "mid", "hi"))
-    for j in plan.occupied():
-        ell, q = cfg.lengths[j], plan.occupation[j]
-        if plan.tags[j] == "single":
-            assert lo <= ell < mid and q == 1
-        elif plan.tags[j] == "pair":
-            assert mid <= ell < hi and q == 2
+    ell, q = cfg.lengths, plan.occupation
+    assert np.all((mid <= ell[plan.pair]) & (ell[plan.pair] < hi))
+    assert np.all(q[plan.pair] == 2)
+    assert np.all(q[(q > 0) & (lo <= ell) & (ell < mid)] == 1)
+
+
+@pytest.mark.parametrize("lengths,occupation", [
+    # both singles dropped, then the tied 8.0 pair at the lower index demoted
+    ([8.0, 4.0, 8.0, 5.0, 9.0, 74.0], [1, 0, 2, 0, 2, 0]),
+    # the shortest pair demoted
+    ([8.5, 4.0, 8.0, 5.0, 9.0, 73.5], [2, 0, 1, 0, 2, 0]),
+    # only the shorter single dropped
+    ([4.5, 8.0, 4.0, 8.0, 75.5], [1, 2, 0, 2, 0]),
+])
+def test_build_psi_opt_overshoot_trim(lengths, occupation):
+    cfg = from_lengths(lengths)
+    plan = build_psi_opt(cfg, 0.05, GAMMA)
+    assert plan.n == round(0.05 * cfg.L) == 5
+    assert plan.occupation.tolist() == occupation
+    assert np.array_equal(plan.pair, plan.occupation == 2)
+
+
+def test_build_psi_opt_overshoot_beyond_bands():
+    with pytest.raises(ValueError, match="band assignment exceeds n"):
+        build_psi_opt(from_lengths([8.0, 8.5, 9.0, 8.2, 8.3, 8.0]), 0.05, GAMMA)
+
+
+def test_psi_opt_bands_at_configuration_mu():
+    cfg = sample_pieces(0, 2e4, 2.0)
+    plan = build_psi_opt(cfg, 0.05, GAMMA)
+    assert plan.thresholds["ell_rho"] == fermi_length(0.05, 2.0)
+    lo, mid, hi = (plan.thresholds[k] for k in ("lo", "mid", "hi"))
+    ell = cfg.lengths
+    assert banded_particle_count(cfg, 0.05, GAMMA) == (
+        np.sum((ell >= lo) & (ell < mid)) + 2 * np.sum((ell >= mid) & (ell < hi)))
 
 
 def test_psi_opt_deterministic():
@@ -136,7 +165,7 @@ def test_neighbor_ladder_decay():
     assert out["fitted_order"] <= -4.0
 
 
-def _spill_over_per_piece(occ, tags, lengths, hi, deficit):
+def _spill_over_per_piece(occ, lengths, hi, deficit):
     """Reference: the spill-over heap built piece by piece."""
     pool = ((occ > 0) & (lengths >= hi)) | (occ == 0)
     heap = [((np.pi * (occ[j] + 1) / lengths[j]) ** 2, int(j))
@@ -145,7 +174,6 @@ def _spill_over_per_piece(occ, tags, lengths, hi, deficit):
     while deficit > 0 and heap:
         _, j = heapq.heappop(heap)
         occ[j] += 1
-        tags[j] = "filled"
         deficit -= 1
         heapq.heappush(heap, ((np.pi * (occ[j] + 1) / lengths[j]) ** 2, j))
     return deficit
@@ -155,21 +183,20 @@ def test_spill_over_matches_per_piece_heap(monkeypatch):
     seen = []
     fill = optstate._fill_lowest
 
-    def record(occ, tags, lengths, idx, deficit, cap=None):
+    def record(occ, lengths, idx, deficit, cap=None):
         if cap is None:  # the uncapped spill-over call
-            seen.append((occ.copy(), list(tags), lengths, deficit))
-        return fill(occ, tags, lengths, idx, deficit, cap)
+            seen.append((occ.copy(), lengths, deficit))
+        return fill(occ, lengths, idx, deficit, cap)
 
     monkeypatch.setattr(optstate, "_fill_lowest", record)
     for seed in (0, 4, 9):  # samples whose bands and long pieces fall short
         cfg = sample_pieces(seed, 1e5, 1.0)
         plan = build_psi_opt(cfg, 0.05, GAMMA)
-        occ, tags, lengths, deficit = seen.pop()
+        occ, lengths, deficit = seen.pop()
         assert deficit > 0
         hi = plan.thresholds["hi"]
-        assert _spill_over_per_piece(occ, tags, lengths, hi, deficit) == 0
+        assert _spill_over_per_piece(occ, lengths, hi, deficit) == 0
         assert np.array_equal(plan.occupation, occ)
-        assert plan.tags == tags
 
 
 def test_spill_over_candidates_match_full_pool_heap():
@@ -188,15 +215,13 @@ def test_spill_over_candidates_match_full_pool_heap():
     cases += [(occ, lengths, 8.0, d) for d in range(1, 12)]
     for occ, lengths, hi, deficit in cases:
         occ_ref, occ_new = occ.astype(np.int64), occ.astype(np.int64)
-        tags_ref = ["filled" if q else "empty" for q in occ]
-        tags_new = list(tags_ref)
-        left = _spill_over_per_piece(occ_ref, tags_ref, lengths, hi, deficit)
+        left = _spill_over_per_piece(occ_ref, lengths, hi, deficit)
         pool = np.nonzero(((occ_new > 0) & (lengths >= hi)) | (occ_new == 0))[0]
-        assert optstate._fill_lowest(occ_new, tags_new, lengths, pool, deficit) == left
-        assert np.array_equal(occ_new, occ_ref) and tags_new == tags_ref
+        assert optstate._fill_lowest(occ_new, lengths, pool, deficit) == left
+        assert np.array_equal(occ_new, occ_ref)
 
 
-def _capped_fill_by_dict(occ, tags, lengths, pool, deficit):
+def _capped_fill_by_dict(occ, lengths, pool, deficit):
     """Reference: the completion of a pool of empty pieces by repeated min
     over a dict of per-piece fill counts, at most 3 to a piece."""
     fill = dict.fromkeys(pool.tolist(), 0)
@@ -204,7 +229,6 @@ def _capped_fill_by_dict(occ, tags, lengths, pool, deficit):
         j = min(fill, key=lambda i: (np.pi * (fill[i] + 1) / lengths[i]) ** 2)
         fill[j] += 1
         occ[j] += 1
-        tags[j] = "filled"
         deficit -= 1
         if fill[j] >= 3:
             del fill[j]
@@ -222,27 +246,24 @@ def test_capped_fill_matches_dict_loop():
         pool = np.flatnonzero((occ == 0) & (rng.random(n) < 0.8))
         deficit = int(rng.integers(1, 3 * len(pool) + 3))
         occ_ref, occ_new = occ.astype(np.int64), occ.astype(np.int64)
-        tags_ref = ["filled" if q else "empty" for q in occ]
-        tags_new = list(tags_ref)
-        left = _capped_fill_by_dict(occ_ref, tags_ref, lengths, pool, deficit)
-        assert optstate._fill_lowest(occ_new, tags_new, lengths, pool, deficit,
-                                     cap=3) == left
-        assert np.array_equal(occ_new, occ_ref) and tags_new == tags_ref
+        left = _capped_fill_by_dict(occ_ref, lengths, pool, deficit)
+        assert optstate._fill_lowest(occ_new, lengths, pool, deficit, cap=3) == left
+        assert np.array_equal(occ_new, occ_ref)
 
 
 def test_capped_fill_in_build_matches_dict_loop(monkeypatch):
     fill = optstate._fill_lowest
     checked = []
 
-    def check(occ, tags, lengths, idx, deficit, cap=None):
+    def check(occ, lengths, idx, deficit, cap=None):
         if cap is None or deficit <= 0:
-            return fill(occ, tags, lengths, idx, deficit, cap)
+            return fill(occ, lengths, idx, deficit, cap)
         assert np.all(occ[idx] == 0)
-        occ_ref, tags_ref = occ.copy(), list(tags)
-        left = _capped_fill_by_dict(occ_ref, tags_ref, lengths, idx, deficit)
-        out = fill(occ, tags, lengths, idx, deficit, cap)
+        occ_ref = occ.copy()
+        left = _capped_fill_by_dict(occ_ref, lengths, idx, deficit)
+        out = fill(occ, lengths, idx, deficit, cap)
         assert out == left
-        assert np.array_equal(occ, occ_ref) and tags == tags_ref
+        assert np.array_equal(occ, occ_ref)
         checked.append(deficit)
         return out
 
@@ -264,18 +285,15 @@ def _loop_energy_of_plan(cfg, plan, U):
     lengths = cfg.lengths
     occ_idx = plan.occupied()
     total = 0.0
-    pair_lengths = [lengths[j] for j in occ_idx if plan.tags[j] == "pair"]
+    pair_lengths = [lengths[j] for j in occ_idx if plan.pair[j]]
     spline = None
     if U is not None and len(pair_lengths) > 3:
-        if "mid" in plan.thresholds and "hi" in plan.thresholds:
-            lmin, lmax = plan.thresholds["mid"], plan.thresholds["hi"]
-        else:
-            lmin, lmax = min(pair_lengths), max(pair_lengths)
+        lmin, lmax = plan.thresholds["mid"], plan.thresholds["hi"]
         pad = max(1e-3, 0.01 * (lmax - lmin))
         spline = optstate._pair_energy_spline(U, lmin - pad, lmax + pad)
     for j in occ_idx:
-        q, tag, l = plan.occupation[j], plan.tags[j], lengths[j]
-        if tag == "pair" and U is not None:
+        q, l = plan.occupation[j], lengths[j]
+        if plan.pair[j] and U is not None:
             total += (float(spline(l)) if spline is not None
                       else solve_two_body(U, l, M=16).energy)
         else:
@@ -293,7 +311,7 @@ def _loop_energy_of_plan(cfg, plan, U):
                 for idx in (j, k):
                     if idx in G:
                         continue
-                    if plan.tags[idx] == "pair":
+                    if plan.pair[idx]:
                         ell_bin = round(lengths[idx] * 20.0) / 20.0
                         G[idx] = solve_two_body(U, ell_bin, M=12,
                                                 rtol=1e-4).one_body_rdm()
@@ -311,9 +329,8 @@ def _few_pair_plan():
     lengths = [7.0, 0.5, 3.0, 1.0, 8.0, 0.25, 0.25, 3.5, 0.125, 6.0, 4.0,
                1.0, 3.0]
     occ = [2, 0, 1, 0, 2, 0, 1, 3, 0, 1, 2, 0, 1]
-    tags = ["pair", "empty", "single", "empty", "pair", "empty", "single",
-            "filled", "empty", "single", "filled", "empty", "single"]
-    return from_lengths(lengths), StatePlan(occ, tags)
+    pair = np.isin(np.arange(len(occ)), [0, 4])
+    return from_lengths(lengths), StatePlan(occ, pair)
 
 
 @pytest.mark.parametrize("V", [U, ExponentialPotential(1.0, 1.0)],
@@ -323,7 +340,7 @@ def test_energy_of_plan_matches_pair_loop(V, case):
     if case == "spline":  # more than three pairs: the pair-energy spline
         cfg = sample_pieces(6, 5e3, 1.0)
         plan = build_psi_opt(cfg, 0.05, GAMMA)
-        assert sum(t == "pair" for t in plan.tags) > 3
+        assert plan.pair.sum() > 3
     else:
         cfg, plan = _few_pair_plan()
     if case == "few-pairs" and V is U:

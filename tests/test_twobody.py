@@ -191,7 +191,7 @@ def test_solve_cache_keeps_tables_apart():
 
 
 def test_solve_cache_keys_normalized_values():
-    # gamma_via_fit spells out M and rtol and passes numpy ells: the same
+    # a call that spells out M and rtol and passes an int ell: the same
     # solve as the defaulted call on an equal potential
     _solve.cache_clear()
     first = solve_two_body(BoxPotential(1.0, 1.0), 6.0)

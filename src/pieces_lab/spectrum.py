@@ -79,12 +79,20 @@ def _level_thresholds(E, longest):
     return t
 
 
+def _first_level(longest):
+    """(pi/longest)^2, squared by a correctly rounded product as in the
+    level test; a scalar ** 2 goes to libm pow, which can round one ulp
+    off."""
+    r = np.pi / longest
+    return r * r
+
+
 def enumerate_levels_below(cfg, E):
     """All levels with energy <= E: a piece of length l holds the levels k
     with l >= l_k."""
     lengths = cfg.lengths
     longest = lengths.max()
-    if E < (np.pi / longest) ** 2:
+    if E < _first_level(longest):
         empty = np.empty(0, dtype=np.int64)
         return SpectrumTable(np.empty(0), empty, empty, E)
     thresholds = _level_thresholds(E, longest)
@@ -105,7 +113,7 @@ def counting_function(cfg, E):
     enumerate_levels_below(cfg, E).
     """
     s = cfg.sorted_lengths
-    if E < (np.pi / s[-1]) ** 2:
+    if E < _first_level(s[-1]):
         return 0.0
     count = (len(s) - np.searchsorted(s, _level_thresholds(E, s[-1]))).sum()
     return int(count) / cfg.L

@@ -101,6 +101,9 @@ def test_counting_function_matches_table():
     ell = 1.2989837167557965
     cases += [(from_lengths([ell]), (np.pi / ell) ** 2),
               (from_lengths([10.480521681655006]), 0.8086795361375121)]
+    # (pi / l)^2 as a scalar ** 2 (libm pow) lands one ulp above E, the
+    # correctly rounded square equals E: the level is in the table
+    cases += [(from_lengths([10.473253182230915]), 0.08997804248445067)]
     # repeated lengths: ties in the sorted copy, at a level shared by three
     # pieces and by the longer ones' levels
     ties = from_lengths([2.0, 3.0, 2.0, 2.0, 3.0, 0.5])

@@ -14,6 +14,10 @@ particles interact through a pair potential U.  The modules cover:
     rdm        one- and two-particle reduced density matrices
     optstate   banded trial states and the second-order energy expansion
     cli        seeded experiment harness (``pieces-lab`` entry point)
+
+Importing the package loads numpy and scipy.linalg only: a function that
+needs another scipy module imports it when called, so that every fresh
+process (a CLI run, a benchmark round) skips the rest of scipy's start-up.
 """
 
 from .disorder import (PieceConfiguration, count_neighbor_pairs,

@@ -15,6 +15,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -88,8 +89,8 @@ def load_config(path):
             cfg[key] = kind(value)
         except ValueError as exc:
             raise ConfigError(f"{section}.{key}: {exc}") from exc
-    if not (cfg["L"] > 0 and cfg["mu"] > 0 and cfg["rho"] > 0):
-        raise ConfigError("L, mu and rho must be positive")
+    if not all(cfg[k] > 0 and math.isfinite(cfg[k]) for k in ("L", "mu", "rho")):
+        raise ConfigError("L, mu and rho must be positive and finite")
     if cfg["replicas"] < 1:
         raise ConfigError("replicas must be >= 1")
     if cfg["gamma_source"] not in ("fit", "kernel", "given"):

@@ -55,9 +55,22 @@ DIMENSION_CAP = 200_000
 
 def enumerate_occupations(n_pieces, n, cap):
     """All occupation vectors of total n over n_pieces with per-piece cap,
-    in lexicographic order."""
-    return [Q for Q in itertools.product(range(min(cap, n) + 1), repeat=n_pieces)
-            if sum(Q) == n]
+    in lexicographic order.
+
+    Stars and bars: n stars and n_pieces - 1 bars in a row, piece j holding
+    the stars between bars j - 1 and j.  Bar positions taken in
+    lexicographic order give the vectors in lexicographic order.
+    """
+    if n_pieces == 0 or n < 0:
+        return [()] if n == n_pieces == 0 else []
+    end = n + n_pieces - 1
+    occs = []
+    for bars in itertools.combinations(range(end), n_pieces - 1):
+        edges = (-1,) + bars + (end,)
+        Q = tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+        if max(Q) <= cap:
+            occs.append(Q)
+    return occs
 
 
 def free_occupation_energy(lengths, Q):

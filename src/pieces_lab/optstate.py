@@ -28,7 +28,7 @@ import functools
 import heapq
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .spectrum import (fermi_length, free_energy_per_particle_empirical,
                        lowest_levels)
@@ -164,12 +164,49 @@ def _fill_lowest(occ, lengths, idx, deficit, cap=None):
 # ---------------------------------------------------------------------------
 # plan energy
 
+def _not_a_knot_spline(x, y):
+    """The not-a-knot cubic spline through (x, y), x increasing, len >= 4.
+
+    The steps and their floating-point order are those of scipy's
+    CubicSpline, so the values are the same to the bit: knot slopes from
+    the banded system, Hermite coefficients per interval, the interval
+    x[i] <= t < x[i+1] (the outer ones extended), and the cubic summed
+    from its constant term up.
+    """
+    n, dx = len(x), np.diff(x)
+    slope = np.diff(y) / dx
+    A = np.zeros((3, n))
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    A[1, 0], A[0, 1], A[1, -1], A[-1, -2] = dx[1], d0, dx[-2], d1
+    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c3, c2, c1, c0 = y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx
+
+    def spline(points):
+        points = np.asarray(points, dtype=np.float64)
+        i = np.clip(np.searchsorted(x, points, "right") - 1, 0, n - 2)
+        h = points - x[i]
+        h2 = h * h
+        return c3[i] + c2[i] * h + c1[i] * h2 + c0[i] * (h2 * h)
+
+    return spline
+
+
 @functools.cache
 def _pair_energy_spline(U, lmin, lmax):
     """Cubic spline of the pair ground energy (M = 16) through 12 solves
     on [lmin, lmax], cached by value."""
     grid = np.linspace(lmin, lmax, 12)
-    return CubicSpline(grid, [solve_two_body(U, l, M=16).energy for l in grid])
+    return _not_a_knot_spline(
+        grid, np.array([solve_two_body(U, l, M=16).energy for l in grid]))
 
 
 def energy_of_plan(cfg, plan, U):

@@ -19,9 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
-from scipy.special import beta as beta_fn
 
 __all__ = [
     "InteractionPotential",
@@ -74,6 +71,7 @@ class InteractionPotential:
 
     def _moment(self, k):
         # numeric fallback: 2 * int_0^R u^k U du with panel breakpoints
+        from scipy.integrate import quad
         R = self.effective_radius(1e-14)
         pts = [b for b in self.breakpoints() if 0 < b < R]
         val, _ = quad(lambda u: u ** k * self(u), 0.0, R,
@@ -182,6 +180,7 @@ class PolynomialPotential(InteractionPotential):
         p, s = self.exponent, self.scale
         if p <= k + 1:
             return math.inf
+        from scipy.special import beta as beta_fn
         return 2.0 * self.amplitude * s ** (k + 1) * beta_fn(k + 1, p - k - 1)
 
 
@@ -313,6 +312,7 @@ def tail_Z(U, x):
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     if hi > lo:
+        from scipy.optimize import minimize_scalar
         res = minimize_scalar(lambda v: -v ** 3 * U.tail_integral(v),
                               bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-10})
@@ -343,6 +343,7 @@ def f_Z(U, X):
     hi = alphas[min(i + 1, len(alphas) - 1)]
     best = float(vals[i])
     if hi > lo:
+        from scipy.optimize import minimize_scalar
         res = minimize_scalar(obj, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-8})
         best = min(best, float(res.fun))

@@ -15,7 +15,6 @@ function both read these thresholds.
 """
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "SpectrumTable",
@@ -151,6 +150,7 @@ def free_energy_per_particle_theoretical(rho, mu):
         int_{l_rho}^{inf} (pi/l)^2 * mu^2 e^{-mu l}/(1-e^{-mu l})^2 dl,
     a smooth integrand handled by adaptive quadrature with target 1e-10.
     """
+    from scipy.integrate import quad
     ell_rho = fermi_length(rho, mu)
 
     def integrand(ell):

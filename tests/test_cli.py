@@ -77,6 +77,19 @@ def test_nan_density_rejected(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("old,new,subcommand", [
+    ("L = 5000", "L = inf", "pieces-stats"),
+    ("mu = 1.0", "mu = inf", "pieces-stats"),
+    ("rho = 0.1", "rho = inf", "free-energy"),
+])
+def test_infinite_value_rejected(tmp_path, old, new, subcommand):
+    cfg = _cfg(tmp_path, BASE.replace(old, new))
+    with pytest.raises(ConfigError, match="must be positive and finite"):
+        load_config(cfg)
+    assert main([subcommand, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_missing_config_exit_code(tmp_path):
     assert main(["ids", "--config", str(tmp_path / "nope.ini")]) == 2
 

@@ -1,10 +1,15 @@
 """The package's public names are consistent: every name a module lists in
 __all__ exists, every name pieces_lab/__init__.py imports is public in its
-module, and the names and options taken out of the API stay out."""
+module, and the names and options taken out of the API stay out.  Importing
+the package loads numpy and scipy.linalg, not the scipy modules that only a
+few functions use."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +43,24 @@ def test_package_imports_are_public():
     private = [(m, name) for m, name in imports
                if name not in importlib.import_module(f"pieces_lab.{m}").__all__]
     assert not private
+
+
+def test_import_leaves_other_scipy_modules_unloaded():
+    # the functions that need them import these when called
+    lazy = ("scipy.integrate", "scipy.optimize", "scipy.special",
+            "scipy.interpolate")
+    code = ("import sys, pieces_lab\n"
+            "print(pieces_lab.__file__)\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
+    path = os.pathsep.join(filter(None, [str(INIT.parent.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path)).stdout.split("\n")
+    assert out[0] == str(INIT)
+    loaded = {".".join(m.split(".")[:2]) for m in out[1].split()}
+    assert "scipy.linalg" in loaded
+    assert not loaded & set(lazy)
 
 
 # (module, attribute path) of names taken out of the API

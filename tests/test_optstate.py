@@ -350,6 +350,27 @@ def test_energy_of_plan_matches_pair_loop(V, case):
     assert energy_of_plan(cfg, plan, W) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+def test_pair_spline_matches_scipy_cubic_spline():
+    # the private spline against scipy's not-a-knot CubicSpline, to the
+    # bit: on random and on evenly spaced 12-node grids, at the knots (the
+    # last one exactly), points inside and points in the pad beyond either end
+    from scipy.interpolate import CubicSpline
+    rng = np.random.default_rng(19)
+    for trial in range(400):
+        lo = rng.uniform(0.5, 40.0)
+        x = (np.linspace(lo, lo + rng.uniform(0.1, 20.0), 12) if trial % 2
+             else np.sort(rng.uniform(lo, lo + 20.0, 12)))
+        y = rng.normal(size=12) * rng.uniform(1e-3, 1e3)
+        pad = 0.05 * (x[-1] - x[0])
+        t = np.concatenate([x, [np.nextafter(x[-1], np.inf)],
+                            rng.uniform(x[0], x[-1], 40),
+                            rng.uniform(x[0] - pad, x[0], 8),
+                            rng.uniform(x[-1], x[-1] + pad, 8)])
+        ours, ref = optstate._not_a_knot_spline(x, y), CubicSpline(x, y)
+        assert np.array_equal(ours(t), ref(t))
+        assert float(ours(t[-1])) == float(ref(t[-1]))
+
+
 def test_neighbour_pairs_match_loop_break():
     # the searched neighbour set is the loop's, including a gap equal to
     # the range, which the loop's break excludes

@@ -97,6 +97,12 @@ def load_config(path):
         raise ConfigError("gamma_source must be fit, kernel or given")
     if cfg["gamma_source"] == "given" and cfg["gamma"] is None:
         raise ConfigError("gamma_source=given requires a gamma value")
+    try:
+        cfg["_ells"] = [float(t) for t in cfg["ell_list"].split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"numeric.ell_list: {exc}") from exc
+    if not all(ell > 0 and math.isfinite(ell) for ell in cfg["_ells"]):
+        raise ConfigError("ell_list entries must be positive and finite")
     cfg["_text"] = text
     return cfg
 
@@ -127,8 +133,14 @@ def _gamma(cfg, U):
         return 0.0
     if cfg["gamma_source"] == "kernel":
         return gamma_via_K(U)
-    ells = [float(t) for t in cfg["ell_list"].split(",")]
-    return gamma_via_fit(U, ells)
+    return gamma_via_fit(U, _fit_ells(cfg))
+
+
+def _fit_ells(cfg):
+    """The ell_list of a gamma fit, which needs three lengths or more."""
+    if len(cfg["_ells"]) < 3:
+        raise ConfigError("a gamma fit needs at least 3 ell_list values")
+    return cfg["_ells"]
 
 
 def _seeds(cfg):
@@ -213,9 +225,8 @@ def run_free_energy(cfg):
 
 def run_two_body(cfg):
     U = _required_potential(cfg, "two-body")
-    ells = [float(t) for t in cfg["ell_list"].split(",")]
     rows = []
-    for ell in ells:
+    for ell in cfg["_ells"]:
         sol = solve_two_body(U, ell, M=cfg["M"], rtol=cfg["rtol"])
         rows.append([ell, sol.energy, sol.energy * ell ** 2,
                      sol.energy * ell ** 3 - 5 * np.pi ** 2 * ell])
@@ -227,9 +238,8 @@ def run_two_body(cfg):
 
 def run_gamma(cfg):
     U = _potential(cfg)
+    gf = gamma_via_fit(U, _fit_ells(cfg)) if U is not None else 0.0
     gk = gamma_via_K(U) if U is not None else 0.0
-    ells = [float(t) for t in cfg["ell_list"].split(",")]
-    gf = gamma_via_fit(U, ells) if U is not None else 0.0
     A, x = astar_xstar(gk, cfg["mu"])
     gs = gamma_star(gk, cfg["mu"])
     rows = [[gf, gk, gs, A, x]]

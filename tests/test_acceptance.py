@@ -273,20 +273,30 @@ def test_11_second_order_energy_ratio():
                    f", r(0.02)={means[0.02]:.3f}, {dt:.0f}s")
 
 
-def test_12_subadditivity():
-    t0 = time.time()
+def subadditivity_instances():
+    """Criterion 12's ten (intervals1, n1, intervals2, n2): two two-piece
+    regions, each with one or two particles."""
     rng = np.random.default_rng(12)
-    all_ok = True
+
+    def region(x0):
+        lengths = rng.uniform(4.0, 7.0, size=2)
+        gap = rng.uniform(0.3, 1.5)
+        return [(x0, lengths[0]), (x0 + lengths[0] + gap, lengths[1])]
+
+    instances = []
     for _ in range(10):
-        def region(x0):
-            lengths = rng.uniform(4.0, 7.0, size=2)
-            gap = rng.uniform(0.3, 1.5)
-            return [(x0, lengths[0]),
-                    (x0 + lengths[0] + gap, lengths[1])]
         i1 = region(0.0)
         sep = rng.uniform(0.3, 3.0)
         i2 = region(i1[-1][0] + i1[-1][1] + sep)
         n1, n2 = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        instances.append((i1, n1, i2, n2))
+    return instances
+
+
+def test_12_subadditivity():
+    t0 = time.time()
+    all_ok = True
+    for i1, n1, i2, n2 in subadditivity_instances():
         rep = subadditivity_check(i1, n1, i2, n2, BOX, M=6)
         all_ok &= rep["upper_ok"]
     dt = time.time() - t0

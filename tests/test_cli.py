@@ -126,6 +126,29 @@ def test_gamma_zero_potential(tmp_path):
     assert [float(v) for v in row.split(",")] == [0.0, 0.0, 0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("subcommand,source", [("gamma", "kernel"),
+                                               ("psi-opt", "fit")])
+def test_gamma_fit_needs_three_lengths(tmp_path, capsys, subcommand, source):
+    # both runs fit gamma on the box ladder (gamma fits whatever the
+    # source), and two lengths make no fit
+    cfg = _cfg(tmp_path, BASE.replace(
+        "rho = 0.1", f"rho = 0.1\ngamma_source = {source}"))
+    assert main([subcommand, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "at least 3 ell_list values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ell_list", ["10,abc", "10,-20,40", "10,0,40",
+                                      "10,inf,40"])
+def test_malformed_ell_list_rejected(tmp_path, ell_list):
+    cfg = _cfg(tmp_path, BASE.replace("ell_list = 10,20",
+                                      f"ell_list = {ell_list}"))
+    with pytest.raises(ConfigError, match="ell_list"):
+        load_config(cfg)
+    assert main(["gamma", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 @pytest.mark.parametrize("subcommand", ["two-body", "rdm", "subadd", "bounds"])
 def test_potential_required(tmp_path, capsys, subcommand):
     cfg = _cfg(tmp_path, BASE.replace("potential = box height=1 radius=1",

@@ -45,22 +45,38 @@ def test_package_imports_are_public():
     assert not private
 
 
-def test_import_leaves_other_scipy_modules_unloaded():
-    # the functions that need them import these when called
-    lazy = ("scipy.integrate", "scipy.optimize", "scipy.special",
-            "scipy.interpolate")
-    code = ("import sys, pieces_lab\n"
-            "print(pieces_lab.__file__)\n"
-            "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
+def _scipy_modules_loaded(code):
+    """The scipy modules, to two name levels, that a fresh interpreter
+    holds after running code, which imports the package from this tree."""
+    code += ("\nimport sys\n"
+             "print(pieces_lab.__file__)\n"
+             "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
     path = os.pathsep.join(filter(None, [str(INIT.parent.parent),
                                          os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path)).stdout.split("\n")
     assert out[0] == str(INIT)
-    loaded = {".".join(m.split(".")[:2]) for m in out[1].split()}
+    return {".".join(m.split(".")[:2]) for m in out[1].split()}
+
+
+def test_import_leaves_other_scipy_modules_unloaded():
+    # the functions that need them import these when called
+    lazy = ("scipy.integrate", "scipy.optimize", "scipy.special",
+            "scipy.interpolate")
+    loaded = _scipy_modules_loaded("import pieces_lab")
     assert "scipy.linalg" in loaded
     assert not loaded & set(lazy)
+
+
+def test_iterative_block_solve_loads_no_sparse_module():
+    # a dim-1000 (1, 1, 1) block takes the package's own LOBPCG
+    loaded = _scipy_modules_loaded(
+        "import pieces_lab\n"
+        "iv = [(0.0, 5.6), (6.1, 6.3), (12.9, 5.2)]\n"
+        "pieces_lab.exact_ground_state_small(iv, 3, pieces_lab.BoxPotential(),"
+        " M=10)")
+    assert "scipy.sparse" not in loaded
 
 
 # (module, attribute path) of names taken out of the API

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from pieces_lab import manybody
 from pieces_lab.manybody import (BlockBasis, block_overlap,
@@ -12,12 +13,14 @@ from pieces_lab.quadrature import cross_g_tensor, interaction_g_tensor
 from pieces_lab.twobody import solve_two_body
 from slater_condon import (Tables, block_overlap_per_element, element,
                            slater_condon_hamiltonian)
+from test_acceptance import subadditivity_instances
 
 U = BoxPotential(1.0, 1.0)
 
 
 def test_enumerate_occupations():
-    # lexicographic order: exact_ground_state_small's tie rule relies on it
+    # lexicographic order: exact_ground_state_small visits the blocks by a
+    # stable sort on free energy, so exact ties keep this order
     occs = enumerate_occupations(3, 2, 2)
     assert occs == [(0, 0, 2), (0, 1, 1), (0, 2, 0),
                     (1, 0, 1), (1, 1, 0), (2, 0, 0)]
@@ -251,3 +254,139 @@ def test_block_overlap_cross_block_exact_zero(V):
     for Qa, Qb in [((2, 1, 0), (1, 1, 1)), ((1, 1, 1), (1, 0, 2)),
                    ((1, 0, 2), (0, 2, 1)), ((2, 1, 0), (0, 2, 1))]:
         assert block_overlap(NEAR, states[Qa], V, states[Qb]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# best-first blocks against the exhaustive lexicographic loop
+
+EXP = ExponentialPotential(1.0, 1.0)
+
+
+def lexicographic_ground_state(intervals, n, U, M):
+    """The former loop with its prune taken out: every block solved in
+    lexicographic order, energies within 1e-10 to the smaller Q."""
+    best = None
+    for Q in enumerate_occupations(len(intervals), n, cap=min(n, 3)):
+        w, states = solve_block(intervals, Q, U, M=M, n_states=2)
+        gap = float(w[1] - w[0]) if len(w) > 1 else np.inf
+        cand = (float(w[0]), Q, states[0], gap)
+        if best is None or cand[0] < best[0] - 1e-10:
+            best = cand
+        elif abs(cand[0] - best[0]) <= 1e-10 and Q < best[1]:
+            best = cand
+    return best
+
+
+def _line(lengths, gaps):
+    lefts = np.concatenate([[0.0], np.cumsum(np.add(lengths[:-1], gaps))])
+    return [(float(a), float(l)) for a, l in zip(lefts, lengths)]
+
+
+def _random_cases(count=40):
+    rng = np.random.default_rng(20)
+    cases = []
+    for _ in range(count):
+        lengths = rng.uniform(3.0, 8.0, size=3)
+        gaps = rng.uniform(0.0, 1.5, size=2)
+        n = int(rng.integers(2, 4))
+        V = (U, EXP)[int(rng.integers(2))]
+        cases.append((_line(lengths, gaps), n, V, 6))
+    return cases
+
+
+# equal pieces at equal gaps, where mirror blocks tie exactly: within the
+# potential's range, and beyond it (box range 1, exp effective radius 32),
+# where every block is a sum of one-piece energies.  Ties win at (1, 2)
+# against (2, 1), and at (0, 1, 1) against (1, 0, 1) and (1, 1, 0).  At
+# M = 10 the (1, 2) and (2, 1) blocks have dimension 450 and take the
+# iterative path.
+MIRROR_CASES = [
+    (_line([5.0] * 3, [0.5] * 2), 2, U, 6),
+    (_line([5.0] * 3, [0.5] * 2), 3, U, 6),
+    (_line([5.0] * 3, [0.0] * 2), 3, EXP, 6),
+    (_line([5.0] * 2, [0.5]), 3, U, 6),
+    (_line([5.0] * 2, [0.5]), 3, EXP, 10),
+    (_line([5.0] * 3, [2.0] * 2), 2, U, 6),
+    (_line([5.0] * 3, [2.0] * 2), 3, U, 6),
+    (_line([5.0] * 3, [40.0] * 2), 2, EXP, 6),
+    (_line([5.0] * 2, [2.0]), 3, U, 10),
+    (_line([5.0] * 2, [40.0]), 3, EXP, 10),
+]
+
+
+@pytest.mark.parametrize("intervals,n,V,M", _random_cases() + MIRROR_CASES)
+def test_best_first_matches_lexicographic_oracle(intervals, n, V, M):
+    energy, Q, _, gap = exact_ground_state_small(intervals, n, V, M=M)
+    ref_energy, ref_Q, _, ref_gap = lexicographic_ground_state(intervals, n, V, M)
+    assert Q == ref_Q
+    assert energy == pytest.approx(ref_energy, rel=1e-10, abs=0)
+    assert gap == pytest.approx(ref_gap, rel=1e-9, abs=0)
+
+
+def test_best_first_solves_only_blocks_that_can_win(monkeypatch):
+    # the fewbody-stats kind of instance: (1, 1, 1) has the lowest free
+    # energy and wins, and no other block's free energy comes within reach
+    solved = []
+
+    def solve(intervals, Q, U, M, n_states):
+        solved.append(Q)
+        return solve_block(intervals, Q, U, M=M, n_states=n_states)
+
+    monkeypatch.setattr(manybody, "solve_block", solve)
+    intervals = _line([5.6, 6.3, 5.2], [0.5, 0.6])
+    energy, Q, _, _ = exact_ground_state_small(intervals, 3, U, M=6)
+    assert solved == [Q] == [(1, 1, 1)]
+    # exact ties are all solved, in lexicographic order
+    solved.clear()
+    _, Q, _, _ = exact_ground_state_small(_line([5.0] * 3, [2.0] * 2), 2, U, M=6)
+    assert solved == [(0, 1, 1), (1, 0, 1), (1, 1, 0)] and Q == (0, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the iterative lowest eigenpairs against eigh
+
+def _criterion_12_blocks():
+    """Every block of dimension >= 400 over the unions criterion 12 solves
+    (criteria 7, 8 and 9 and the other tests above solve smaller blocks)."""
+    blocks = []
+    for i1, n1, i2, n2 in subadditivity_instances():
+        intervals = i1 + i2
+        for Q in enumerate_occupations(len(intervals), n1 + n2, min(n1 + n2, 3)):
+            if BlockBasis(intervals, Q, 6).dim >= manybody._ITERATIVE_DIM:
+                blocks.append((intervals, Q, U, 6))
+    return blocks
+
+
+HELPER_BLOCKS = [
+    # the fewbody-stats kind: three pieces of 5-7 at gaps 0.3-0.9, dim 1000
+    (_line([5.6, 6.3, 5.2], [0.5, 0.6]), (1, 1, 1), U, 10),
+    # mirror pieces: E1 = 1.6449345 lies 3e-6 below E2
+    (_line([6.0] * 3, [0.5] * 2), (1, 1, 1), U, 10),
+    # touching exp pieces, equal and unequal
+    (_line([6.0] * 3, [0.0] * 2), (1, 1, 1), EXP, 10),
+    (_line([5.0, 6.0, 5.5], [0.0] * 2), (1, 1, 1), EXP, 8),
+    # CLI exact-small at its default M = 24
+    (_line([6.3, 5.1], [0.7]), (1, 1), U, 24),
+]
+
+
+@pytest.mark.parametrize("intervals,Q,V,M", HELPER_BLOCKS + _criterion_12_blocks())
+def test_lowest_eigenpairs_match_eigh(intervals, Q, V, M):
+    H = BlockBasis(intervals, Q, M).hamiltonian(V)
+    assert len(H) >= manybody._ITERATIVE_DIM
+    w, v = manybody._lowest_eigenpairs(H, 2)
+    ref_w, ref_v = eigh(H, subset_by_index=[0, 1])
+    assert w == pytest.approx(ref_w, rel=1e-10, abs=0)
+    x, y = v[:, 0], ref_v[:, 0]
+    assert min(np.linalg.norm(x - y), np.linalg.norm(x + y)) <= 1e-10
+    # the stopping rule: residuals at most 1e-12 max|diag H|
+    res = np.linalg.norm(H @ v - v * w, axis=0)
+    assert res.max() <= 1e-12 * np.abs(H.diagonal()).max()
+    assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-13
+
+
+def test_lowest_eigenpairs_raise_when_not_converged():
+    intervals, Q, V, M = HELPER_BLOCKS[0]
+    H = BlockBasis(intervals, Q, M).hamiltonian(V)
+    with pytest.raises(ArithmeticError):
+        manybody._lowest_eigenpairs(H, 2, max_iter=1)

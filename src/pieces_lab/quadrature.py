@@ -39,10 +39,14 @@ differences of mode numbers, so the table is folded once,
 and each of the four signed terms becomes an entry of E at an address
 affine in the mode numbers.  The g tensors are then sums of four 4-D
 strided views of E.  The pair matrix over the pairs (i, i + d) is built
-block by block, one block per two offsets d, d': over the bounding i and k
-ranges of the two groups, its direct and exchange terms are eight 2-D
-strided views of E.  Every view's corner addresses are checked against
-E's shape before the view is made, so no view reads outside E.
+block by block, one block per two offsets d <= d': over the bounding i and
+k ranges of the two groups, its direct and exchange terms are eight 2-D
+strided views of E.  With the pairs sorted by (d, i), each group is one
+run of rows and one run of columns, so a block is written to the matrix,
+and its transpose to the mirrored place, by slice assignment; only the
+columns the caller selects are built.  Every view's corner addresses are
+checked against E's shape before the view is made, so no view reads
+outside E.
 
 With y = x - s_u, cos(a x) cos(b y) = (cos(a x + b y) + cos(a x - b y)) / 2
 and, for each sign sigma,
@@ -81,7 +85,10 @@ eps * phase * h.  Entries with |w| W < 1, W the widest overlap of any node,
 are therefore summed over the nodes in the division-free form: the exact
 zeros m = n of self tables and the near coincidences of cross tables.
 Every other entry then errs by at most eps * phase * W per node, the
-division-free bound at the widest node.
+division-free bound at the widest node.  At w = 0 exactly (every fallback
+entry of a self table, and (0, 0) of every table) the form is
+2 h cos(p): neither the phase w x_mid nor the sinc, exactly 1 there, is
+computed.
 
 The table has a leading batch axis: with arrays ellA, ellB and offset (mA
 and mB shared) it returns one table per piece pair, built in one pass.
@@ -312,8 +319,17 @@ def _sinc_sums(c, s, xm, h, e, omega, b):
     ch = 2.0 * c * h
     for k in range(0, len(omega), step):
         ek = e[k:k + step]
-        w, bk = omega[k:k + step, None], b[k:k + step, None]
-        terms = np.cos(w * xm[ek] - bk * s[ek]) * np.sinc(w * h[ek] / np.pi)
+        w = omega[k:k + step, None]
+        phase = -b[k:k + step, None] * s[ek]
+        # an entry at omega = 0 exactly (the m = n differences of a self
+        # table, and (0, 0) of every table) is cos(-b s): its phase omega xm
+        # is 0 and its sinc exactly 1, so neither is computed
+        live = np.flatnonzero(w)
+        el, wl = ek[live], w[live]
+        phase[live] += wl * xm[el]
+        terms = np.cos(phase)
+        if len(live):
+            terms[live] *= np.sinc(wl * h[el] / np.pi)
         # the entries come sorted by batch entry; a block inside one entry
         # (every block of a scalar call) sums as one matrix-vector product
         out[k:k + step] = (terms @ ch[ek[0]] if ek[0] == ek[-1]
@@ -382,34 +398,50 @@ def cross_g_tensor(U, ellA, mA, ellB, mB, gap):
     return _g_tensor(frequency_table(U, ellA, mA, ellB, mB, ellA + gap), ellA * ellB)
 
 
-def pair_reduced_matrix(U, ell, pairs):
-    """Interaction matrix over antisymmetric pair states phi_(i,j).
+def pair_reduced_matrix(U, ell, pairs, cols=None):
+    """Interaction matrix over antisymmetric pair states phi_(i,j), or the
+    columns of it that cols selects.
 
-    pairs: list of (i, j), 1 <= i < j, in any order.  Entry [(ij),(kl)]
-    equals <U(x-y) phi_ij, phi_kl> = g[i,k,j,l] - g[i,l,j,k].  The pairs
-    are grouped by d = j - i; for two groups d <= d' the block over their
-    bounding i and k ranges is the signed sum of eight strided views of the
-    folded self table (see module doc), from which the groups' own rows and
-    columns are taken.  The block is written to V[d, d'] and its transpose
-    to V[d', d].
+    pairs: list (or n x 2 array) of (i, j), 1 <= i < j, in any order.
+    Entry [(ij),(kl)] equals <U(x-y) phi_ij, phi_kl> = g[i,k,j,l] -
+    g[i,l,j,k].  cols, a boolean mask over pairs (all of them by default),
+    selects the columns: the result is V[:, cols], its rows and its columns
+    in the order of pairs.
+
+    The pairs are sorted stably by (d, i), d = j - i, so that each offset
+    group is one run of rows and one run of the selected columns.  For two
+    groups d <= d' the block over their bounding i and k ranges is the
+    signed sum of eight strided views of the folded self table (see module
+    doc).  The block's rows of group d at the selected columns of group d'
+    fill V[d, d'], and its selected rows of group d at the rows of group d'
+    fill V[d', d], transposed: each by one slice assignment.  The result is
+    permuted back to the order of pairs unless they came in (d, i) order.
     """
     i, j = np.array(pairs).T
+    n = len(i)
+    cols = np.ones(n, dtype=bool) if cols is None else np.asarray(cols)
+    if cols.dtype != bool or cols.shape != (n,):
+        raise ValueError(f"cols must be a boolean mask over the {n} pairs")
+    order = np.lexsort((i, j - i))
+    i, j, picked = i[order], j[order], cols[order]
     m = int(j.max())
     E = _fold(frequency_table(U, ell, m, ell, m, 0.0))
     R = 2 * m
-    # each group: its offset d, its positions in pairs ordered by i, the
-    # first i, and the rows of its pairs within the bounding i range (a
-    # slice when they fill it)
+    # each group: its offset d, its run of rows and its run of columns of V,
+    # the first i, and, within the bounding i range, its extent and the
+    # positions of its pairs and of its selected pairs (slices when they
+    # are runs)
+    starts = np.append(_runs(j - i)[0], n)
+    before = np.concatenate(([0], np.cumsum(picked)))
     groups = []
-    for d in np.unique(j - i):
-        pos = np.flatnonzero(j - i == d)
-        pos = pos[np.argsort(i[pos], kind="stable")]
-        r = i[pos] - i[pos[0]]
-        groups.append((int(d), pos, int(i[pos[0]]), int(r[-1]) + 1,
-                       np.s_[:] if np.array_equal(r, np.arange(len(r))) else r))
-    V = np.empty((len(pairs), len(pairs)))
-    for g, (d1, pos1, i1, n1, r1) in enumerate(groups):
-        for d2, pos2, k1, n2, r2 in groups[g:]:
+    for a, b in zip(starts[:-1], starts[1:]):
+        r = i[a:b] - i[a]
+        groups.append((int(j[a] - i[a]), slice(a, b), slice(before[a], before[b]),
+                       int(i[a]), int(r[-1]) + 1, _run_or_index(r),
+                       _run_or_index(r[picked[a:b]])))
+    V = np.empty((n, before[-1]))
+    for g, (d1, rows1, cols1, i1, n1, r1, c1) in enumerate(groups):
+        for d2, rows2, cols2, k1, n2, r2, c2 in groups[g:]:
             shape = (n1, n2)
             block = np.zeros(shape)
             # V[(i, j), (k, l)] * ell^2, j = i + d1, l = k + d2, is the sum
@@ -426,14 +458,23 @@ def pair_reduced_matrix(U, ell, pairs):
                     direct, exchange = exchange, direct
                 block += direct
                 block -= exchange
-            block = block[r1][:, r2]
-            # np.put with flat indices: a setitem with np.ix_ indices is
-            # several times slower
-            np.put(V, pos1[:, None] * len(pairs) + pos2, block)
+            V[rows1, cols2] = block[r1][:, c2]
             if d2 != d1:
-                np.put(V, pos2[:, None] * len(pairs) + pos1, block.T)
+                V[rows2, cols1] = block[c1][:, r2].T
     V /= ell * ell
-    return V
+    if np.array_equal(order, np.arange(n)):
+        return V
+    # row p of the caller is sorted row at[p]; a selected one's column is
+    # the count of selected pairs before it in sorted order
+    at = np.empty(n, dtype=np.intp)
+    at[order] = np.arange(n)
+    return V[np.ix_(at, before[at[cols]])]
+
+
+def _run_or_index(r):
+    """The sorted integers r as a slice when they are a run, else r itself."""
+    lo = int(r[0]) if len(r) else 0
+    return slice(lo, lo + len(r)) if np.array_equal(r, np.arange(lo, lo + len(r))) else r
 
 
 def cross_density_integral(U, G_a, ell_a, G_b, ell_b, gap):

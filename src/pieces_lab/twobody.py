@@ -34,8 +34,10 @@ it is the positive, nondegenerate ground state of that triangle, hence even
 under the triangle's mirror (x, y) -> (ell - y, ell - x), which is the
 reflection followed by the exchange, and the exchange gives -1.  The
 solver therefore assembles and diagonalizes the odd sector only (pairs
-with j - i odd, phi_(1,2) first): half the basis and a quarter of the
-interaction matrix of both sectors.
+with j - i odd, phi_(1,2) first): half the basis of both sectors.  Of the
+odd sector's interaction matrix a refinement stage builds only the
+columns of its sub-basis, the only ones its eigensolve and second-order
+estimate read: about half of them.
 
 Solves are cached by value: potentials are value objects (see
 potential.py), so equal potentials at the same (ell, M, rtol) share one
@@ -155,8 +157,9 @@ def _ground_state(H):
     return float(w[0]), c
 
 
-# largest dense V, in bytes, a refinement stage may assemble: 2 GiB, an
-# enlarged basis of 16384 pairs, leaving room for its sub-block copies
+# largest dense V over a refinement stage's enlarged basis, in bytes: 2 GiB,
+# 16384 pairs.  The stage builds only the sub-basis columns of that V (about
+# half) and copies them into the sub-block and the rows outside it
 _MAX_V_BYTES = 2 << 30
 
 
@@ -195,19 +198,28 @@ def _solve(U, ell, M, rtol):
                 f"stage (D, K) = ({D}, {K}) needs {len(pairs)} pairs, a "
                 f"{8 * len(pairs) ** 2 / 2 ** 30:.1f} GiB dense V over the "
                 f"{_MAX_V_BYTES / 2 ** 30:.0f} GiB cap; stages so far: {trace}")
-        V = pair_reduced_matrix(U, ell, pairs)
-        i, j = np.array(pairs).T
+        ij = np.array(pairs)
+        i, j = ij.T
         free = np.pi ** 2 * (i * i + j * j) / ell ** 2
-        # in place: V is dense n x n (about 130 MB at ell=160)
-        H = V
-        H[np.diag_indices_from(H)] += free
         sub = (j <= M) | ((j - i <= D) & (j <= K))
-        e0, c0 = _ground_state(H[np.ix_(sub, sub)])
+        comp = ~sub
+        # only the sub-basis columns of V are read.  They are built over the
+        # pairs in (d, i) order, d = j - i, in which pair_reduced_matrix
+        # groups them, and taken back to the pairs' order here
+        by_d = np.lexsort((i, j - i))
+        V = pair_reduced_matrix(U, ell, ij[by_d], cols=sub[by_d])
+        row = np.empty(len(pairs), dtype=np.intp)
+        row[by_d] = np.arange(len(pairs))
+        col = (np.cumsum(sub[by_d]) - 1)[row[sub]]
+        H = V[np.ix_(row[sub], col)]
+        H[np.diag_indices_from(H)] += free[sub]
+        H_comp = V[np.ix_(row[comp], col)]
+        del V
+        e0, c0 = _ground_state(H)
         # second-order estimate of what the enlarged basis would add; the
         # refinement couples weakly so this is accurate at the tolerances
         # in play and avoids a dense eigensolve at the enlarged size
-        comp = ~sub
-        r = H[np.ix_(comp, sub)] @ c0
+        r = H_comp @ c0
         denom = free[comp] - e0
         de = float(np.sum(r * r / denom))
         trace.append(SolveStage(D, K, len(pairs), e0, de,

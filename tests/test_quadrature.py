@@ -386,6 +386,35 @@ def test_fallback_takes_entries_below_the_widest_overlap(U, monkeypatch):
         assert halved > 0 and narrowed > 0
 
 
+@pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
+def test_exact_zero_frequencies_skip_the_sinc(U, monkeypatch):
+    # the fallback of a self table is exactly its omega = 0 entries, the
+    # m = n differences and (0, 0) of the sums, and none of them calls
+    # np.sinc; a cross table's non-zero near coincidences still do
+    seen, sinc_rows = [], []
+    sinc_sums, sinc = quadrature._sinc_sums, np.sinc
+
+    def record(c, s, xm, h, e, omega, b):
+        seen.extend(zip(omega.tolist(), b.tolist()))
+        return sinc_sums(c, s, xm, h, e, omega, b)
+
+    def counted_sinc(x):
+        sinc_rows.append(len(x))
+        return sinc(x)
+
+    monkeypatch.setattr(quadrature, "_sinc_sums", record)
+    monkeypatch.setattr(np, "sinc", counted_sinc)
+    ell, m = 7.5, 9
+    frequency_table(U, ell, m, ell, m, 0.0)
+    beta = (np.pi / ell) * np.arange(2 * m + 1)
+    assert Counter(seen) == Counter([(0.0, 0.0)] + [(0.0, -b) for b in beta.tolist()])
+    assert sinc_rows == []
+    seen.clear()
+    frequency_table(U, 5.0, 6, 3.7, 5, 5.3)
+    live = sum(omega != 0.0 for omega, _ in seen)
+    assert live > 0 and sum(sinc_rows) == live
+
+
 @pytest.mark.parametrize("cells", [None, 64])
 @pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
 def test_stacked_cross_density_matches_scalar(U, cells, monkeypatch):
@@ -459,6 +488,43 @@ def test_pair_matrix_matches_gather(U, kind):
     V = pair_reduced_matrix(U, 7.3, pairs)
     ref = _gathered_pair_matrix(U, 7.3, pairs)
     assert np.abs(V - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _column_masks(pairs):
+    """Column masks over pairs: all, random, every other offset group
+    emptied, and the first half of each group in i (a solver's sub-basis
+    takes a first run of each group)."""
+    i, j = np.array(pairs).T
+    d = j - i
+    rank = np.array([np.count_nonzero((d == dk) & (i < ik)) for ik, dk in zip(i, d)])
+    size = np.array([np.count_nonzero(d == dk) for dk in d])
+    return {"all": np.ones(len(pairs), dtype=bool),
+            "random": np.random.default_rng(len(pairs)).random(len(pairs)) < 0.5,
+            "groups": np.searchsorted(np.unique(d), d) % 2 == 0,
+            "first-run": rank < (size + 1) // 2}
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_LISTS))
+@pytest.mark.parametrize("U", FAMILIES, ids=lambda U: U.family)
+def test_pair_matrix_columns_match_full_matrix(U, kind):
+    # each list in its own order and in (d, i) order, which is returned
+    # without a permutation back
+    pairs = PAIR_LISTS[kind]
+    for order in (pairs, sorted(pairs, key=lambda p: (p[1] - p[0], p[0]))):
+        V = pair_reduced_matrix(U, 7.3, order)
+        ref = _gathered_pair_matrix(U, 7.3, order)
+        for name, cols in _column_masks(order).items():
+            W = pair_reduced_matrix(U, 7.3, order, cols)
+            assert np.array_equal(W, V[:, cols]), name
+            assert np.abs(W - ref[:, cols]).max(initial=0.0) <= 1e-13 * np.abs(ref).max()
+
+
+def test_pair_matrix_rejects_a_bad_column_mask():
+    # a mask of the wrong length, or indices in place of a mask
+    pairs = PAIR_LISTS["band-trial"]
+    for cols in (np.ones(len(pairs) - 1, dtype=bool), np.arange(len(pairs))):
+        with pytest.raises(ValueError, match="boolean mask"):
+            pair_reduced_matrix(POTENTIALS[0], 7.3, pairs, cols)
 
 
 @pytest.mark.parametrize("U", FAMILIES, ids=lambda U: U.family)

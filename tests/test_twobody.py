@@ -120,6 +120,26 @@ def test_odd_sector_solve_matches_two_parity_solve(name):
         assert all((j - i) % 2 == 1 for i, j in sol.pairs)
 
 
+@pytest.mark.parametrize("name", ["box", "exp", "poly"])
+def test_stage_eigenproblem_is_sub_block_of_full_matrix(name, monkeypatch):
+    # each stage builds only the sub-basis columns of V; its eigenproblem
+    # is bit for bit the sub-block of the full lexicographic H
+    U = FAMILIES[name]
+    seen = []
+    ground_state = twobody._ground_state
+    monkeypatch.setattr(twobody, "_ground_state",
+                        lambda H: (seen.append(H.copy()), ground_state(H))[1])
+    for ell in (3.3, 12.0, 40.7):
+        seen.clear()
+        sol = _solve.__wrapped__(U, ell, 24, 1e-6)
+        assert len(seen) == len(sol.trace)
+        for H_sub, stage in zip(seen, sol.trace):
+            pairs = twobody.band_pair_list(24, stage.D + 4, int(np.ceil(1.4 * stage.K)))
+            H, i, j, _ = _hamiltonian(U, ell, pairs)
+            sub = (j <= 24) | ((j - i <= stage.D) & (j <= stage.K))
+            assert np.array_equal(H_sub, H[np.ix_(sub, sub)])
+
+
 def test_solve_trace_records_stages():
     sol = solve_two_body(BoxPotential(1.0, 1.0), 12.0)
     assert sol.trace and sol.residual == sol.trace[-1].de

@@ -91,8 +91,7 @@ def load_config(path):
             raise ConfigError(f"{section}.{key}: {exc}") from exc
     if not all(cfg[k] > 0 and math.isfinite(cfg[k]) for k in ("L", "mu", "rho")):
         raise ConfigError("L, mu and rho must be positive and finite")
-    if cfg["replicas"] < 1:
-        raise ConfigError("replicas must be >= 1")
+    _check_run(cfg)
     if cfg["gamma_source"] not in ("fit", "kernel", "given"):
         raise ConfigError("gamma_source must be fit, kernel or given")
     if cfg["gamma_source"] == "given" and cfg["gamma"] is None:
@@ -105,6 +104,12 @@ def load_config(path):
         raise ConfigError("ell_list entries must be positive and finite")
     cfg["_text"] = text
     return cfg
+
+
+def _check_run(cfg):
+    """The checks of the [run] values that --replicas can override."""
+    if cfg["replicas"] < 1:
+        raise ConfigError("replicas must be >= 1")
 
 
 def _potential(cfg):
@@ -386,15 +391,16 @@ def main(argv=None):
     t0 = time.time()
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        if args.replicas is not None:
+            cfg["replicas"] = args.replicas
+            _check_run(cfg)
+        if args.out is not None:
+            cfg["out"] = args.out
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.replicas is not None:
-        cfg["replicas"] = args.replicas
-    if args.out is not None:
-        cfg["out"] = args.out
 
     try:
         header, rows, extra, ok = SUBCOMMANDS[args.subcommand](cfg)

@@ -25,20 +25,21 @@ with one or two removals gives the RDMs of a CIState (rdm.py).
 `block_overlap` couples two states, possibly of different blocks, by the
 same pair removal over the union of their determinants.
 
-A block's lowest eigenpairs come from eigh below dimension 400 and from a
-numpy block LOBPCG from 400 on (_lowest_eigenpairs).  The exact ground
-state visits the blocks in ascending free filling energy, a lower bound on
-each block's energy since U >= 0, and stops at the first block whose free
-energy exceeds the best energy found + 1e-10, the tie tolerance; ties go to
-the lexicographically smallest occupation.
+A block's lowest eigenpairs come from _eigen._lowest_eigenpairs, which
+the two-body stages use too: eigh below dimension 400, a numpy block
+LOBPCG from 400 on.  The exact ground state visits the blocks in
+ascending free filling energy, a lower bound on each block's energy since
+U >= 0, and stops at the first block whose free energy exceeds the best
+energy found + 1e-10, the tie tolerance; ties go to the lexicographically
+smallest occupation.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy.linalg import eigh
 
+from ._eigen import _lowest_eigenpairs
 from .quadrature import cross_g_tensor, interaction_g_tensor
 
 __all__ = [
@@ -318,56 +319,6 @@ class CIState:
         return sum(self.basis.Q)
 
 
-# Below this dimension blocks keep eigh, and its exact numbers.  The
-# iteration breaks even near dim 200 and saves under 4 ms a block up to 400
-# (one BLAS thread, best of 7: eigh 2.4 against 2.2 ms at dim 216, 5.6
-# against 2.2 ms at 361), against 71 ms at dim 1000 (93.5 against 22.4 ms).
-_ITERATIVE_DIM = 400
-
-
-def _lowest_eigenpairs(H, k, max_iter=200):
-    """The k lowest eigenpairs (w ascending, v columns) of a dense
-    symmetric H with a positive diagonal d, as a block Hamiltonian has
-    (kinetic energy plus <D|W|D> >= 0).
-
-    Below _ITERATIVE_DIM this is eigh(subset_by_index).  From there on it
-    is block LOBPCG (Knyazev 2001) with block size k + 2, the two extra
-    columns guarding against a near-degenerate k-th level.  The block
-    starts at the unit vectors of the k + 2 smallest diagonal entries
-    (stable argsort) and is preconditioned by R / (d - 0.9 min d).  Each
-    iteration orthonormalises [X, W, P] by QR and takes the lowest Ritz
-    pairs in that basis; P, the component of the new X outside the old X,
-    is the step just taken.  It stops when the k wanted residual norms are
-    at most 1e-12 max|d|, and raises ArithmeticError after max_iter
-    iterations.
-    """
-    n = len(H)
-    if n < _ITERATIVE_DIM:
-        return eigh(H, subset_by_index=[0, k - 1])
-    d = H.diagonal()
-    m = k + 2
-    X = np.zeros((n, m))
-    X[np.argsort(d, kind="stable")[:m], np.arange(m)] = 1.0
-    precond = 1.0 / (d - 0.9 * d.min())
-    tol = 1e-12 * np.abs(d).max()
-    basis = X
-    for _ in range(max_iter):
-        Q = np.linalg.qr(basis)[0]
-        HQ = H @ Q
-        theta, C = eigh(Q.T @ HQ)
-        theta, C = theta[:m], C[:, :m]
-        X = Q @ C
-        R = HQ @ C - X * theta
-        if np.linalg.norm(R[:, :k], axis=0).max() <= tol:
-            return theta[:k], X[:, :k]
-        parts = [X, R * precond[:, None]]
-        if Q.shape[1] > m:  # Q[:, :m] spans the old X
-            parts.append(Q[:, m:] @ C[m:])
-        basis = np.hstack(parts)
-    raise ArithmeticError("LOBPCG did not converge in %d iterations at "
-                          "dimension %d" % (max_iter, n))
-
-
 def solve_block(intervals, Q, U, M=12, n_states=2):
     """Lowest eigenpairs of the Hamiltonian restricted to occupation Q."""
     basis = BlockBasis(intervals, Q, M)
@@ -411,20 +362,25 @@ def exact_ground_state_small(intervals, n, U, M=10):
     """Exact ground state over all occupations, for n <= 4, few pieces.
 
     The blocks are the occupations with at most min(n, 3) particles per
-    piece.  Each block's free filling energy bounds its energy from below
-    (U >= 0), so the blocks are visited in ascending free energy (a stable
-    sort: exact ties keep lexicographic order) and the visit stops at the
-    first block whose free energy exceeds the best energy found + 1e-10,
-    the tie tolerance.  Returns (energy, Q, CIState, gap) with the gap to
-    the winning block's second level.  Energies within 1e-10 go to the
-    lexicographically smallest occupation.
+    piece (ValueError if none exists).  Each block's free filling energy
+    bounds its energy from below (U >= 0), so the blocks are visited in
+    ascending free energy (a stable sort: exact ties keep lexicographic
+    order) and the visit stops at the first block whose free energy
+    exceeds the best energy found + 1e-10, the tie tolerance.  Returns
+    (energy, Q, CIState, gap) with the gap to the winning block's second
+    level.  Energies within 1e-10 go to the lexicographically smallest
+    occupation.
     """
     if n > 4:
         raise ValueError("exact solver limited to n <= 4")
     if len(intervals) > 8:
         raise ValueError("too many pieces; prune first")
     lengths = np.array([l for _, l in intervals])
-    occs = enumerate_occupations(len(intervals), n, cap=min(n, 3))
+    cap = min(n, 3)
+    occs = enumerate_occupations(len(intervals), n, cap)
+    if not occs:
+        raise ValueError("no occupation of n = %d over %d pieces fits the "
+                         "per-piece cap %d" % (n, len(intervals), cap))
     free = [free_occupation_energy(lengths, Q) for Q in occs]
     best = None
     for i in np.argsort(free, kind="stable"):

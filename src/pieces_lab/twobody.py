@@ -37,7 +37,10 @@ solver therefore assembles and diagonalizes the odd sector only (pairs
 with j - i odd, phi_(1,2) first): half the basis of both sectors.  Of the
 odd sector's interaction matrix a refinement stage builds only the
 columns of its sub-basis, the only ones its eigensolve and second-order
-estimate read: about half of them.
+estimate read: about half of them.  The stage's ground pair on the
+sub-basis comes from _eigen._lowest_eigenpairs, the eigensolver of the
+occupation blocks too: eigh below dimension 400, a block LOBPCG from 400
+on.  Its sign makes the phi_(1,2) coefficient non-negative.
 
 Solves are cached by value: potentials are value objects (see
 potential.py), so equal potentials at the same (ell, M, rtol) share one
@@ -49,8 +52,9 @@ import time
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh, solve
+from scipy.linalg import solve
 
+from ._eigen import _lowest_eigenpairs
 from .quadrature import pair_reduced_matrix, sine_modes
 
 __all__ = [
@@ -150,7 +154,7 @@ class TwoBodySolution:
 
 
 def _ground_state(H):
-    w, v = eigh(H, subset_by_index=[0, 0])
+    w, v = _lowest_eigenpairs(H, 1)
     c = v[:, 0]
     if c[0] < 0:  # pair (1,2) is first in lexicographic order
         c = -c
@@ -235,18 +239,15 @@ def gamma_via_fit(U, ell_list):
     """gamma from the expansion E0 = 5 pi^2/ell^2 + gamma/ell^3 + ...
 
     Fits the model E0*ell^3 - 5 pi^2 ell = gamma + c/ell on the top three
-    ell values (Richardson step removing the next-order term).
+    ell values (Richardson step removing the next-order term); the lower
+    ones are not solved.
     """
     ells = np.sort(np.asarray(ell_list, dtype=np.float64))
     if len(ells) < 3:
         raise ValueError("need at least 3 ell values")
-    vals = []
-    for ell in ells:
-        sol = solve_two_body(U, ell)
-        vals.append(sol.energy * ell ** 3 - 5.0 * np.pi ** 2 * ell)
-    vals = np.array(vals)
     top = ells[-3:]
-    vtop = vals[-3:]
+    vtop = [solve_two_body(U, ell).energy * ell ** 3 - 5.0 * np.pi ** 2 * ell
+            for ell in top]
     A = np.vstack([np.ones(3), 1.0 / top]).T
     (gamma, _c), res, _, _ = np.linalg.lstsq(A, vtop, rcond=None)
     return float(gamma)

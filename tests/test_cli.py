@@ -158,6 +158,15 @@ def test_potential_required(tmp_path, capsys, subcommand):
     assert f"{subcommand} requires a potential" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("replicas", ["0", "-1"])
+def test_replicas_override_validated(tmp_path, capsys, replicas):
+    out = tmp_path / "out"
+    assert main(["free-energy", "--config", str(_cfg(tmp_path)),
+                 "--replicas", replicas, "--out", str(out)]) == 2
+    assert "config error: replicas must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_override(tmp_path):
     out = tmp_path / "out"
     rc = main(["pieces-stats", "--config", str(_cfg(tmp_path)),

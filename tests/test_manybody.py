@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from pieces_lab import manybody
+from pieces_lab import manybody, twobody
+from pieces_lab._eigen import _ITERATIVE_DIM, _lowest_eigenpairs
 from pieces_lab.manybody import (BlockBasis, block_overlap,
                                  enumerate_occupations,
                                  exact_ground_state_small,
                                  free_occupation_energy, kinetic_lower_bound,
                                  solve_block, wedge)
-from pieces_lab.potential import BoxPotential, ExponentialPotential
-from pieces_lab.quadrature import cross_g_tensor, interaction_g_tensor
+from pieces_lab.potential import (BoxPotential, ExponentialPotential,
+                                  PolynomialPotential)
+from pieces_lab.quadrature import (cross_g_tensor, interaction_g_tensor,
+                                   pair_reduced_matrix)
 from pieces_lab.twobody import solve_two_body
 from slater_condon import (Tables, block_overlap_per_element, element,
                            slater_condon_hamiltonian)
@@ -153,6 +156,12 @@ def test_free_filling_bound_holds():
     intervals = [(0.0, 8.0), (9.0, 4.0)]
     energy, Q, _, _ = exact_ground_state_small(intervals, 2, U, M=8)
     assert free_occupation_energy([8.0, 4.0], Q) <= energy + 1e-12
+
+
+def test_exact_ground_state_small_needs_an_occupation():
+    # four particles on one piece exceed the per-piece cap of three
+    with pytest.raises(ValueError, match="n = 4 over 1 pieces .* cap 3"):
+        exact_ground_state_small([(0.0, 5.0)], 4, U)
 
 
 # gaps 0 (touching) and 0.6 lie inside the box range 1; gap 1.0 equals it,
@@ -343,7 +352,8 @@ def test_best_first_solves_only_blocks_that_can_win(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the iterative lowest eigenpairs against eigh
+# the iterative lowest eigenpairs against eigh, on blocks and on two-body
+# stages
 
 def _criterion_12_blocks():
     """Every block of dimension >= 400 over the unions criterion 12 solves
@@ -352,7 +362,7 @@ def _criterion_12_blocks():
     for i1, n1, i2, n2 in subadditivity_instances():
         intervals = i1 + i2
         for Q in enumerate_occupations(len(intervals), n1 + n2, min(n1 + n2, 3)):
-            if BlockBasis(intervals, Q, 6).dim >= manybody._ITERATIVE_DIM:
+            if BlockBasis(intervals, Q, 6).dim >= _ITERATIVE_DIM:
                 blocks.append((intervals, Q, U, 6))
     return blocks
 
@@ -370,23 +380,66 @@ HELPER_BLOCKS = [
 ]
 
 
-@pytest.mark.parametrize("intervals,Q,V,M", HELPER_BLOCKS + _criterion_12_blocks())
+
+
+def _stage_pairs(ell, M):
+    """The sub-basis of the first refinement stage of solve_two_body(V,
+    ell, M), (D, K) = (8, int(max(M + 8, 40, 3 ell))): the only stage at
+    ell 40.7 and 80, where it has 536 and 1008 pairs."""
+    return twobody.band_pair_list(M, 8, int(max(M + 8, 40, 3.0 * ell)))
+
+
+# the first two-body stage on one piece of length ell at M = 24, given by
+# Q None
+STAGES = [pytest.param([(0.0, ell)], None, V, 24, id=f"stage-{name}-{ell}")
+          for name, V in (("box", U), ("exp", EXP),
+                          ("poly", PolynomialPotential(1.0, 5.0, 1.0)))
+          for ell in (40.7, 80.0)]
+
+
+def _eigenproblem(intervals, Q, V, M):
+    """(H, k): a block Hamiltonian and its two lowest pairs, or for Q None
+    the stage matrix (kinetic diagonal plus pair matrix) and its ground
+    pair."""
+    if Q is not None:
+        return BlockBasis(intervals, Q, M).hamiltonian(V), 2
+    ell = intervals[0][1]
+    pairs = _stage_pairs(ell, M)
+    i, j = np.array(pairs).T
+    H = pair_reduced_matrix(V, ell, pairs)
+    H[np.diag_indices_from(H)] += np.pi ** 2 * (i * i + j * j) / ell ** 2
+    return H, 1
+
+
+@pytest.mark.parametrize("intervals,Q,V,M",
+                         HELPER_BLOCKS + _criterion_12_blocks() + STAGES)
 def test_lowest_eigenpairs_match_eigh(intervals, Q, V, M):
-    H = BlockBasis(intervals, Q, M).hamiltonian(V)
-    assert len(H) >= manybody._ITERATIVE_DIM
-    w, v = manybody._lowest_eigenpairs(H, 2)
-    ref_w, ref_v = eigh(H, subset_by_index=[0, 1])
-    assert w == pytest.approx(ref_w, rel=1e-10, abs=0)
-    x, y = v[:, 0], ref_v[:, 0]
-    assert min(np.linalg.norm(x - y), np.linalg.norm(x + y)) <= 1e-10
-    # the stopping rule: residuals at most 1e-12 max|diag H|
+    H, k = _eigenproblem(intervals, Q, V, M)
+    assert len(H) >= _ITERATIVE_DIM
+    w, v = _lowest_eigenpairs(H, k)
+    ref_w, ref_v = eigh(H, subset_by_index=[0, k - 1])
+    # the stopping rule: residuals at most 1e-14 max|diag H|
     res = np.linalg.norm(H @ v - v * w, axis=0)
-    assert res.max() <= 1e-12 * np.abs(H.diagonal()).max()
-    assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-13
+    assert res.max() <= 1e-14 * np.abs(H.diagonal()).max()
+    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-13
+    if Q is not None:
+        assert w == pytest.approx(ref_w, rel=1e-10, abs=0)
+        x, y = v[:, 0], ref_v[:, 0]
+        assert min(np.linalg.norm(x - y), np.linalg.norm(x + y)) <= 1e-10
+        return
+    # the stage's ground pair as the solver takes it, sign rule included
+    e0, c = twobody._ground_state(H)
+    assert e0 == pytest.approx(ref_w[0], rel=1e-11, abs=0)
+    assert c[0] >= 0
+    ell = intervals[0][1]
+    G, ref_G = (twobody.TwoBodySolution(ell, _stage_pairs(ell, M), e0, x,
+                                        0.0).one_body_rdm()
+                for x in (c, ref_v[:, 0]))
+    assert np.abs(G - ref_G).max() <= 1e-12
 
 
 def test_lowest_eigenpairs_raise_when_not_converged():
     intervals, Q, V, M = HELPER_BLOCKS[0]
     H = BlockBasis(intervals, Q, M).hamiltonian(V)
     with pytest.raises(ArithmeticError):
-        manybody._lowest_eigenpairs(H, 2, max_iter=1)
+        _lowest_eigenpairs(H, 2, max_iter=1)

@@ -244,6 +244,17 @@ def test_gamma_routes_agree_box():
     assert abs(gf - gk) / gk < 0.05
 
 
+def test_gamma_fit_solves_only_the_top_three_lengths(monkeypatch):
+    U = BoxPotential(1.0, 1.0)
+    solved = []
+    solve = twobody.solve_two_body
+    monkeypatch.setattr(twobody, "solve_two_body",
+                        lambda U, ell: (solved.append(ell), solve(U, ell))[1])
+    gamma = gamma_via_fit(U, [40.0, 5.0, 20.0, 10.0])
+    assert sorted(solved) == [10.0, 20.0, 40.0]
+    assert gamma == gamma_via_fit(U, [10.0, 20.0, 40.0])
+
+
 def test_gamma_kernel_frozen_value():
     # independently cross-checked by (a) the analytic diagonalization of the
     # kernel on a unit box (eigenvalues 2/((k+1/2) pi)^2 against the profile

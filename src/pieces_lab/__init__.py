@@ -37,7 +37,7 @@ from .twobody import (TwoBodySolution, astar_xstar, gamma_star, gamma_via_K,
                       gamma_via_fit, solve_two_body)
 from .manybody import (BlockBasis, CIState, block_overlap,
                        enumerate_occupations, exact_ground_state_small,
-                       kinetic_lower_bound, solve_block, wedge)
+                       kinetic_lower_bound, solve_block)
 from .rdm import (DensityMatrix, antisymmetrized_product,
                   coefficient_distance_bound, factorized_rdm, pair_index,
                   rdm1, rdm2, trace_norm_distance)

@@ -107,7 +107,10 @@ def load_config(path):
 
 
 def _check_run(cfg):
-    """The checks of the [run] values that --replicas can override."""
+    """The checks of the [run] values that --seed and --replicas can
+    override."""
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
     if cfg["replicas"] < 1:
         raise ConfigError("replicas must be >= 1")
 
@@ -142,9 +145,11 @@ def _gamma(cfg, U):
 
 
 def _fit_ells(cfg):
-    """The ell_list of a gamma fit, which needs three lengths or more."""
-    if len(cfg["_ells"]) < 3:
-        raise ConfigError("a gamma fit needs at least 3 ell_list values")
+    """The ell_list of a gamma fit, which needs three distinct lengths or
+    more."""
+    if len(set(cfg["_ells"])) < 3:
+        raise ConfigError(
+            "a gamma fit needs at least 3 ell_list values that differ")
     return cfg["_ells"]
 
 
@@ -395,9 +400,9 @@ def main(argv=None):
             cfg["seed"] = args.seed
         if args.replicas is not None:
             cfg["replicas"] = args.replicas
-            _check_run(cfg)
         if args.out is not None:
             cfg["out"] = args.out
+        _check_run(cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

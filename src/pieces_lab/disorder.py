@@ -41,18 +41,19 @@ class PieceConfiguration:
     """
 
     def __init__(self, L, mu, cut_points, seed=None):
-        if L <= 0:
-            raise ValueError("L must be positive")
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        cut_points = np.asarray(cut_points, dtype=np.float64)
-        if cut_points.size and (np.any(np.diff(cut_points) <= 0)
-                                or cut_points[0] <= 0 or cut_points[-1] >= L):
+        # written so that NaN fails every check
+        if not 0 < L < np.inf:
+            raise ValueError("L must be positive and finite")
+        if not 0 < mu < np.inf:
+            raise ValueError("mu must be positive and finite")
+        c = np.asarray(cut_points, dtype=np.float64)
+        if c.size and not (c[0] > 0 and c[-1] < L
+                           and np.all(np.diff(c) > 0)):
             raise ValueError("cut points must be strictly increasing in (0, L)")
         self.L = float(L)
         self.mu = float(mu)
         self.seed = seed
-        edges = np.concatenate(([0.0], cut_points, [L]))
+        edges = np.concatenate(([0.0], c, [L]))
         edges.flags.writeable = False
         self.cut_points = edges[1:-1]
         self.lefts = edges[:-1]

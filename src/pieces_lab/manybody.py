@@ -6,9 +6,8 @@ distinct pieces have disjoint supports, so any matrix element moving a
 particle between pieces vanishes identically.  This module provides the
 occupation bookkeeping, determinant (CI) bases within a block, the block
 Hamiltonians built on the quadrature g-tensors and their lowest eigenpairs
-(solve_block, for one piece as for several), exact ground states for tiny
-n, and pointwise wedge evaluators for states living on disjoint pieces.
-Pieces are given as lists of (left, length) intervals.
+(solve_block, for one piece as for several), and exact ground states for
+tiny n.  Pieces are given as lists of (left, length) intervals.
 
 A block Hamiltonian is assembled by pair removal.  A block's determinants
 are rows of increasing indices into its orbital list, and the pair
@@ -45,16 +44,14 @@ from .quadrature import cross_g_tensor, interaction_g_tensor
 __all__ = [
     "enumerate_occupations",
     "kinetic_lower_bound",
-    "wedge",
     "BlockBasis",
     "CIState",
     "solve_block",
     "block_overlap",
     "exact_ground_state_small",
-    "DIMENSION_CAP",
 ]
 
-DIMENSION_CAP = 200_000
+_DIMENSION_CAP = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -99,67 +96,6 @@ def kinetic_lower_bound(lengths, nu):
         raise ValueError("nu must be >= 1")
     k = len(lengths)
     return float(np.pi ** 2 * nu ** 3 / (3.0 * lengths[-1] ** 2 * k ** 2))
-
-
-# ---------------------------------------------------------------------------
-# wedge evaluator
-
-
-def wedge(states):
-    """Pointwise evaluator of the normalized wedge of local states.
-
-    `states` is a list of (interval, q, psi) with interval = (left, right),
-    q the particle count and psi an antisymmetric local wavefunction of q
-    coordinates (in local coordinates on [0, right-left]).  Supports must
-    be pairwise disjoint.  The returned callable takes an array of n global
-    coordinates.  Normalization carries the combinatorial factor
-    c(Q) = sqrt(prod q_j! / n!); evaluation routes each coordinate to the
-    piece containing it, with the unshuffle sign.
-    """
-    ivals = [s[0] for s in states]
-    for (a1, b1), (a2, b2) in itertools.combinations(ivals, 2):
-        if max(a1, a2) < min(b1, b2):
-            raise ValueError("overlapping supports in wedge()")
-    qs = [s[1] for s in states]
-    n = sum(qs)
-    cQ = math.sqrt(np.prod([math.factorial(q) for q in qs]) / math.factorial(n))
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (n,):
-            raise ValueError("expected %d coordinates" % n)
-        groups = [[] for _ in states]
-        for idx, xi in enumerate(x):
-            for j, (a, b) in enumerate(ivals):
-                if a <= xi <= b:
-                    groups[j].append(idx)
-                    break
-            else:
-                return 0.0
-        if any(len(g) != q for g, q in zip(groups, qs)):
-            return 0.0
-        # sign of the unshuffle sorting indices into piece-ordered blocks
-        perm = [i for g in groups for i in g]
-        sign = 1
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            j, clen = start, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                clen += 1
-            if clen % 2 == 0:
-                sign = -sign
-        val = cQ * sign
-        for (a, _), q, psi, g in zip(ivals, qs, [s[2] for s in states], groups):
-            val *= psi(x[g] - a)
-        return val
-
-    evaluate.n = n
-    evaluate.c_Q = cQ
-    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +196,10 @@ class BlockBasis:
             if q > self.M:
                 raise ValueError("occupation exceeds local truncation")
             dim *= math.comb(self.M, q)
-        if dim > DIMENSION_CAP:
+        if dim > _DIMENSION_CAP:
             raise ValueError(
-                "block dimension %d exceeds cap %d for Q=%s" % (dim, DIMENSION_CAP, self.Q)
+                "block dimension %d exceeds cap %d for Q=%s"
+                % (dim, _DIMENSION_CAP, self.Q)
             )
         occ = [j for j, q in enumerate(self.Q) if q > 0]
         self.orbitals = [(j, k) for j in occ for k in range(1, self.M + 1)]

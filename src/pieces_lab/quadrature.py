@@ -110,7 +110,6 @@ import itertools
 import numpy as np
 
 __all__ = [
-    "sine_modes",
     "frequency_table",
     "interaction_g_tensor",
     "cross_g_tensor",
@@ -121,16 +120,6 @@ __all__ = [
 
 
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)
-
-
-def sine_modes(m, ell, x):
-    """Normalized Dirichlet modes sqrt(2/l) sin(pi k x / l), k = 1..m.
-
-    Returns an (m, len(x)) array.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    k = np.arange(1, m + 1)[:, None]
-    return np.sqrt(2.0 / ell) * np.sin(np.pi * k * x[None, :] / ell)
 
 
 def _u_panels(U, lo, hi, extra_edges, dens):

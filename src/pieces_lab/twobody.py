@@ -6,11 +6,10 @@ Galerkin solve in the antisymmetric free basis
 
 with s_k the normalized Dirichlet sine modes.  The kinetic part is diagonal
 (pi^2 (i^2 + j^2) / ell^2); the interaction matrix <U phi_ij, phi_kl> is
-quadrature.pair_reduced_matrix.  A TwoBodySolution over the single pair
-(i, j) with coefficient 1 evaluates the free state phi_(i,j).  The large-ell
-expansion of the ground energy,
+quadrature.pair_reduced_matrix.  The large-ell expansion of the ground
+energy,
 
-    E0(ell) = 5 pi^2 / ell^2 + gamma / ell^3 + O(ell^-5),
+    E0(ell) = 5 pi^2 / ell^2 + gamma / ell^3 + O(ell^-4),
 
 defines the interaction constant gamma, recovered here by two independent
 routes: a Richardson fit in ell, and the closed-form resolvent expression
@@ -55,7 +54,7 @@ import numpy as np
 from scipy.linalg import solve
 
 from ._eigen import _lowest_eigenpairs
-from .quadrature import pair_reduced_matrix, sine_modes
+from .quadrature import pair_reduced_matrix
 
 __all__ = [
     "TwoBodySolution",
@@ -124,33 +123,18 @@ class TwoBodySolution:
         self.trace = tuple(trace)
         self._rdm1 = None
 
-    def antisym_coeff_matrix(self):
-        """A with zeta(x,y) = sum_ab A[a,b] s_{a+1}(x) s_{b+1}(y)."""
-        i, j = (np.array(self.pairs) - 1).T
-        A = np.zeros((self.M, self.M))
-        A[i, j] = self.coeffs / np.sqrt(2.0)
-        A[j, i] = -self.coeffs / np.sqrt(2.0)
-        return A
-
     def one_body_rdm(self):
         """1-RDM matrix in the sine-mode basis (trace 2), built on first use
-        and returned read-only."""
+        and returned read-only: 2 A A^T, with A the antisymmetric matrix of
+        the pair state, zeta(x,y) = sum_ab A[a,b] s_{a+1}(x) s_{b+1}(y)."""
         if self._rdm1 is None:
-            A = self.antisym_coeff_matrix()
+            i, j = (np.array(self.pairs) - 1).T
+            A = np.zeros((self.M, self.M))
+            A[i, j] = self.coeffs / np.sqrt(2.0)
+            A[j, i] = -self.coeffs / np.sqrt(2.0)
             self._rdm1 = 2.0 * A @ A.T
             self._rdm1.flags.writeable = False
         return self._rdm1
-
-    def density(self, x):
-        """Diagonal of the 1-RDM kernel: particle density at local x."""
-        S = sine_modes(self.M, self.ell, np.atleast_1d(x))
-        return np.sum(S * (self.one_body_rdm() @ S), axis=0)
-
-    def evaluate(self, x, y):
-        A = self.antisym_coeff_matrix()
-        Sx = sine_modes(self.M, self.ell, np.atleast_1d(x))
-        Sy = sine_modes(self.M, self.ell, np.atleast_1d(y))
-        return np.einsum("ax,ab,bx->x", Sx, A, Sy)
 
 
 def _ground_state(H):
@@ -180,6 +164,8 @@ def solve_two_body(U, ell, M=24, rtol=1e-6):
     error of the derived interaction constant by ~0.2%, well inside every
     downstream tolerance.
     """
+    if not 0 < ell < np.inf:
+        raise ValueError("ell must be positive and finite")
     if M < 4:
         raise ValueError("M must be at least 4")
     # normalized before the cache, so that ell=6 and ell=6.0 (or a numpy
@@ -239,12 +225,12 @@ def gamma_via_fit(U, ell_list):
     """gamma from the expansion E0 = 5 pi^2/ell^2 + gamma/ell^3 + ...
 
     Fits the model E0*ell^3 - 5 pi^2 ell = gamma + c/ell on the top three
-    ell values (Richardson step removing the next-order term); the lower
-    ones are not solved.
+    distinct ell values (Richardson step removing the next-order term); the
+    lower ones are not solved.
     """
-    ells = np.sort(np.asarray(ell_list, dtype=np.float64))
+    ells = np.unique(np.asarray(ell_list, dtype=np.float64))
     if len(ells) < 3:
-        raise ValueError("need at least 3 ell values")
+        raise ValueError("need at least 3 distinct ell values")
     top = ells[-3:]
     vtop = [solve_two_body(U, ell).energy * ell ** 3 - 5.0 * np.pi ** 2 * ell
             for ell in top]

@@ -138,6 +138,15 @@ def test_gamma_fit_needs_three_lengths(tmp_path, capsys, subcommand, source):
     assert "at least 3 ell_list values" in capsys.readouterr().err
 
 
+def test_gamma_fit_needs_three_distinct_lengths(tmp_path, capsys):
+    cfg = _cfg(tmp_path, BASE.replace("ell_list = 10,20",
+                                      "ell_list = 20,20,20"))
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "at least 3 ell_list values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ell_list", ["10,abc", "10,-20,40", "10,0,40",
                                       "10,inf,40"])
 def test_malformed_ell_list_rejected(tmp_path, ell_list):
@@ -164,6 +173,21 @@ def test_replicas_override_validated(tmp_path, capsys, replicas):
     assert main(["free-energy", "--config", str(_cfg(tmp_path)),
                  "--replicas", replicas, "--out", str(out)]) == 2
     assert "config error: replicas must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["pieces-stats", "exact-small"])
+@pytest.mark.parametrize("where", ["option", "config"])
+def test_negative_seed_is_config_error(tmp_path, capsys, subcommand, where):
+    text, override = BASE, []
+    if where == "config":
+        text = BASE.replace("seed = 3", "seed = -5")
+    else:
+        override = ["--seed", "-5"]
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(_cfg(tmp_path, text)),
+                 *override, "--out", str(out)]) == 2
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

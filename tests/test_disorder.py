@@ -136,6 +136,24 @@ def test_domain_errors(bad):
         sample_pieces(*bad)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("L,mu,cuts", [
+    (10.0, 1.0, [NAN]), (10.0, 1.0, [NAN, 2.0, 3.0]),
+    (10.0, 1.0, [1.0, NAN, 3.0]), (10.0, 1.0, [1.0, 2.0, NAN]),
+    (NAN, 1.0, []), (NAN, 1.0, [1.0]), (INF, 1.0, [1.0]),
+    (10.0, NAN, [1.0]), (10.0, INF, [1.0])])
+def test_configuration_rejects_nan_and_inf(L, mu, cuts):
+    with pytest.raises(ValueError):
+        PieceConfiguration(L, mu, cuts)
+
+
+def test_from_lengths_rejects_nan():
+    with pytest.raises(ValueError):
+        from_lengths([1.0, NAN, 2.0])
+
+
 def test_poisson_mean_piece_count():
     counts = [sample_pieces(s, 100.0, 1.0).n_pieces for s in range(2000)]
     # piece count = cut count + 1, cuts ~ Poisson(100)

@@ -89,6 +89,12 @@ REMOVED_NAMES = [
     ("twobody", "pair_matrix_element"),
     ("twobody", "free_pair_state"),
     ("rdm", "DensityMatrix.index"),
+    ("manybody", "wedge"),
+    ("manybody", "DIMENSION_CAP"),
+    ("twobody", "TwoBodySolution.evaluate"),
+    ("twobody", "TwoBodySolution.density"),
+    ("twobody", "TwoBodySolution.antisym_coeff_matrix"),
+    ("quadrature", "sine_modes"),
 ]
 
 # (module, function, parameter) of options no caller set, taken out

@@ -8,7 +8,7 @@ from pieces_lab.manybody import (BlockBasis, block_overlap,
                                  enumerate_occupations,
                                  exact_ground_state_small,
                                  free_occupation_energy, kinetic_lower_bound,
-                                 solve_block, wedge)
+                                 solve_block)
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
                                   PolynomialPotential)
 from pieces_lab.quadrature import (cross_g_tensor, interaction_g_tensor,
@@ -48,31 +48,6 @@ def test_kinetic_lower_bound_is_lower():
     for Q in [(1, 1, 1), (2, 0, 1), (0, 3, 0)]:
         assert kinetic_lower_bound(sorted(lengths, reverse=False), sum(Q)) \
             <= free_occupation_energy(lengths, Q) + 1e-12
-
-
-def test_wedge_antisymmetry_and_norm():
-    s1 = solve_two_body(U, 6.0, M=8)
-    pair = lambda v: s1.evaluate(v[0], v[1])
-    psi = wedge([((0.0, 6.0), 2, pair)])
-    x = np.array([1.0, 2.5])
-    swapped = np.array([2.5, 1.0])
-    assert psi(x) == pytest.approx(-psi(swapped), rel=1e-10)
-    # grid norm of the two-body wedge over the square
-    g = np.linspace(0, 6.0, 101)
-    X, Y = np.meshgrid(g, g)
-    vals = np.array([psi(np.array([xx, yy]))
-                     for xx, yy in zip(X.ravel(), Y.ravel())])
-    norm = vals.reshape(X.shape) ** 2
-    total = np.trapezoid(np.trapezoid(norm, g, axis=1), g)
-    assert total == pytest.approx(1.0, abs=5e-3)
-
-
-def test_wedge_cross_piece_zero():
-    s1 = solve_two_body(U, 6.0, M=8)
-    pair = lambda v: s1.evaluate(v[0], v[1])
-    psi = wedge([((0.0, 6.0), 2, pair)])
-    # one coordinate outside the piece -> 0
-    assert psi(np.array([1.0, 7.5])) == 0.0
 
 
 def test_integrals_block_selection_rule():

@@ -17,6 +17,7 @@ from pieces_lab.potential import BoxPotential, ExponentialPotential
 from pieces_lab.quadrature import cross_density_integral
 from pieces_lab.spectrum import fermi_length, free_energy_per_particle_empirical
 from pieces_lab.twobody import gamma_via_K, solve_two_body
+from position_space import density
 
 U = BoxPotential(1.0, 1.0)
 GAMMA = gamma_via_K(U)
@@ -143,11 +144,16 @@ def test_cross_piece_bound_lhs_matches_dblquad(which):
     # the two-body densities integrate to 2, the particle count of a pair
     V = ExponentialPotential(1.0, 1.0)
     l1, l2, a = 8.0, 12.0, 1.5
-    rho_b = solve_two_body(V, l2, M=12, rtol=1e-4).density
+
+    def rho(ell):
+        G = solve_two_body(V, ell, M=12, rtol=1e-4).one_body_rdm()
+        return lambda x: density(G, ell, x)
+
+    rho_b = rho(l2)
     if which == "12":
         rho_a = lambda x: 2.0 / l1 * np.sin(np.pi * np.atleast_1d(x) / l1) ** 2
     else:
-        rho_a = solve_two_body(V, l1, M=12, rtol=1e-4).density
+        rho_a = rho(l1)
     ref, _ = integrate.dblquad(
         lambda y, x: V(x - (l1 + a + y)) * rho_a(x)[0] * rho_b(y)[0],
         0, l1, 0, l2, epsabs=1e-13)

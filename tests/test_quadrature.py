@@ -11,10 +11,10 @@ from pieces_lab.potential import (BoxPotential, ExponentialPotential,
                                   PolynomialPotential, TabulatedPotential)
 from pieces_lab.quadrature import (cosine_coefficients, cross_density_integral,
                                    cross_g_tensor, frequency_table,
-                                   interaction_g_tensor, pair_reduced_matrix,
-                                   sine_modes)
+                                   interaction_g_tensor, pair_reduced_matrix)
 from pieces_lab.rdm import rdm1
 from pieces_lab.twobody import band_pair_list, solve_two_body
+from position_space import density, sine_modes
 
 
 def _s(k, ell):
@@ -223,8 +223,9 @@ def _density(U, kind, ell):
                                         for k in (1, 2, 3))
     if kind == "pair":  # the state solved on the 0.05 length bin, rescaled
         sol = solve_two_body(U, round(ell * 20.0) / 20.0, M=12, rtol=1e-4)
-        return sol.one_body_rdm(), lambda x: (
-            sol.density(np.asarray(x) * sol.ell / ell) * sol.ell / ell)
+        G = sol.one_body_rdm()
+        return G, lambda x: (
+            density(G, sol.ell, np.asarray(x) * sol.ell / ell) * sol.ell / ell)
     # one piece of a two-piece CI ground state: the density summed over the
     # state's rdm1 entries of that piece
     piece = int(kind[-1])

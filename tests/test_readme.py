@@ -1,5 +1,7 @@
 """The README's Example block runs as written."""
 
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -10,4 +12,8 @@ def test_readme_example_runs():
     text = README.read_text()
     example = text[text.index("## Example"):]
     code = re.search(r"```python\n(.*?)```", example, re.S).group(1)
-    exec(compile(code, str(README), "exec"), {})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2 and all(line.strip() for line in lines)

@@ -9,6 +9,7 @@ from pieces_lab.quadrature import pair_reduced_matrix
 from pieces_lab.twobody import (TwoBodySolution, _solve, astar_xstar,
                                 gamma_star, gamma_via_K, gamma_via_fit,
                                 solve_two_body)
+from position_space import density, pair_amplitude
 
 _GRID = np.linspace(0.0, 1.5, 151)
 FAMILIES = {"box": BoxPotential(1.0, 1.0),
@@ -60,8 +61,8 @@ def test_free_pair_state():
     # antisymmetry and normalization on a grid
     x = np.linspace(0, ell, 201)
     X, Y = np.meshgrid(x, x)
-    vals = pair.evaluate(X.ravel(), Y.ravel()).reshape(X.shape)
-    swapped = pair.evaluate(Y.ravel(), X.ravel()).reshape(X.shape)
+    vals = pair_amplitude(pair, X.ravel(), Y.ravel()).reshape(X.shape)
+    swapped = pair_amplitude(pair, Y.ravel(), X.ravel()).reshape(X.shape)
     assert np.allclose(vals, -swapped, atol=1e-12)
     norm = np.trapezoid(np.trapezoid(vals ** 2, x, axis=1), x)
     assert norm == pytest.approx(1.0, abs=1e-3)
@@ -191,7 +192,16 @@ def test_solution_density_trace():
     U = BoxPotential(1.0, 1.0)
     sol = solve_two_body(U, 8.0, M=12)
     x = np.linspace(0, 8.0, 4001)
-    assert np.trapezoid(sol.density(x), x) == pytest.approx(2.0, abs=1e-6)
+    rho = density(sol.one_body_rdm(), sol.ell, x)
+    assert np.trapezoid(rho, x) == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("ell", [-5.0, 0.0, float("nan"), float("inf")])
+def test_solve_rejects_length_not_positive_finite(ell):
+    # -5 would otherwise solve the free problem at ell = 5, 0 and nan fail
+    # inside the eigensolver, and inf overflows
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve_two_body(BoxPotential(1.0, 1.0), ell, M=8)
 
 
 def test_solve_cache_keeps_tables_apart():
@@ -253,6 +263,17 @@ def test_gamma_fit_solves_only_the_top_three_lengths(monkeypatch):
     gamma = gamma_via_fit(U, [40.0, 5.0, 20.0, 10.0])
     assert sorted(solved) == [10.0, 20.0, 40.0]
     assert gamma == gamma_via_fit(U, [10.0, 20.0, 40.0])
+    # repeats are fitted once: the top three distinct lengths
+    solved.clear()
+    assert gamma_via_fit(U, [40.0, 20.0, 40.0, 10.0, 10.0]) == gamma
+    assert solved == [10.0, 20.0, 40.0]
+
+
+@pytest.mark.parametrize("ells", [[20.0, 20.0, 20.0], [10.0, 20.0, 20.0]])
+def test_gamma_fit_needs_three_distinct_lengths(ells):
+    # repeated lengths leave the two-parameter fit underdetermined
+    with pytest.raises(ValueError, match="3 distinct"):
+        gamma_via_fit(BoxPotential(1.0, 1.0), ells)
 
 
 def test_gamma_kernel_frozen_value():

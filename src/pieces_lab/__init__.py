@@ -7,7 +7,7 @@ particles interact through a pair potential U.  The modules cover:
 
     disorder   Poisson piece sampling and piece-count statistics
     spectrum   one-particle levels, integrated density of states, Fermi data
-    potential  pair-potential families and admissibility checks
+    potential  pair-potential families and their tail functional
     quadrature sine-basis interaction tensors and cross integrals
     twobody    two particles in one piece; the interaction constant gamma
     manybody   occupation blocks, Slater-Condon CI, small exact ground states
@@ -31,8 +31,7 @@ from .spectrum import (SpectrumTable, counting_function,
                        rescale_check)
 from .potential import (BoxPotential, ExponentialPotential,
                         InteractionPotential, PolynomialPotential,
-                        TabulatedPotential, check_HU, f_Z, potential_from_spec,
-                        split_principal, tail_Z)
+                        potential_from_spec, tail_Z)
 from .twobody import (TwoBodySolution, astar_xstar, gamma_star, gamma_via_K,
                       gamma_via_fit, solve_two_body)
 from .manybody import (BlockBasis, CIState, block_overlap,

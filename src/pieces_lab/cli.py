@@ -31,8 +31,7 @@ from .optstate import (asymptotics_check, banded_fraction_prediction,
                        neighbor_energy_ladder, subadditivity_check)
 from .potential import potential_from_spec
 from .rdm import factorized_rdm, rdm1, rdm2, trace_norm_distance
-from .spectrum import (counting_function, fermi_energy,
-                       free_energy_per_particle_empirical,
+from .spectrum import (counting_function, free_energy_per_particle_empirical,
                        free_energy_per_particle_theoretical, ids_theoretical)
 from .twobody import (astar_xstar, gamma_star, gamma_via_K, gamma_via_fit,
                       solve_two_body)
@@ -89,8 +88,13 @@ def load_config(path):
             cfg[key] = kind(value)
         except ValueError as exc:
             raise ConfigError(f"{section}.{key}: {exc}") from exc
-    if not all(cfg[k] > 0 and math.isfinite(cfg[k]) for k in ("L", "mu", "rho")):
-        raise ConfigError("L, mu and rho must be positive and finite")
+    positive = ("L", "mu", "rho", "rtol", "e_max")
+    if not all(0 < cfg[k] < math.inf for k in positive):
+        raise ConfigError(", ".join(positive) + " must be positive and finite")
+    if cfg["M"] < 4:
+        raise ConfigError("M must be at least 4")
+    if cfg["grid_points"] < 1 or (cfg["n"] is not None and cfg["n"] < 1):
+        raise ConfigError("grid_points and n (when given) must be >= 1")
     _check_run(cfg)
     if cfg["gamma_source"] not in ("fit", "kernel", "given"):
         raise ConfigError("gamma_source must be fit, kernel or given")
@@ -224,7 +228,7 @@ def run_free_energy(cfg):
     rows = []
     for seed in _seeds(cfg):
         pc = sample_pieces(seed, cfg["L"], cfg["mu"])
-        n = cfg["n"] or round(cfg["rho"] * pc.L)
+        n = round(cfg["rho"] * pc.L) if cfg["n"] is None else cfg["n"]
         emp = free_energy_per_particle_empirical(pc, n)
         rows.append([seed, emp, theo, abs(emp - theo) / theo])
     mean_emp = float(np.mean([r[1] for r in rows]))

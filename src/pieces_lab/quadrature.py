@@ -131,7 +131,8 @@ def _u_panels(U, lo, hi, extra_edges, dens):
     Returns (e, a, b): the entry and the ends of every panel, entry by entry
     and in increasing u within an entry.
     """
-    R = U.effective_radius(1e-13 * (U.moment(0) + 1e-300))
+    # int U du = 2 tail_integral(0) for an even U sets the scale of the tolerance
+    R = U.effective_radius(1e-13 * (2.0 * U.tail_integral(0.0) + 1e-300))
     lo_c, hi_c = np.maximum(lo, -R)[:, None], np.minimum(hi, R)[:, None]
     kinks = np.array([0.0, *U.breakpoints(), *(-b for b in U.breakpoints())])
     cand = np.concatenate((lo_c, hi_c, np.broadcast_to(kinks, (len(lo), len(kinks))),

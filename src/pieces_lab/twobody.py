@@ -168,6 +168,10 @@ def solve_two_body(U, ell, M=24, rtol=1e-6):
         raise ValueError("ell must be positive and finite")
     if M < 4:
         raise ValueError("M must be at least 4")
+    # a stage converges when de <= rtol |e0|, which rtol <= 0 or nan never
+    # meets: the basis would grow until the dimension cap
+    if not 0 < rtol < np.inf:
+        raise ValueError("rtol must be positive and finite")
     # normalized before the cache, so that ell=6 and ell=6.0 (or a numpy
     # scalar) and defaulted or spelled-out M, rtol hit the same entry
     return _solve(U, float(ell), int(M), float(rtol))

@@ -4,10 +4,8 @@ do not depend on which tests ran before it."""
 import pytest
 
 from pieces_lab import optstate, quadrature, twobody
-from pieces_lab.potential import InteractionPotential
 
-CACHES = (twobody._solve, optstate._pair_energy_spline,
-          InteractionPotential.moment, quadrature._leggauss)
+CACHES = (twobody._solve, optstate._pair_energy_spline, quadrature._leggauss)
 
 
 @pytest.fixture(autouse=True)

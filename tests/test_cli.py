@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,44 @@ def test_malformed_potential_exit_code(tmp_path):
         cfg = _cfg(tmp_path, BASE.replace("box height=1 radius=1", spec))
         assert main(["two-body", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    "box heigth=2 radius=0.5", "exp rate=2 radius=3", "box height=2 height=3",
+    *(f"{family} {field}={value}" for family, fields in (
+        ("box", ("height", "radius")), ("exp", ("amplitude", "rate")),
+        ("poly", ("amplitude", "exponent", "scale")))
+      for field in fields for value in ("nan", "inf"))])
+def test_bad_potential_parameter_is_config_error(tmp_path, capsys, spec):
+    # a misspelt or repeated key, or a parameter that is not finite
+    cfg = _cfg(tmp_path, BASE.replace("box height=1 radius=1", spec))
+    out = tmp_path / "out"
+    assert main(["two-body", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: potential: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,subcommand", [
+    ("n = 0", "free-energy"), ("n = -4", "free-energy"), ("M = 3", "two-body"),
+    ("rtol = 0", "two-body"), ("rtol = -1e-6", "two-body"),
+    ("rtol = nan", "two-body"), ("rtol = inf", "two-body"),
+    ("grid_points = 0", "ids"), ("e_max = nan", "ids"), ("e_max = inf", "ids"),
+    ("e_max = -1", "ids"),
+])
+def test_numeric_and_model_values_checked(tmp_path, capsys, line, subcommand):
+    # n = 0 was read as "not given"; the others failed inside the run
+    # (exit 3), ran on (e_max = -1), or would grow the two-body basis to
+    # its cap (rtol not positive)
+    key = line.split()[0]
+    section = "[model]\n" if key == "n" else "[numeric]\n"
+    text = re.sub(rf"^{key} = .*\n", "", BASE, flags=re.M)
+    cfg = _cfg(tmp_path, text.replace(section, section + line + "\n"))
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_mode_free_energy(tmp_path):

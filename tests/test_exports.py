@@ -95,6 +95,13 @@ REMOVED_NAMES = [
     ("twobody", "TwoBodySolution.density"),
     ("twobody", "TwoBodySolution.antisym_coeff_matrix"),
     ("quadrature", "sine_modes"),
+    ("potential", "TabulatedPotential"),
+    ("potential", "TruncatedPotential"),
+    ("potential", "ResidualPotential"),
+    ("potential", "split_principal"),
+    ("potential", "check_HU"),
+    ("potential", "f_Z"),
+    ("potential", "InteractionPotential.moment"),
 ]
 
 # (module, function, parameter) of options no caller set, taken out
@@ -107,9 +114,6 @@ REMOVED_OPTIONS = [
     ("optstate", "cross_piece_bound_check", "i"),
     ("optstate", "cross_piece_bound_check", "j"),
     ("optstate", "neighbor_energy_ladder", "gap"),
-    ("potential", "f_Z", "eps"),
-    ("potential", "check_HU", "x_max"),
-    ("potential", "TabulatedPotential", "tail_majorant"),
     ("twobody", "gamma_via_fit", "M"),
     ("twobody", "gamma_via_fit", "rtol"),
     ("spectrum", "rescale_check", "rtol"),

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
-                                  PolynomialPotential, TabulatedPotential,
-                                  check_HU, f_Z, potential_from_spec,
-                                  split_principal, tail_Z)
+                                  InteractionPotential, PolynomialPotential,
+                                  potential_from_spec, tail_Z)
 
 
 def test_box_closed_forms():
@@ -22,32 +21,6 @@ def test_box_closed_forms():
 def test_exponential_tail():
     U = ExponentialPotential(1.0, 1.0)
     assert U.tail_integral(6.0) == pytest.approx(np.exp(-6.0))
-    # the residual beyond B * l_rho = 6 integrates to 2 e^{-6}
-    principal, residual = split_principal(U, 3.0, 2.0)
-    v = np.linspace(-30, 30, 300001)
-    resid_mass = np.trapezoid(residual(v), v)
-    assert resid_mass == pytest.approx(2.0 * np.exp(-6.0), rel=1e-3)
-    assert np.allclose(principal(v) + residual(v), U(v))
-
-
-def test_polynomial_admissibility():
-    good = PolynomialPotential(1.0, 5.0, 1.0)
-    assert check_HU(good)["ok"]
-    bad = PolynomialPotential(1.0, 3.5, 1.0)
-    assert not check_HU(bad)["ok"]
-
-
-def test_f_Z_vanishes_for_compact_support():
-    U = BoxPotential(1.0, 1.0)
-    assert f_Z(U, 1e3) < 1e-2 * tail_Z(U, 0.0)
-
-
-def test_tabulated_matches_base():
-    U = ExponentialPotential(1.0, 2.0)
-    grid = np.linspace(0.0, 10.0, 2001)
-    T = TabulatedPotential(grid, U(grid))
-    x = np.linspace(0.0, 9.0, 57)
-    assert np.allclose(T(x), U(x), atol=1e-6)
 
 
 def test_spec_parsing():
@@ -70,18 +43,49 @@ def test_scaling():
 def test_potentials_are_value_objects():
     assert BoxPotential(1, 1) == BoxPotential(1.0, 1.0)
     assert hash(BoxPotential(1, 1)) == hash(BoxPotential(1.0, 1.0))
-    a = split_principal(ExponentialPotential(1.0, 1.0), 3.0, 2.0)
-    b = split_principal(ExponentialPotential(1.0, 1.0), 3.0, 2.0)
-    assert a == b and a is not b
-    assert hash(a[0]) == hash(b[0]) and hash(a[1]) == hash(b[1])
     assert BoxPotential(1, 1) != ExponentialPotential(1, 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         BoxPotential(1.0, 1.0).height = 2.0
 
 
-def test_table_without_majorant_ends_at_grid():
-    grid = np.linspace(0.0, 2.0, 11)
-    T = TabulatedPotential(grid, np.ones_like(grid))
-    assert T.support_radius == 2.0
-    assert tail_Z(T, 2.0) == 0.0
-    assert tail_Z(T, 0.0) > 0.0
+
+SPEC_NAMES = {BoxPotential: "box", ExponentialPotential: "exp",
+              PolynomialPotential: "poly"}
+FIELDS = [(cls, f.name) for cls in SPEC_NAMES for f in dataclasses.fields(cls)]
+
+
+def test_every_family_is_a_value_object_built_from_its_spec():
+    # one cache policy: caches key potentials by value, so every family is
+    # a frozen dataclass that a spec with its fields spelled out rebuilds
+    assert set(InteractionPotential.__subclasses__()) == set(SPEC_NAMES)
+    for cls, name in SPEC_NAMES.items():
+        values = {f.name: f.default + 0.25 for f in dataclasses.fields(cls)}
+        spec = " ".join([name, *(f"{k}={v!r}" for k, v in values.items())])
+        U, V = potential_from_spec(spec), cls(**values)
+        assert type(U) is cls and U == V and hash(U) == hash(V) and U is not V
+        for key in values:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(U, key, 2.0)
+
+
+@pytest.mark.parametrize("spec,match", [
+    ("box heigth=2 radius=0.5", "unknown box parameter 'heigth'"),
+    ("exp rate=2 radius=3", "unknown exp parameter 'radius'"),
+    ("box height=2 height=3", "repeated potential parameter: 'height'"),
+])
+def test_spec_rejects_unknown_or_repeated_key(spec, match):
+    # each used to be ignored, or the last value kept
+    with pytest.raises(ValueError, match=match):
+        potential_from_spec(spec)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("cls,field", FIELDS,
+                         ids=lambda v: SPEC_NAMES.get(v, v))
+def test_parameters_must_be_finite(cls, field, value):
+    # nan passed every check written as x < 0 or x <= 0, and an infinite
+    # radius or scale built a constant potential
+    with pytest.raises(ValueError):
+        cls(**{field: float(value)})
+    with pytest.raises(ValueError):
+        potential_from_spec(f"{SPEC_NAMES[cls]} {field}={value}")

@@ -8,7 +8,7 @@ from pieces_lab import quadrature
 from pieces_lab.manybody import solve_block
 from pieces_lab.optstate import _piece_rdms
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
-                                  PolynomialPotential, TabulatedPotential)
+                                  PolynomialPotential)
 from pieces_lab.quadrature import (cosine_coefficients, cross_density_integral,
                                    cross_g_tensor, frequency_table,
                                    interaction_g_tensor, pair_reduced_matrix)
@@ -112,7 +112,7 @@ def _loop_u_panels(U, lo, hi, extra_edges=(), max_cycles=6.0, dens=1.0):
     for c in cand:
         if lo < c < hi:
             edges.add(c)
-    R = U.effective_radius(1e-13 * (U.moment(0) + 1e-300))
+    R = U.effective_radius(1e-13 * (2.0 * U.tail_integral(0.0) + 1e-300))
     lo_c, hi_c = max(lo, -R), min(hi, R)
     if lo_c >= hi_c:
         return []
@@ -184,9 +184,16 @@ def _loop_cross_density_integral(U, dens_a, ell_a, dens_b, ell_b, gap, n_inner=9
 
 POTENTIALS = [BoxPotential(1.0, 1.0), ExponentialPotential(1.0, 1.0),
               PolynomialPotential(1.0, 5.0, 1.0)]
+# a test case is named by the spec name of its potential's family
+SPEC_NAMES = {BoxPotential: "box", ExponentialPotential: "exp",
+              PolynomialPotential: "poly"}
 
 
-@pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
+def _family(U):
+    return SPEC_NAMES[type(U)]
+
+
+@pytest.mark.parametrize("U", POTENTIALS, ids=_family)
 @pytest.mark.parametrize("ell,m", [(5.0, 6), (40.0, 50), (7.5, 56), (40.0, 171)])
 def test_frequency_table_self_matches_node_loop(U, ell, m):
     # m = 56 and m = 171: the sizes of the pair-bin and box-ladder self
@@ -200,7 +207,7 @@ def test_frequency_table_self_matches_node_loop(U, ell, m):
     assert np.max(np.abs(J[np.ix_(idx, idx)] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
+@pytest.mark.parametrize("U", POTENTIALS, ids=_family)
 @pytest.mark.parametrize("rel", [0.0, 1e-9, 1e-4])
 @pytest.mark.parametrize("gap", [0.0, 0.7])
 def test_frequency_table_cross_matches_node_loop(U, rel, gap):
@@ -241,7 +248,7 @@ def _density(U, kind, ell):
     return _piece_rdms(states[0])[piece], rho
 
 
-@pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
+@pytest.mark.parametrize("U", POTENTIALS, ids=_family)
 def test_cross_density_integral_matches_node_loop(U):
     for kinds in [(("single", 4.3), ("pair", 6.43)),
                   (("fill", 9.1), ("single", 5.2)),
@@ -274,13 +281,13 @@ def _stacked_cases(U):
     lB[4:7] = lA[4:7]
     lB[7:9] = lA[7:9] * (1.0 + 1e-9)
     lA[9:12], lB[9:12], gap[9:12] = (0.3, 0.4, 0.2), (0.25, 0.45, 0.1), (0.2, 0.0, 0.3)
-    far = U.effective_radius(1e-13 * U.moment(0))  # 1 for the unit box
+    far = U.effective_radius(1e-13 * 2.0 * U.tail_integral(0.0))  # 1 for the unit box
     gap[12:14] = far, far + 0.5
     return lA, lB, gap
 
 
 @pytest.mark.parametrize("cells", [None, 4096])
-@pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
+@pytest.mark.parametrize("U", POTENTIALS, ids=_family)
 def test_stacked_frequency_table_matches_scalar_and_loop(U, cells, monkeypatch):
     # cells = 4096 splits the batch and the fallback into many chunks
     if cells is not None:
@@ -358,7 +365,7 @@ def _fallback_entries(U, lA, mA, lB, mB, offset):
     return entries, halved, narrowed
 
 
-@pytest.mark.parametrize("U", POTENTIALS[:2], ids=lambda U: U.family)
+@pytest.mark.parametrize("U", POTENTIALS[:2], ids=_family)
 def test_fallback_takes_entries_below_the_widest_overlap(U, monkeypatch):
     # the entries summed in the division-free form are exactly those with
     # |omega| W < 1, W the widest node overlap of their table: checked on
@@ -387,7 +394,7 @@ def test_fallback_takes_entries_below_the_widest_overlap(U, monkeypatch):
         assert halved > 0 and narrowed > 0
 
 
-@pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
+@pytest.mark.parametrize("U", POTENTIALS, ids=_family)
 def test_exact_zero_frequencies_skip_the_sinc(U, monkeypatch):
     # the fallback of a self table is exactly its omega = 0 entries, the
     # m = n differences and (0, 0) of the sums, and none of them calls
@@ -417,7 +424,7 @@ def test_exact_zero_frequencies_skip_the_sinc(U, monkeypatch):
 
 
 @pytest.mark.parametrize("cells", [None, 64])
-@pytest.mark.parametrize("U", POTENTIALS, ids=lambda U: U.family)
+@pytest.mark.parametrize("U", POTENTIALS, ids=_family)
 def test_stacked_cross_density_matches_scalar(U, cells, monkeypatch):
     # cells = 64 builds the batch's tables one call at a time
     if cells is not None:
@@ -462,10 +469,6 @@ def _gathered_pair_matrix(U, ell, pairs):
     return _gather_g(J, ell, ell, a, c, b, d) - _gather_g(J, ell, ell, a, d, b, c)
 
 
-_GRID = np.linspace(0.0, 1.5, 151)
-FAMILIES = POTENTIALS + [TabulatedPotential(_GRID, np.exp(-2.0 * _GRID ** 2))]
-
-
 def _shuffled_two_parity_pairs(seed):
     """Pairs of both reflection sectors with mixed d, about 40% of them
     dropped (gaps in i within a d group), in random order."""
@@ -483,7 +486,7 @@ PAIR_LISTS = {"band-trial": band_pair_list(12, 12, 56),
 
 
 @pytest.mark.parametrize("kind", sorted(PAIR_LISTS))
-@pytest.mark.parametrize("U", FAMILIES, ids=lambda U: U.family)
+@pytest.mark.parametrize("U", POTENTIALS, ids=_family)
 def test_pair_matrix_matches_gather(U, kind):
     pairs = PAIR_LISTS[kind]
     V = pair_reduced_matrix(U, 7.3, pairs)
@@ -506,7 +509,7 @@ def _column_masks(pairs):
 
 
 @pytest.mark.parametrize("kind", sorted(PAIR_LISTS))
-@pytest.mark.parametrize("U", FAMILIES, ids=lambda U: U.family)
+@pytest.mark.parametrize("U", POTENTIALS, ids=_family)
 def test_pair_matrix_columns_match_full_matrix(U, kind):
     # each list in its own order and in (d, i) order, which is returned
     # without a permutation back
@@ -528,7 +531,7 @@ def test_pair_matrix_rejects_a_bad_column_mask():
             pair_reduced_matrix(POTENTIALS[0], 7.3, pairs, cols)
 
 
-@pytest.mark.parametrize("U", FAMILIES, ids=lambda U: U.family)
+@pytest.mark.parametrize("U", POTENTIALS, ids=_family)
 def test_pair_matrix_edge_addresses(U):
     # (1, 2) against (m - 1, m) and (m - 1, m) with itself read the folded
     # table's first and last rows and columns
@@ -539,7 +542,7 @@ def test_pair_matrix_edge_addresses(U):
         assert abs(entry - ref[0, 1]) <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("U", FAMILIES, ids=lambda U: U.family)
+@pytest.mark.parametrize("U", POTENTIALS, ids=_family)
 def test_g_tensors_match_gather(U):
     ell, m = 5.0, 5
     J = frequency_table(U, ell, m, ell, m, 0.0)
@@ -580,7 +583,7 @@ def test_strided_view_checks_its_corners():
 # tables over subsets of the frequencies
 
 
-@pytest.mark.parametrize("U", POTENTIALS[:2], ids=lambda U: U.family)
+@pytest.mark.parametrize("U", POTENTIALS[:2], ids=_family)
 def test_frequency_table_subsets_match_full_table(U):
     rng = np.random.default_rng(11)
     lA, lB, gap = _stacked_cases(U)
@@ -603,7 +606,7 @@ def _full_contraction(U, ca, la, cb, lb, gap):
     return ca @ J @ cb / (la * lb), np.abs(ca) @ np.abs(J) @ np.abs(cb) / (la * lb)
 
 
-@pytest.mark.parametrize("U", POTENTIALS[:2], ids=lambda U: U.family)
+@pytest.mark.parametrize("U", POTENTIALS[:2], ids=_family)
 def test_cross_density_over_used_frequencies_matches_full_table(U):
     pair = cosine_coefficients(solve_two_body(U, 7.5, M=12, rtol=1e-4).one_body_rdm())
     assert (pair[1::2] == 0.0).all() and (pair == 0.0).any()

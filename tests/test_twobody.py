@@ -4,18 +4,16 @@ from scipy.linalg import eigh
 
 from pieces_lab import twobody
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
-                                  PolynomialPotential, TabulatedPotential)
+                                  PolynomialPotential)
 from pieces_lab.quadrature import pair_reduced_matrix
 from pieces_lab.twobody import (TwoBodySolution, _solve, astar_xstar,
                                 gamma_star, gamma_via_K, gamma_via_fit,
                                 solve_two_body)
 from position_space import density, pair_amplitude
 
-_GRID = np.linspace(0.0, 1.5, 151)
 FAMILIES = {"box": BoxPotential(1.0, 1.0),
             "exp": ExponentialPotential(1.0, 1.0),
-            "poly": PolynomialPotential(1.0, 5.0, 1.0),
-            "table": TabulatedPotential(_GRID, np.exp(-2.0 * _GRID ** 2))}
+            "poly": PolynomialPotential(1.0, 5.0, 1.0)}
 
 
 def _two_parity_pairs(M, D, K):
@@ -204,20 +202,16 @@ def test_solve_rejects_length_not_positive_finite(ell):
         solve_two_body(BoxPotential(1.0, 1.0), ell, M=8)
 
 
-def test_solve_cache_keeps_tables_apart():
-    # tables are cached by object; a freed table's id, which the allocator
-    # soon hands to a new object, must not select the freed table's solve
-    grid = np.linspace(0.0, 1.0, 101)
-    U1 = TabulatedPotential(grid, np.ones_like(grid))
-    e1 = solve_two_body(U1, 6.0, M=12, rtol=1e-4).energy
-    freed = id(U1)
-    del U1
-    tables = [TabulatedPotential(grid, 5.0 * np.ones_like(grid))
-              for _ in range(20)]
-    U5 = next((U for U in tables if id(U) == freed), tables[0])
-    e5 = solve_two_body(U5, 6.0, M=12, rtol=1e-4).energy
-    assert e1 == pytest.approx(1.43119, abs=1e-5)
-    assert e5 == pytest.approx(1.57685, abs=1e-5)
+@pytest.mark.parametrize("rtol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_solve_rejects_rtol_not_positive_finite(rtol, monkeypatch):
+    # the stopping test de <= rtol |e0| never holds at rtol <= 0 or nan, and
+    # the basis would grow to the dimension cap (lowered here, so that a
+    # solve that starts stops soon)
+    monkeypatch.setattr(twobody, "_MAX_V_BYTES", 8 * 2500 ** 2)
+    _solve.cache_clear()
+    with pytest.raises(ValueError, match="rtol must be positive and finite"):
+        solve_two_body(BoxPotential(1.0, 1.0), 6.0, M=8, rtol=rtol)
+    assert _solve.cache_info().misses == 0
 
 
 def test_solve_cache_keys_normalized_values():

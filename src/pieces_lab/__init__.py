@@ -27,16 +27,15 @@ from .disorder import (PieceConfiguration, count_neighbor_pairs,
 from .spectrum import (SpectrumTable, counting_function,
                        enumerate_levels_below, fermi_energy, fermi_length,
                        free_energy_per_particle_empirical,
-                       free_energy_per_particle_theoretical, ids_theoretical,
-                       rescale_check)
+                       free_energy_per_particle_theoretical, ids_theoretical)
 from .potential import (BoxPotential, ExponentialPotential,
                         InteractionPotential, PolynomialPotential,
                         potential_from_spec, tail_Z)
-from .twobody import (TwoBodySolution, astar_xstar, gamma_star, gamma_via_K,
-                      gamma_via_fit, solve_two_body)
+from .twobody import (TwoBodySolution, astar_xstar, gamma_via_K, gamma_via_fit,
+                      solve_two_body)
 from .manybody import (BlockBasis, CIState, block_overlap,
                        enumerate_occupations, exact_ground_state_small,
-                       kinetic_lower_bound, solve_block)
+                       solve_block)
 from .rdm import (DensityMatrix, antisymmetrized_product,
                   coefficient_distance_bound, factorized_rdm, pair_index,
                   rdm1, rdm2, trace_norm_distance)

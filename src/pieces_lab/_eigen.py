@@ -20,9 +20,10 @@ from scipy.linalg import eigh
 # 210-266 against 121-137 ms (box ell 80) and 1.24-1.51 against 0.60 s
 # (box ell 160); at exp ell 40, 65-108 against 68-69 ms, within the noise.
 _ITERATIVE_DIM = 400
+_MAX_ITER = 200  # LOBPCG iterations before it raises ArithmeticError
 
 
-def _lowest_eigenpairs(H, k, max_iter=200):
+def _lowest_eigenpairs(H, k):
     """The k lowest eigenpairs (w ascending, v columns) of a dense
     symmetric H with a positive diagonal d.
 
@@ -34,7 +35,7 @@ def _lowest_eigenpairs(H, k, max_iter=200):
     iteration orthonormalises [X, W, P] by QR and takes the lowest Ritz
     pairs in that basis; P, the component of the new X outside the old X,
     is the step just taken.  It stops when the k wanted residual norms are
-    at most 1e-14 max|d|, and raises ArithmeticError after max_iter
+    at most 1e-14 max|d|, and raises ArithmeticError after _MAX_ITER
     iterations.
     """
     n = len(H)
@@ -47,7 +48,7 @@ def _lowest_eigenpairs(H, k, max_iter=200):
     precond = 1.0 / (d - 0.9 * d.min())
     tol = 1e-14 * np.abs(d).max()
     basis = X
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         Q = np.linalg.qr(basis)[0]
         HQ = H @ Q
         theta, C = eigh(Q.T @ HQ)
@@ -61,4 +62,4 @@ def _lowest_eigenpairs(H, k, max_iter=200):
             parts.append(Q[:, m:] @ C[m:])
         basis = np.hstack(parts)
     raise ArithmeticError("LOBPCG did not converge in %d iterations at "
-                          "dimension %d" % (max_iter, n))
+                          "dimension %d" % (_MAX_ITER, n))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .disorder import max_piece_length, sample_pieces
-from .manybody import exact_ground_state_small
+from .manybody import exact_ground_state_small, solve_block
 from .optstate import (asymptotics_check, banded_fraction_prediction,
                        banded_particle_count, cross_piece_bound_check,
                        neighbor_energy_ladder, subadditivity_check)
@@ -33,8 +33,7 @@ from .potential import potential_from_spec
 from .rdm import factorized_rdm, rdm1, rdm2, trace_norm_distance
 from .spectrum import (counting_function, free_energy_per_particle_empirical,
                        free_energy_per_particle_theoretical, ids_theoretical)
-from .twobody import (astar_xstar, gamma_star, gamma_via_K, gamma_via_fit,
-                      solve_two_body)
+from .twobody import astar_xstar, gamma_via_K, gamma_via_fit, solve_two_body
 
 # key: (section, type, default), in the order of the summary's config echo
 KNOWN_KEYS = {
@@ -100,6 +99,8 @@ def load_config(path):
         raise ConfigError("gamma_source must be fit, kernel or given")
     if cfg["gamma_source"] == "given" and cfg["gamma"] is None:
         raise ConfigError("gamma_source=given requires a gamma value")
+    if cfg["gamma"] is not None and not 0 <= cfg["gamma"] < math.inf:
+        raise ConfigError("gamma must be >= 0 and finite")
     try:
         cfg["_ells"] = [float(t) for t in cfg["ell_list"].split(",")]
     except ValueError as exc:
@@ -208,6 +209,8 @@ def run_pieces_stats(cfg):
 
 
 def run_ids(cfg):
+    if cfg["e_max"] < 0.05:
+        raise ConfigError("ids needs e_max >= 0.05, the first grid energy")
     grid = np.linspace(0.05, cfg["e_max"], cfg["grid_points"])
     rows, worst = [], []
     for seed in _seeds(cfg):
@@ -255,8 +258,7 @@ def run_gamma(cfg):
     gf = gamma_via_fit(U, _fit_ells(cfg)) if U is not None else 0.0
     gk = gamma_via_K(U) if U is not None else 0.0
     A, x = astar_xstar(gk, cfg["mu"])
-    gs = gamma_star(gk, cfg["mu"])
-    rows = [[gf, gk, gs, A, x]]
+    rows = [[gf, gk, x, A, x]]
     ok = gk == 0 or abs(gf - gk) / gk <= 0.05
     return (["gamma_fit", "gamma_kernel", "gamma_star", "A_star", "x_star"],
             rows, {}, ok)
@@ -312,16 +314,21 @@ def run_exact_small(cfg):
 
 def run_rdm(cfg):
     U = _required_potential(cfg, "rdm")
+    gap = U.effective_radius(1e-12) + 1.0
     rows = []
     ok = True
     for seed in _seeds(cfg):
         rng = np.random.Generator(np.random.Philox(seed))
         ell = float(rng.uniform(6.0, 12.0))
         sol = solve_two_body(U, ell, M=12)
-        g1, g2 = rdm1(sol), rdm2(sol)
-        tr1, tr2 = g1.trace, g2.trace
-        fac1, fac2 = factorized_rdm([sol])
-        err = trace_norm_distance(g2.matrix, fac2.matrix)
+        tr1, tr2 = rdm1(sol).trace, rdm2(sol).trace
+        # a pair and a single on two pieces beyond U's range: the (2, 1) ground
+        # state is the wedge of the (2, 0) and (0, 1) ones, modes piece by piece
+        far = [(0.0, ell), (ell + gap, float(rng.uniform(6.0, 12.0)))]
+        pair, single, joint = (solve_block(far, Q, U, M=8, n_states=1)[1][0]
+                               for Q in ((2, 0), (0, 1), (2, 1)))
+        err = max(trace_norm_distance(g.matrix, f.matrix) for g, f in
+                  zip((rdm1(joint), rdm2(joint)), factorized_rdm([pair, single])))
         row_ok = (abs(tr1 - 2.0) < 1e-10 and abs(tr2 - 1.0) < 1e-10
                   and err < 1e-9)
         ok = ok and row_ok

@@ -43,7 +43,6 @@ from .quadrature import cross_g_tensor, interaction_g_tensor
 
 __all__ = [
     "enumerate_occupations",
-    "kinetic_lower_bound",
     "BlockBasis",
     "CIState",
     "solve_block",
@@ -84,18 +83,6 @@ def free_occupation_energy(lengths, Q):
     Q = np.asarray(Q)
     P = (2 * Q + 1) * (Q + 1) * Q / 6.0  # sum of k^2, k = 1..Q
     return float(np.pi ** 2 * np.sum(P / lengths ** 2))
-
-
-def kinetic_lower_bound(lengths, nu):
-    """pi^2 nu^3 / (3 l_k^2 k^2) for nu particles on k pieces, lengths
-    sorted ascending (l_k the largest)."""
-    lengths = np.asarray(lengths, dtype=float)
-    if np.any(np.diff(lengths) < 0):
-        raise ValueError("lengths must be sorted ascending")
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    k = len(lengths)
-    return float(np.pi ** 2 * nu ** 3 / (3.0 * lengths[-1] ** 2 * k ** 2))
 
 
 # ---------------------------------------------------------------------------

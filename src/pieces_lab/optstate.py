@@ -17,11 +17,12 @@ the pair pieces.  The plan energy adds closed-form kinetic terms, cached
 interacting pair energies, and density-density cross terms between pieces
 within interaction range.
 
-Every piece density is given by its 1-RDM over the piece's Dirichlet modes
-and integrated by quadrature.cross_density_integral: a free fill of q
-levels has the identity I_q, a single in level i the one-hot diag(e_i), a
-pair the 1-RDM of a two-body ground state, and a piece of a CI state its
-block of the state's rdm1.
+Every piece density enters quadrature.cross_density_integral as its cosine
+coefficients, which quadrature.cosine_coefficients computes from the
+piece's 1-RDM over its Dirichlet modes: the identity I_q for a free fill
+of q levels, the one-hot diag(e_i) for a single in level i, the 1-RDM of
+a two-body ground state for a pair, and its block of the state's rdm1 for
+a piece of a CI state.
 """
 
 import functools
@@ -32,7 +33,7 @@ from scipy.linalg import solve_banded
 
 from .spectrum import (fermi_length, free_energy_per_particle_empirical,
                        lowest_levels)
-from .twobody import astar_xstar, gamma_star, solve_two_body
+from .twobody import astar_xstar, solve_two_body
 from .potential import tail_Z
 from .quadrature import cosine_coefficients, cross_density_integral
 from .manybody import exact_ground_state_small, free_occupation_energy
@@ -59,10 +60,10 @@ class StatePlan:
     pair, else they fill the lowest occupation[j] free levels.
     """
 
-    def __init__(self, occupation, pair, thresholds=None):
+    def __init__(self, occupation, pair, thresholds):
         self.occupation = np.asarray(occupation, dtype=np.int64)
         self.pair = np.asarray(pair, dtype=bool)
-        self.thresholds = dict(thresholds or {})
+        self.thresholds = dict(thresholds)
         if self.pair.shape != self.occupation.shape:
             raise ValueError("pair/occupation shape mismatch")
 
@@ -230,7 +231,7 @@ def energy_of_plan(cfg, plan, U):
     occ_idx = plan.occupied()
     q = plan.occupation[occ_idx]
     ell = lengths[occ_idx]
-    is_pair = plan.pair[occ_idx] & (U is not None)  # no potential: free fills
+    is_pair = plan.pair[occ_idx]
     total = free_occupation_energy(ell[~is_pair], q[~is_pair])
     pair_lengths = ell[is_pair]
     if len(pair_lengths) > 3:
@@ -241,8 +242,6 @@ def energy_of_plan(cfg, plan, U):
         total += float(np.sum(_pair_energy_spline(U, lmin - pad, lmax + pad)(pair_lengths)))
     else:
         total += sum(solve_two_body(U, l, M=16).energy for l in pair_lengths)
-    if U is None:
-        return total
     rng = U.effective_radius(1e-10)
     a, b, gap = _neighbour_pairs(cfg.lefts[occ_idx], cfg.rights[occ_idx], rng)
     # one solve per pair piece with a neighbour in range (cached per length
@@ -263,7 +262,7 @@ def energy_of_plan(cfg, plan, U):
 def _cross_sum(U, dens_a, ell_a, dens_b, ell_b, gap):
     """Sum over k of the cross-density integral between dens_a[k] on a piece
     of length ell_a[k] and dens_b[k] on a piece of length ell_b[k] at gap[k]
-    to its right (densities as 1-RDMs or cosine coefficients): one stacked
+    to its right (densities as cosine coefficients): one stacked
     cross_density_integral per pair of mode counts."""
     ell_a, ell_b, gap = (np.asarray(v, dtype=np.float64) for v in (ell_a, ell_b, gap))
     size = np.array([(len(x), len(y)) for x, y in zip(dens_a, dens_b)]).reshape(-1, 2)
@@ -315,14 +314,15 @@ def banded_fraction_prediction(rho, gamma, mu=1.0):
 
 def second_order_prediction(rho, mu, gamma):
     """Closed-form second-order energy correction per particle:
-    pi^2 gamma*^mu mu^-1 rho_mu l_rho^-3, rho_mu = rho/mu."""
+    pi^2 gamma*^mu mu^-1 rho_mu l_rho^-3, rho_mu = rho/mu, with gamma*^mu
+    the x* of astar_xstar."""
     if rho <= 0 or mu <= 0 or gamma < 0:
         raise ValueError("positive rho, mu and gamma >= 0 required")
     if gamma == 0:
         return 0.0
-    gs = gamma_star(gamma, mu)
+    _, x = astar_xstar(gamma, mu)
     ell_rho = fermi_length(rho, mu)
-    return float(np.pi ** 2 * gs * (rho / mu ** 2) / ell_rho ** 3)
+    return float(np.pi ** 2 * x * (rho / mu ** 2) / ell_rho ** 3)
 
 
 def asymptotics_check(cfg, rho, U, gamma):
@@ -348,12 +348,13 @@ def asymptotics_check(cfg, rho, U, gamma):
 # sub-additivity and cross-piece bounds
 
 
-def _piece_rdms(state):
-    """{piece: its M x M block of rdm1(state)} over the pieces a CIState
-    occupies."""
+def _piece_densities(state):
+    """{piece: the cosine coefficients of its density} over the pieces a
+    CIState occupies, each from the piece's M x M block of rdm1(state)."""
     g = rdm1(state)
     piece = np.array([j for j, _ in g.modes])
-    return {j: g.matrix[np.ix_(piece == j, piece == j)] for j in set(piece.tolist())}
+    return {j: cosine_coefficients(g.matrix[np.ix_(piece == j, piece == j)])
+            for j in set(piece.tolist())}
 
 
 def subadditivity_check(intervals1, n1, intervals2, n2, U, M=8):
@@ -366,14 +367,14 @@ def subadditivity_check(intervals1, n1, intervals2, n2, U, M=8):
     E2, _, st2, _ = exact_ground_state_small(intervals2, n2, U, M=M)
     Eu, _, _, _ = exact_ground_state_small(list(intervals1) + list(intervals2),
                                            n1 + n2, U, M=M)
-    G1, G2 = _piece_rdms(st1), _piece_rdms(st2)
+    c1, c2 = _piece_densities(st1), _piece_densities(st2)
     rng = U.effective_radius(1e-12)
-    near = []  # (G, ell) of the left piece, (G, ell) of the right one, gap
+    near = []  # (c, ell) of the left piece, (c, ell) of the right one, gap
     for p1, (a1, l1) in enumerate(intervals1):
         for p2, (a2, l2) in enumerate(intervals2):
-            if p1 not in G1 or p2 not in G2:
+            if p1 not in c1 or p2 not in c2:
                 continue  # an empty piece carries no density
-            left, right, gap = (G1[p1], l1), (G2[p2], l2), a2 - (a1 + l1)
+            left, right, gap = (c1[p1], l1), (c2[p2], l2), a2 - (a1 + l1)
             if gap < 0:  # the piece of region 2 lies to the left
                 left, right, gap = right, left, a1 - (a2 + l2)
             if gap < rng:
@@ -392,6 +393,19 @@ def subadditivity_check(intervals1, n1, intervals2, n2, U, M=8):
 BOUND_CONSTANTS = {"11far": 1.0, "11close": 4.0, "12": 1.0,
                    "12close": 10.0, "22": 1.0}
 
+# each bound shape: whether pieces 1 and 2 hold a two-body pair (else the
+# one-particle ground level), whether it has a factor a^-3 (so needs a > 0),
+# and the shape in Z(a), a, l1 and l2, with min(1, a^-2 Z(a)) = 1 at a = 0
+_BOUND_SHAPES = {
+    "11far": (False, False, True, lambda Z, a, l1, l2: 2.0 * a ** -3 * Z / max(l1, l2)),
+    "11close": (False, False, False,
+                lambda Z, a, l1, l2: Z / (max(l1, l2) ** 2 * min(l1, l2) ** 2)),
+    "12": (False, True, True, lambda Z, a, l1, l2: 4.0 * a ** -3 * Z / l1),
+    "12close": (False, True, False, lambda Z, a, l1, l2: Z / (l1 ** 3 * np.sqrt(l2))),
+    "22": (True, True, False, lambda Z, a, l1, l2:
+           (min(1.0, a ** -2 * Z) if a > 0 else 1.0) / np.sqrt(l1 * l2)),
+}
+
 
 def cross_piece_bound_check(U, ell1, ell2, a, which):
     """Quadrature check of one cross-piece interaction bound.
@@ -405,30 +419,20 @@ def cross_piece_bound_check(U, ell1, ell2, a, which):
     LHS is the density-density interaction integral between eigenstates of
     the two pieces at distance a (the one-particle ground level, 1-RDM
     [[1.0]]; '12'/'22' use the two-body ground-state density, trace 2).
+    It needs a >= 0, and a > 0 for '11far' and '12' (else ValueError).
     Returns dict with lhs, rhs_shape and ratio = lhs / rhs_shape.
     """
-    Z = lambda x: tail_Z(U, x)
-    pair = lambda ell: solve_two_body(U, ell, M=12, rtol=1e-4).one_body_rdm()
-    if which in ("11far", "11close"):
-        Ga, Gb = np.ones((1, 1)), np.ones((1, 1))
-    elif which in ("12", "12close"):
-        Ga, Gb = np.ones((1, 1)), pair(ell2)
-    elif which == "22":
-        Ga, Gb = pair(ell1), pair(ell2)
-    else:
+    if which not in _BOUND_SHAPES:
         raise ValueError("unknown bound check %r" % which)
-    lhs = cross_density_integral(U, Ga, ell1, Gb, ell2, a)
-    Za = Z(a) if a > 0 else None
-    if which == "11far":
-        rhs = 2.0 * a ** -3 * Za / max(ell1, ell2)
-    elif which == "11close":
-        rhs = Za / (max(ell1, ell2) ** 2 * min(ell1, ell2) ** 2)
-    elif which == "12":
-        rhs = 4.0 * a ** -3 * Za / ell1
-    elif which == "12close":
-        rhs = Za / (ell1 ** 3 * np.sqrt(ell2))
-    else:
-        rhs = min(1.0, a ** -2 * Za) / np.sqrt(ell1 * ell2) if a > 0 else 1.0 / np.sqrt(ell1 * ell2)
+    *pairs, inverse_cube, shape = _BOUND_SHAPES[which]
+    if not (a > 0 if inverse_cube else a >= 0):
+        raise ValueError(f"bound check {which!r} needs a distance "
+                         f"a {'>' if inverse_cube else '>='} 0, got {a}")
+    ca, cb = (cosine_coefficients(
+        solve_two_body(U, ell, M=12, rtol=1e-4).one_body_rdm() if pair
+        else np.ones((1, 1))) for pair, ell in zip(pairs, (ell1, ell2)))
+    lhs = cross_density_integral(U, ca, ell1, cb, ell2, a)
+    rhs = shape(tail_Z(U, a), a, ell1, ell2)
     if rhs > 0:
         ratio = lhs / rhs
     else:

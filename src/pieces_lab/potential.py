@@ -32,21 +32,14 @@ class InteractionPotential:
     """Base class: even, non-negative pair potential U.
 
     Subclasses provide __call__ (vectorized, via |u|), tail_integral(v) =
-    int_v^inf U for v >= 0, support_radius (None if unbounded), breakpoints()
-    (kink positions in u > 0, for quadrature panels), and scaled(amp, xscale)
-    returning the same family with U'(u) = amp * U(u / xscale).
+    int_v^inf U for v >= 0, support_radius (None if unbounded) and
+    breakpoints() (kink positions in u > 0, for quadrature panels).
     """
 
     support_radius = None
 
     def breakpoints(self):
         return []
-
-    def scale_mu(self, mu):
-        """U^mu(u) = mu^-2 * U(u/mu): the potential in mu-rescaled units."""
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        return self.scaled(mu ** -2, mu)
 
     def effective_radius(self, tol):
         """Radius beyond which the tail integral is below tol (absolute)."""
@@ -84,9 +77,6 @@ class BoxPotential(InteractionPotential):
     def breakpoints(self):
         return [self.radius]
 
-    def scaled(self, amp, xscale):
-        return BoxPotential(amp * self.height, xscale * self.radius)
-
 
 @dataclass(frozen=True)
 class ExponentialPotential(InteractionPotential):
@@ -105,9 +95,6 @@ class ExponentialPotential(InteractionPotential):
 
     def tail_integral(self, v):
         return self.amplitude / self.rate * math.exp(-self.rate * v)
-
-    def scaled(self, amp, xscale):
-        return ExponentialPotential(amp * self.amplitude, self.rate / xscale)
 
 
 @dataclass(frozen=True)
@@ -135,10 +122,6 @@ class PolynomialPotential(InteractionPotential):
     def tail_integral(self, v):
         p, s = self.exponent, self.scale
         return self.amplitude * s / (p - 1) * (1.0 + v / s) ** (1.0 - p)
-
-    def scaled(self, amp, xscale):
-        return PolynomialPotential(amp * self.amplitude, self.exponent,
-                                   xscale * self.scale)
 
 
 def tail_Z(U, x):

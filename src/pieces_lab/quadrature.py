@@ -19,10 +19,11 @@ a_m = m pi / lA, b_n = n pi / lB, s_u = u + offset, is accumulated
 (m <= 2 mA, n <= 2 mB); every g entry is a signed combination of four J
 entries.  Sharply supported potentials cost nothing extra, and accuracy is
 governed by the u-panel rule alone.  A piece density is a cosine series in
-the same frequencies (its sine-basis 1-RDM G gives the coefficients), so a
-density-density integral between two pieces contracts their J with two
-coefficient vectors (cross_density_integral): the table is the one
-quadrature engine for every interaction integral.
+the same frequencies, so a density-density integral between two pieces
+contracts their J with the two densities' cosine coefficients
+(cross_density_integral; cosine_coefficients computes them from a
+sine-basis 1-RDM): the table is the one quadrature engine for every
+interaction integral.
 
 The table can be built over subsets of its rows and columns: every entry
 is a sum over the same u-nodes (those of the nominal mA and mB), so an
@@ -467,31 +468,24 @@ def _run_or_index(r):
     return slice(lo, lo + len(r)) if np.array_equal(r, np.arange(lo, lo + len(r))) else r
 
 
-def cross_density_integral(U, G_a, ell_a, G_b, ell_b, gap):
+def cross_density_integral(U, c_a, ell_a, c_b, ell_b, gap):
     """int int U(x - y) rho_a(x) rho_b(y) for the densities of two pieces at
     distance gap (piece b to the right of piece a).
 
-    G_a, G_b are the pieces' 1-RDMs over their Dirichlet modes (m x m
-    matrices), so that on a piece of length ell
+    c_a, c_b are the densities' cosine coefficients (cosine_coefficients),
+    rho(x) = (1/ell) sum_n c_n cos(n pi x/ell) on a piece of length ell,
+    each of odd length 2m + 1.  The integral is then c_a^T J c_b /
+    (ell_a ell_b), J the frequency table of the two pieces.
 
-        rho(x) = sum_ab G_ab s_a(x) s_b(x)
-               = (1/ell) sum_ab G_ab [cos((a-b) pi x/ell) - cos((a+b) pi x/ell)]
-               = (1/ell) sum_n c_n cos(n pi x/ell),  0 <= n <= 2m,
-
-    or directly the density's cosine coefficients c (cosine_coefficients).
-    The integral is then c_a^T J c_b / (ell_a ell_b), J the frequency table
-    of the two pieces.
-
-    With arrays ell_a, ell_b, gap of shape (B,), the densities are stacks
-    (B x m x m 1-RDMs or B x (2m + 1) coefficients) and the B integrals are
-    returned as an array, from stacked tables.
+    With arrays ell_a, ell_b, gap of shape (B,), c_a and c_b are B x (2m + 1)
+    stacks and the B integrals are returned as an array, from stacked
+    tables.
     """
     batch = np.ndim(ell_a) + np.ndim(ell_b) + np.ndim(gap) > 0
-    c_a, c_b = (cosine_coefficients(G) if np.ndim(G) == batch + 2
-                else np.asarray(G, dtype=np.float64) for G in (G_a, G_b))
     ell_a, ell_b, gap = (np.atleast_1d(v).astype(np.float64)
                          for v in np.broadcast_arrays(ell_a, ell_b, gap))
-    c_a, c_b = c_a.reshape(len(ell_a), -1), c_b.reshape(len(ell_a), -1)
+    c_a, c_b = (np.asarray(c, dtype=np.float64).reshape(len(ell_a), -1)
+                for c in (c_a, c_b))
     mA, mB = c_a.shape[1] // 2, c_b.shape[1] // 2
     # the tables hold only the frequencies at which some density of the
     # batch has a non-zero coefficient
@@ -512,8 +506,16 @@ def cross_density_integral(U, G_a, ell_a, G_b, ell_b, gap):
 
 
 def cosine_coefficients(G):
-    """c_n, 0 <= n <= 2m, of the density of the 1-RDM G (m x m, or a stack
-    ... x m x m of them; see cross_density_integral)."""
+    """c_n, 0 <= n <= 2m, of the density of the 1-RDM G over a piece's
+    Dirichlet modes (m x m, or a stack ... x m x m of them).
+
+    On a piece of length ell, s_a(x) s_b(x) = (1/ell) [cos((a-b) pi x/ell)
+    - cos((a+b) pi x/ell)] for the modes a, b = 1..m, so
+
+        rho(x) = sum_ab G_ab s_a(x) s_b(x) = (1/ell) sum_n c_n cos(n pi x/ell)
+
+    with c_n the sum of G_ab over |a - b| = n less the sum over a + b = n.
+    """
     G = np.asarray(G, dtype=np.float64)
     m = G.shape[-1]
     a, b = np.indices((m, m))

@@ -33,10 +33,9 @@ class DensityMatrix:
     ordered pairs for order 2.
     """
 
-    def __init__(self, modes, matrix, order):
+    def __init__(self, modes, matrix):
         self.modes = list(modes)
         self.matrix = np.asarray(matrix, dtype=float)
-        self.order = int(order)
         if self.matrix.shape != (len(self.modes), len(self.modes)):
             raise ValueError("matrix shape does not match mode count")
         asym = np.max(np.abs(self.matrix - self.matrix.T)) if self.matrix.size else 0.0
@@ -56,7 +55,7 @@ def rdm1(state):
     """One-particle RDM gamma[p, r] = <a^dag_r a_p> by contraction."""
     if hasattr(state, "basis"):
         return _grouped_rdm(state, 1)
-    return DensityMatrix(_pair_modes(state), state.one_body_rdm(), 1)
+    return DensityMatrix(_pair_modes(state), state.one_body_rdm())
 
 
 def pair_index(modes):
@@ -86,7 +85,7 @@ def rdm2(state):
     i, j = (np.array(state.pairs) - 1).T
     c = np.zeros(len(modes) * (len(modes) - 1) // 2)
     c[_pair_position(i, j, len(modes))] = state.coeffs
-    return DensityMatrix(pair_index(modes), np.outer(c, c), 2)
+    return DensityMatrix(pair_index(modes), np.outer(c, c))
 
 
 def _grouped_rdm(state, order):
@@ -105,7 +104,7 @@ def _grouped_rdm(state, order):
         labels, col = pair_index(modes), _pair_position(*removed.T, len(modes))
     X = np.zeros((group.max() + 1 if len(group) else 0, len(labels)))
     X[group, col] = sign * state.coeffs[rows]
-    return DensityMatrix(labels, X.T @ X, order)
+    return DensityMatrix(labels, X.T @ X)
 
 
 def antisymmetrized_product(gamma, modes):
@@ -119,7 +118,7 @@ def antisymmetrized_product(gamma, modes):
     p, q = np.triu_indices(len(modes), 1)  # pair_index order
     out = (G[np.ix_(p, p)] * G[np.ix_(q, q)]
            - G[np.ix_(p, q)] * G[np.ix_(q, p)])
-    return DensityMatrix(pair_index(modes), out, 2)
+    return DensityMatrix(pair_index(modes), out)
 
 
 def factorized_rdm(substates):
@@ -153,14 +152,12 @@ def factorized_rdm(substates):
         M2[idx] -= antisymmetrized_product(g1.matrix, g1.modes).matrix
         M2[idx] += rdm2(s).matrix
         o += len(g1.modes)
-    return DensityMatrix(modes, G, 1), DensityMatrix(total.modes, M2, 2)
+    return DensityMatrix(modes, G), DensityMatrix(total.modes, M2)
 
 
 def trace_norm_distance(A, B):
-    """|| A - B ||_tr via singular values."""
-    MA = A.matrix if isinstance(A, DensityMatrix) else np.asarray(A)
-    MB = B.matrix if isinstance(B, DensityMatrix) else np.asarray(B)
-    D = MA - MB
+    """|| A - B ||_tr of two matrices via singular values."""
+    D = np.asarray(A) - np.asarray(B)
     if D.size == 0:
         return 0.0
     return float(svdvals(D).sum())

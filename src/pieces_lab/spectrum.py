@@ -26,7 +26,6 @@ __all__ = [
     "fermi_energy",
     "free_energy_per_particle_theoretical",
     "free_energy_per_particle_empirical",
-    "rescale_check",
 ]
 
 
@@ -189,29 +188,3 @@ def lowest_levels(cfg, n):
 def free_energy_per_particle_empirical(cfg, n):
     """Mean of the n smallest levels of the configuration."""
     return float(lowest_levels(cfg, n).energies[:n].mean())
-
-
-def rescale_check(cfg, U, ell, mu):
-    """Verify the mu-scaling identities on a given problem.
-
-    Checks, for the configuration: each one-particle level satisfies
-    E(mu-rescaled piece) = mu^2 * E(original)/mu^2 identity exactly; for the
-    two-body problem on [0, ell] with potential U: E(U, ell) equals
-    mu^2 * E(U^mu, mu*ell) with U^mu(x) = mu^-2 U(x/mu).
-    Returns a dict report whose pass flags allow a relative 1e-8; raises nothing.
-    """
-    from . import twobody
-    report = {}
-    # one-particle: (pi k/l)^2 == mu^2 (pi k/(mu l))^2 exactly
-    lengths = cfg.lengths[: min(cfg.n_pieces, 100)]
-    lhs = (np.pi / lengths) ** 2
-    rhs = mu ** 2 * (np.pi / (mu * lengths)) ** 2
-    report["one_particle_max_rel"] = float(np.max(np.abs(lhs - rhs) / lhs))
-    report["one_particle_ok"] = report["one_particle_max_rel"] <= 1e-8
-    e1 = twobody.solve_two_body(U, ell).energy
-    e2 = twobody.solve_two_body(U.scale_mu(mu), mu * ell).energy
-    rel = abs(e1 - mu ** 2 * e2) / abs(e1)
-    report["two_body_rel"] = float(rel)
-    report["two_body_ok"] = rel <= 1e-8
-    report["ok"] = report["one_particle_ok"] and report["two_body_ok"]
-    return report

@@ -62,7 +62,6 @@ __all__ = [
     "gamma_via_fit",
     "gamma_via_K",
     "astar_xstar",
-    "gamma_star",
 ]
 
 
@@ -271,13 +270,11 @@ def gamma_via_K(U):
 
 
 def astar_xstar(gamma, mu=1.0):
-    """A* = mu*gamma/(8 pi^2) and x* = 1 - exp(-A*); A* = -log(1-x*)."""
+    """A* = mu*gamma/(8 pi^2) and x* = 1 - exp(-A*); A* = -log(1-x*).
+
+    x* is gamma*^mu, the factor of the second-order energy correction and
+    the gamma_star column of the CLI's gamma table."""
     if gamma < 0 or mu <= 0:
         raise ValueError("gamma must be >= 0 and mu > 0")
     A = mu * gamma / (8.0 * np.pi ** 2)
     return A, -np.expm1(-A)
-
-
-def gamma_star(gamma, mu):
-    """gamma*^mu = 1 - exp(-mu*gamma/(8 pi^2))."""
-    return astar_xstar(gamma, mu)[1]

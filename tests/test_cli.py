@@ -2,8 +2,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pieces_lab import cli, rdm
 from pieces_lab.cli import ConfigError, load_config, main
 
 BASE = """
@@ -263,3 +265,46 @@ def test_dimension_cap_exit_code(tmp_path):
     cfg = _cfg(tmp_path, BASE.replace("ell_list = 10,20", "ell_list = 2000"))
     assert main(["two-body", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-5"])
+def test_given_gamma_checked(tmp_path, capsys, gamma):
+    # nan and inf ran to exit 0 (nan ratios in the CSV), -5 exited 3
+    text = BASE.replace("potential = ", f"gamma_source = given\ngamma = {gamma}\n"
+                        "potential = ")
+    cfg = _cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match="gamma"):
+        load_config(cfg)
+    out = tmp_path / "out"
+    assert main(["psi-opt", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ids_grid_must_ascend(tmp_path, capsys):
+    # the grid starts at 0.05: a smaller e_max wrote a descending grid
+    cfg = _cfg(tmp_path, BASE.replace("M = 10", "M = 10\ne_max = 0.01"))
+    out = tmp_path / "out"
+    assert main(["ids", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: ids needs e_max >= 0.05" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rdm_check_detects_missing_cross_term(tmp_path, monkeypatch):
+    # the check compares the (2, 1) ground state of a pair and a single on
+    # two distant pieces with the wedge of the two; a factorization that
+    # drops the cross-substate term A(gamma) - sum_j A(gamma_j) must fail it
+    def without_cross_term(substates):
+        g1, g2 = rdm.factorized_rdm(substates)
+        at = {pq: k for k, pq in enumerate(g2.modes)}
+        M2 = np.zeros_like(g2.matrix)
+        for s in substates:
+            d = rdm.rdm2(s)
+            idx = [at[pq] for pq in d.modes]
+            M2[np.ix_(idx, idx)] += d.matrix
+        return g1, rdm.DensityMatrix(g2.modes, M2)
+
+    cfg = str(_cfg(tmp_path))
+    assert main(["rdm", "--config", cfg, "--check", "--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(cli, "factorized_rdm", without_cross_term)
+    assert main(["rdm", "--config", cfg, "--check", "--out", str(tmp_path / "b")]) == 4

@@ -1,8 +1,9 @@
 """The package's public names are consistent: every name a module lists in
-__all__ exists, every name pieces_lab/__init__.py imports is public in its
-module, and the names and options taken out of the API stay out.  Importing
-the package loads numpy and scipy.linalg, not the scipy modules that only a
-few functions use."""
+__all__ exists and has a caller in the package or its benchmark, every
+name pieces_lab/__init__.py imports is public in its module, and the names
+and options taken out of the API stay out.  Importing the package loads
+numpy and scipy.linalg, not the scipy modules that only a few functions
+use."""
 
 import ast
 import importlib
@@ -17,6 +18,7 @@ import pytest
 import pieces_lab
 
 INIT = Path(pieces_lab.__file__)
+PERFBENCH = INIT.parent.parent.parent / "perfbench"
 MODULES = sorted(p.stem for p in INIT.parent.glob("*.py")
                  if p.stem != "__init__" and "__all__" in p.read_text())
 
@@ -35,6 +37,43 @@ def test_all_names_resolve(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+# public names that only the acceptance criteria or a planned caller use
+KEPT_WITHOUT_CALLER = {
+    "block_overlap": "criterion 7 measures block orthogonality with it",
+    "coefficient_distance_bound": "criterion 9 checks the trace-norm bound with it",
+    "fill_free_ground_state": "ROADMAP item 2 gives it a caller in asymptotics_check",
+}
+
+
+def _referenced_names(path):
+    """The identifiers a file's code uses: names, attributes, and string
+    constants (perfbench/spans.py reaches its targets by getattr), leaving
+    out imports, definitions and the strings of __all__."""
+    tree = ast.parse(path.read_text())
+    exports = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+               and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+               for node in ast.walk(stmt.value)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in exports):
+            names.add(node.value)
+    return names
+
+
+def test_public_names_have_callers():
+    files = [*INIT.parent.glob("*.py"), *PERFBENCH.glob("*.py")]
+    used = set().union(*map(_referenced_names, files))
+    public = {name for m in MODULES
+              for name in importlib.import_module(f"pieces_lab.{m}").__all__}
+    assert set(KEPT_WITHOUT_CALLER) <= public
+    assert sorted(public - used - set(KEPT_WITHOUT_CALLER)) == []
 
 
 def test_package_imports_are_public():
@@ -102,6 +141,14 @@ REMOVED_NAMES = [
     ("potential", "check_HU"),
     ("potential", "f_Z"),
     ("potential", "InteractionPotential.moment"),
+    ("spectrum", "rescale_check"),
+    ("manybody", "kinetic_lower_bound"),
+    ("twobody", "gamma_star"),
+    ("potential", "InteractionPotential.scale_mu"),
+    ("potential", "BoxPotential.scaled"),
+    ("potential", "ExponentialPotential.scaled"),
+    ("potential", "PolynomialPotential.scaled"),
+    ("rdm", "DensityMatrix.order"),
 ]
 
 # (module, function, parameter) of options no caller set, taken out
@@ -116,11 +163,12 @@ REMOVED_OPTIONS = [
     ("optstate", "neighbor_energy_ladder", "gap"),
     ("twobody", "gamma_via_fit", "M"),
     ("twobody", "gamma_via_fit", "rtol"),
-    ("spectrum", "rescale_check", "rtol"),
     ("quadrature", "_u_panels", "max_cycles"),
     ("optstate", "build_psi_opt", "mu"),
     ("optstate", "banded_particle_count", "mu"),
     ("optstate", "asymptotics_check", "mu"),
+    ("_eigen", "_lowest_eigenpairs", "max_iter"),
+    ("rdm", "DensityMatrix", "order"),
 ]
 
 

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from pieces_lab import manybody, twobody
+from pieces_lab import _eigen, manybody, twobody
 from pieces_lab._eigen import _ITERATIVE_DIM, _lowest_eigenpairs
 from pieces_lab.manybody import (BlockBasis, block_overlap,
                                  enumerate_occupations,
                                  exact_ground_state_small,
-                                 free_occupation_energy, kinetic_lower_bound,
-                                 solve_block)
+                                 free_occupation_energy, solve_block)
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
                                   PolynomialPotential)
 from pieces_lab.quadrature import (cross_g_tensor, interaction_g_tensor,
@@ -44,10 +43,13 @@ def test_free_occupation_energy():
 
 
 def test_kinetic_lower_bound_is_lower():
+    # pi^2 nu^3 / (3 l_max^2 k^2) bounds the kinetic energy of nu particles
+    # on k pieces from below
     lengths = [4.0, 6.0, 9.0]
     for Q in [(1, 1, 1), (2, 0, 1), (0, 3, 0)]:
-        assert kinetic_lower_bound(sorted(lengths, reverse=False), sum(Q)) \
-            <= free_occupation_energy(lengths, Q) + 1e-12
+        nu, k = sum(Q), len(lengths)
+        bound = np.pi ** 2 * nu ** 3 / (3.0 * max(lengths) ** 2 * k ** 2)
+        assert bound <= free_occupation_energy(lengths, Q) + 1e-12
 
 
 def test_integrals_block_selection_rule():
@@ -413,8 +415,9 @@ def test_lowest_eigenpairs_match_eigh(intervals, Q, V, M):
     assert np.abs(G - ref_G).max() <= 1e-12
 
 
-def test_lowest_eigenpairs_raise_when_not_converged():
+def test_lowest_eigenpairs_raise_when_not_converged(monkeypatch):
     intervals, Q, V, M = HELPER_BLOCKS[0]
     H = BlockBasis(intervals, Q, M).hamiltonian(V)
+    monkeypatch.setattr(_eigen, "_MAX_ITER", 1)
     with pytest.raises(ArithmeticError):
-        _lowest_eigenpairs(H, 2, max_iter=1)
+        _lowest_eigenpairs(H, 2)

@@ -14,7 +14,7 @@ from pieces_lab.optstate import (StatePlan, banded_fraction_prediction,
                                  neighbor_energy_ladder,
                                  second_order_prediction, subadditivity_check)
 from pieces_lab.potential import BoxPotential, ExponentialPotential
-from pieces_lab.quadrature import cross_density_integral
+from pieces_lab.quadrature import cosine_coefficients, cross_density_integral
 from pieces_lab.spectrum import fermi_length, free_energy_per_particle_empirical
 from pieces_lab.twobody import gamma_via_K, solve_two_body
 from position_space import density
@@ -27,8 +27,9 @@ def test_fill_free_ground_state_energy():
     cfg = sample_pieces(0, 2e4, 1.0)
     n = 500
     plan = fill_free_ground_state(cfg, n)
-    assert plan.n == n
-    e = energy_of_plan(cfg, plan, None) / n
+    assert plan.n == n and not plan.pair.any()
+    occ = plan.occupied()
+    e = free_occupation_energy(cfg.lengths[occ], plan.occupation[occ]) / n
     assert e == pytest.approx(free_energy_per_particle_empirical(cfg, n),
                               rel=1e-12)
 
@@ -159,6 +160,22 @@ def test_cross_piece_bound_lhs_matches_dblquad(which):
         0, l1, 0, l2, epsabs=1e-13)
     rep = cross_piece_bound_check(V, l1, l2, a, which)
     assert rep["lhs"] == pytest.approx(ref, rel=1e-6)
+
+
+@pytest.mark.parametrize("which", ["11far", "11close", "12", "12close", "22"])
+@pytest.mark.parametrize("a", [-1.0, float("nan"), 0.0])
+def test_cross_piece_bound_distance_checked(which, a):
+    # a < 0 (overlapping pieces) or nan is refused for every shape, and
+    # a = 0 for the shapes with a^-3; the other shapes take Z(0).  Each
+    # used to raise ZeroDivisionError or TypeError, or to return ('22',
+    # a < 0)
+    V = ExponentialPotential(1.0, 1.0)
+    if a == 0 and which in ("11close", "12close", "22"):
+        rep = cross_piece_bound_check(V, 8.0, 12.0, a, which)
+        assert rep["lhs"] > 0 and 0 < rep["rhs_shape"] < np.inf
+    else:
+        with pytest.raises(ValueError, match="distance"):
+            cross_piece_bound_check(V, 8.0, 12.0, a, which)
 
 
 def test_cross_piece_bound_compact_trivial():
@@ -293,38 +310,37 @@ def _loop_energy_of_plan(cfg, plan, U):
     total = 0.0
     pair_lengths = [lengths[j] for j in occ_idx if plan.pair[j]]
     spline = None
-    if U is not None and len(pair_lengths) > 3:
+    if len(pair_lengths) > 3:
         lmin, lmax = plan.thresholds["mid"], plan.thresholds["hi"]
         pad = max(1e-3, 0.01 * (lmax - lmin))
         spline = optstate._pair_energy_spline(U, lmin - pad, lmax + pad)
     for j in occ_idx:
         q, l = plan.occupation[j], lengths[j]
-        if plan.pair[j] and U is not None:
+        if plan.pair[j]:
             total += (float(spline(l)) if spline is not None
                       else solve_two_body(U, l, M=16).energy)
         else:
             total += free_occupation_energy([l], [q])
-    if U is not None:
-        rng = (U.support_radius if U.support_radius is not None
-               else U.effective_radius(1e-10))
-        lefts, rights = cfg.lefts, cfg.rights
-        G = {}
-        for a_pos, j in enumerate(occ_idx):
-            for k in occ_idx[a_pos + 1:]:
-                gap = lefts[k] - rights[j]
-                if gap >= rng:
-                    break  # occupied pieces are ordered; gaps only grow
-                for idx in (j, k):
-                    if idx in G:
-                        continue
-                    if plan.pair[idx]:
-                        ell_bin = round(lengths[idx] * 20.0) / 20.0
-                        G[idx] = solve_two_body(U, ell_bin, M=12,
-                                                rtol=1e-4).one_body_rdm()
-                    else:
-                        G[idx] = np.eye(plan.occupation[idx])
-                total += cross_density_integral(U, G[j], lengths[j], G[k],
-                                                lengths[k], gap)
+    rng = (U.support_radius if U.support_radius is not None
+           else U.effective_radius(1e-10))
+    lefts, rights = cfg.lefts, cfg.rights
+    c = {}
+    for a_pos, j in enumerate(occ_idx):
+        for k in occ_idx[a_pos + 1:]:
+            gap = lefts[k] - rights[j]
+            if gap >= rng:
+                break  # occupied pieces are ordered; gaps only grow
+            for idx in (j, k):
+                if idx in c:
+                    continue
+                if plan.pair[idx]:
+                    ell_bin = round(lengths[idx] * 20.0) / 20.0
+                    G = solve_two_body(U, ell_bin, M=12, rtol=1e-4).one_body_rdm()
+                else:
+                    G = np.eye(plan.occupation[idx])
+                c[idx] = cosine_coefficients(G)
+            total += cross_density_integral(U, c[j], lengths[j], c[k],
+                                            lengths[k], gap)
     return total
 
 
@@ -336,12 +352,12 @@ def _few_pair_plan():
                1.0, 3.0]
     occ = [2, 0, 1, 0, 2, 0, 1, 3, 0, 1, 2, 0, 1]
     pair = np.isin(np.arange(len(occ)), [0, 4])
-    return from_lengths(lengths), StatePlan(occ, pair)
+    return from_lengths(lengths), StatePlan(occ, pair, {})
 
 
 @pytest.mark.parametrize("V", [U, ExponentialPotential(1.0, 1.0)],
                          ids=["box", "exp"])
-@pytest.mark.parametrize("case", ["spline", "few-pairs", "free"])
+@pytest.mark.parametrize("case", ["spline", "few-pairs"])
 def test_energy_of_plan_matches_pair_loop(V, case):
     if case == "spline":  # more than three pairs: the pair-energy spline
         cfg = sample_pieces(6, 5e3, 1.0)
@@ -351,9 +367,8 @@ def test_energy_of_plan_matches_pair_loop(V, case):
         cfg, plan = _few_pair_plan()
     if case == "few-pairs" and V is U:
         assert cfg.lefts[4] - cfg.rights[2] == 1.0 == V.support_radius
-    W = None if case == "free" else V
-    ref = _loop_energy_of_plan(cfg, plan, W)
-    assert energy_of_plan(cfg, plan, W) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    ref = _loop_energy_of_plan(cfg, plan, V)
+    assert energy_of_plan(cfg, plan, V) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_pair_spline_matches_scipy_cubic_spline():

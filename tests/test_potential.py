@@ -34,12 +34,6 @@ def test_spec_parsing():
         potential_from_spec("nosuch a=1")
 
 
-def test_scaling():
-    U = BoxPotential(1.0, 1.0)
-    V = U.scaled(2.0, 3.0)
-    assert V(2.9) == 2.0 and V(3.1) == 0.0
-
-
 def test_potentials_are_value_objects():
     assert BoxPotential(1, 1) == BoxPotential(1.0, 1.0)
     assert hash(BoxPotential(1, 1)) == hash(BoxPotential(1.0, 1.0))

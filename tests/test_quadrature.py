@@ -6,7 +6,7 @@ from scipy import integrate
 
 from pieces_lab import quadrature
 from pieces_lab.manybody import solve_block
-from pieces_lab.optstate import _piece_rdms
+from pieces_lab.optstate import _piece_densities
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
                                   PolynomialPotential)
 from pieces_lab.quadrature import (cosine_coefficients, cross_density_integral,
@@ -81,7 +81,8 @@ def test_cross_density_integral_oracle():
     da = lambda x: np.asarray(_s(1, ell_a)(x)) ** 2
     db = lambda y: np.asarray(_s(1, ell_b)(y)) ** 2
     gap = 0.5
-    val = cross_density_integral(U, np.eye(1), ell_a, np.eye(1), ell_b, gap)
+    c = cosine_coefficients(np.eye(1))
+    val = cross_density_integral(U, c, ell_a, c, ell_b, gap)
     ref, _ = integrate.dblquad(
         lambda y, x: U(ell_a + gap + y - x) * da(x) * db(y),
         0, ell_a, 0, ell_b, epsabs=1e-11)
@@ -221,17 +222,19 @@ def test_frequency_table_cross_matches_node_loop(U, rel, gap):
 
 
 def _density(U, kind, ell):
-    """(1-RDM G, density callable on [0, ell]) of one piece state; the
-    callable evaluates the density pointwise, as the node loop needs."""
+    """(cosine coefficients, density callable on [0, ell]) of one piece
+    state; the callable evaluates the density pointwise, as the node loop
+    needs."""
     if kind == "single":  # level 2
-        return np.diag([0.0, 1.0]), lambda x: _s(2, ell)(np.asarray(x)) ** 2
+        return (cosine_coefficients(np.diag([0.0, 1.0])),
+                lambda x: _s(2, ell)(np.asarray(x)) ** 2)
     if kind == "fill":  # the lowest 3 levels
-        return np.eye(3), lambda x: sum(_s(k, ell)(np.asarray(x)) ** 2
-                                        for k in (1, 2, 3))
+        return cosine_coefficients(np.eye(3)), lambda x: sum(
+            _s(k, ell)(np.asarray(x)) ** 2 for k in (1, 2, 3))
     if kind == "pair":  # the state solved on the 0.05 length bin, rescaled
         sol = solve_two_body(U, round(ell * 20.0) / 20.0, M=12, rtol=1e-4)
         G = sol.one_body_rdm()
-        return G, lambda x: (
+        return cosine_coefficients(G), lambda x: (
             density(G, sol.ell, np.asarray(x) * sol.ell / ell) * sol.ell / ell)
     # one piece of a two-piece CI ground state: the density summed over the
     # state's rdm1 entries of that piece
@@ -245,7 +248,7 @@ def _density(U, kind, ell):
                    for a, (ja, ka) in enumerate(g.modes)
                    for b, (jb, kb) in enumerate(g.modes) if ja == jb == piece)
 
-    return _piece_rdms(states[0])[piece], rho
+    return _piece_densities(states[0])[piece], rho
 
 
 @pytest.mark.parametrize("U", POTENTIALS, ids=_family)
@@ -255,10 +258,10 @@ def test_cross_density_integral_matches_node_loop(U):
                   (("pair", 7.77), ("pair", 6.9)),
                   (("ci0", 5.0), ("ci1", 6.3)),
                   (("ci1", 6.3), ("fill", 4.0))]:
-        (Ga, da), (Gb, db) = (_density(U, kind, ell) for kind, ell in kinds)
+        (ca, da), (cb, db) = (_density(U, kind, ell) for kind, ell in kinds)
         (_, la), (_, lb) = kinds
         for gap in (0.0, 0.4):
-            val = cross_density_integral(U, Ga, la, Gb, lb, gap)
+            val = cross_density_integral(U, ca, la, cb, lb, gap)
             ref = _loop_cross_density_integral(U, da, la, db, lb, gap)
             assert val == pytest.approx(ref, rel=1e-9), (kinds, gap)
 
@@ -434,11 +437,10 @@ def test_stacked_cross_density_matches_scalar(U, cells, monkeypatch):
     Ga = rng.normal(size=(len(lA), 2, 2))
     Ga = Ga @ Ga.transpose(0, 2, 1)
     Gb = np.broadcast_to(np.diag([1.0, 0.0, 1.0]), (len(lA), 3, 3))
-    val = cross_density_integral(U, Ga, lA, Gb, lB, gap)
     ca, cb = cosine_coefficients(Ga), cosine_coefficients(Gb)
-    assert np.array_equal(val, cross_density_integral(U, ca, lA, cb, lB, gap))
+    val = cross_density_integral(U, ca, lA, cb, lB, gap)
     for k in range(len(lA)):
-        ref = cross_density_integral(U, Ga[k], lA[k], Gb[k], lB[k], gap[k])
+        ref = cross_density_integral(U, ca[k], lA[k], cb[k], lB[k], gap[k])
         # the contraction cancels: measure against its absolute value
         J = frequency_table(U, lA[k], 2, lB[k], 3, lA[k] + gap[k])
         scale = np.abs(ca[k]) @ np.abs(J) @ np.abs(cb[k]) / (lA[k] * lB[k])
@@ -636,7 +638,8 @@ def test_cross_density_of_zero_density_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(quadrature, "frequency_table", build)
     U = BoxPotential(1.0, 1.0)
-    assert cross_density_integral(U, np.zeros((2, 2)), 3.0, np.eye(2), 4.0, 0.1) == 0.0
+    assert cross_density_integral(U, np.zeros(5), 3.0, cosine_coefficients(np.eye(2)),
+                                  4.0, 0.1) == 0.0
     val = cross_density_integral(U, np.zeros((3, 5)), np.ones(3), np.ones((3, 7)),
                                  np.ones(3), np.zeros(3))
     assert np.array_equal(val, np.zeros(3))

@@ -61,7 +61,7 @@ def _bucket_rdm(state, order):
     for entries in buckets.values():
         for (a, ca), (b, cb) in itertools.product(entries, entries):
             gamma[idx[a], idx[b]] += ca * cb
-    return DensityMatrix(labels, gamma, order)
+    return DensityMatrix(labels, gamma)
 
 
 def _loop_antisymmetrized_product(gamma, modes):
@@ -73,7 +73,7 @@ def _loop_antisymmetrized_product(gamma, modes):
         for b, (r, s) in enumerate(pairs):
             out[a, b] = (G[midx[p], midx[r]] * G[midx[q], midx[s]]
                          - G[midx[p], midx[s]] * G[midx[q], midx[r]])
-    return DensityMatrix(pairs, out, 2)
+    return DensityMatrix(pairs, out)
 
 
 def _loop_factorized_rdm(substates):
@@ -97,7 +97,7 @@ def _loop_factorized_rdm(substates):
         for a, pa in enumerate(g2.modes):
             for b, pb in enumerate(g2.modes):
                 M2[pidx[pa], pidx[pb]] += g2.matrix[a, b]
-    return DensityMatrix(modes, G, 1), DensityMatrix(pairs, M2, 2)
+    return DensityMatrix(modes, G), DensityMatrix(pairs, M2)
 
 
 def _pair(ell, M=10):

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pieces_lab.disorder import from_lengths, sample_pieces
-from pieces_lab.potential import BoxPotential
+from pieces_lab.potential import BoxPotential, ExponentialPotential
 from pieces_lab.spectrum import (SpectrumTable, _level_thresholds,
                                  counting_function, enumerate_levels_below,
                                  fermi_energy, fermi_length,
                                  free_energy_per_particle_empirical,
                                  free_energy_per_particle_theoretical,
-                                 ids_theoretical, lowest_levels,
-                                 rescale_check)
+                                 ids_theoretical, lowest_levels)
+from pieces_lab.twobody import solve_two_body
 
 
 def test_levels_single_piece():
@@ -233,8 +233,17 @@ def test_empirical_free_energy_exact_small_case():
 
 
 def test_rescale_check():
-    cfg = from_lengths([3.0, 7.0])
-    assert rescale_check(cfg, BoxPotential(1.0, 1.0), 5.0, 2.0)["ok"]
+    # the two-body identity E(U, ell) = mu^2 E(U^mu, mu ell) with U^mu(u) =
+    # mu^-2 U(u / mu), here at mu = 2, with U^mu built from its fields
+    mu, ell = 2.0, 5.0
+    for U, U_mu in [(BoxPotential(1.0, 1.0), BoxPotential(1.0 / mu ** 2, mu)),
+                    (ExponentialPotential(1.0, 1.0),
+                     ExponentialPotential(1.0 / mu ** 2, 1.0 / mu))]:
+        for u in (0.3, 1.7, 4.0):
+            assert U_mu(mu * u) == U(u) / mu ** 2
+        e1 = solve_two_body(U, ell).energy
+        e2 = solve_two_body(U_mu, mu * ell).energy
+        assert e1 == pytest.approx(mu ** 2 * e2, rel=1e-8, abs=0.0)
 
 
 def test_domain_errors():

@@ -7,8 +7,7 @@ from pieces_lab.potential import (BoxPotential, ExponentialPotential,
                                   PolynomialPotential)
 from pieces_lab.quadrature import pair_reduced_matrix
 from pieces_lab.twobody import (TwoBodySolution, _solve, astar_xstar,
-                                gamma_star, gamma_via_K, gamma_via_fit,
-                                solve_two_body)
+                                gamma_via_K, gamma_via_fit, solve_two_body)
 from position_space import density, pair_amplitude
 
 FAMILIES = {"box": BoxPotential(1.0, 1.0),
@@ -329,8 +328,7 @@ def test_astar_xstar_gamma_star():
     A, x = astar_xstar(8 * np.pi ** 2, 1.0)
     assert A == pytest.approx(1.0)
     assert x == pytest.approx(1.0 - np.exp(-1.0))
-    assert gamma_star(8 * np.pi ** 2, 1.0) == pytest.approx(1.0 - np.exp(-1.0))
-    assert gamma_star(0.0, 1.0) == 0.0
+    assert astar_xstar(0.0, 1.0) == (0.0, 0.0)
 
 
 def test_exponential_family_sanity():

@@ -15,9 +15,11 @@ particles interact through a pair potential U.  The modules cover:
     optstate   banded trial states and the second-order energy expansion
     cli        seeded experiment harness (``pieces-lab`` entry point)
 
-Importing the package loads numpy and scipy.linalg only: a function that
-needs another scipy module imports it when called, so that every fresh
-process (a CLI run, a benchmark round) skips the rest of scipy's start-up.
+Importing the package loads numpy only, and numpy does all of its linear
+algebra, so that every fresh process (a CLI run, a benchmark round) skips
+scipy's start-up.  scipy is used by two functions, which import it when
+called (free_energy_per_particle_theoretical: scipy.integrate.quad;
+tail_Z: scipy.optimize.minimize_scalar), and by the tests.
 """
 
 from .disorder import (PieceConfiguration, count_neighbor_pairs,

@@ -25,8 +25,8 @@ with one or two removals gives the RDMs of a CIState (rdm.py).
 same pair removal over the union of their determinants.
 
 A block's lowest eigenpairs come from _eigen._lowest_eigenpairs, which
-the two-body stages use too: eigh below dimension 400, a numpy block
-LOBPCG from 400 on.  The exact ground state visits the blocks in
+the two-body stages use too: a dense eigh below dimension 112, a numpy
+block LOBPCG from 112 on.  The exact ground state visits the blocks in
 ascending free filling energy, a lower bound on each block's energy since
 U >= 0, and stops at the first block whose free energy exceeds the best
 energy found + 1e-10, the tie tolerance; ties go to the lexicographically

@@ -29,7 +29,6 @@ import functools
 import heapq
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .spectrum import (fermi_length, free_energy_per_particle_empirical,
                        lowest_levels)
@@ -119,8 +118,9 @@ def build_psi_opt(cfg, rho, gamma):
     # remainder goes, uncapped, to pieces the bands left empty (mostly pieces
     # just below the single band, whose first level sits just above the Fermi
     # energy) and to occupied pieces of length >= hi, never to a pair.
-    preferred = np.nonzero((lengths >= hi * (1.0 + rho)) & (lengths < 4.0 * ell_rho))[0]
-    fallback = np.setdiff1d(np.nonzero(lengths >= hi)[0], preferred)
+    in_preferred = (lengths >= hi * (1.0 + rho)) & (lengths < 4.0 * ell_rho)
+    preferred = np.flatnonzero(in_preferred)
+    fallback = np.flatnonzero((lengths >= hi) & ~in_preferred)
     for pool in (preferred, fallback):
         deficit = _fill_lowest(occ, lengths, pool, deficit, cap=3)
     deficit = _fill_lowest(occ, lengths,
@@ -165,29 +165,65 @@ def _fill_lowest(occ, lengths, idx, deficit, cap=None):
 # ---------------------------------------------------------------------------
 # plan energy
 
+def _gtsv(dl, d, du, b):
+    """Solve the tridiagonal system with sub-, main and super-diagonal dl,
+    d, du and right-hand side b (lists of floats, all overwritten).
+
+    A port of LAPACK dgtsv for one right-hand side: Gaussian elimination
+    with partial pivoting, the row interchanges filling a second
+    super-diagonal (kept in dl), then back substitution, in dgtsv's
+    floating-point order.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular tridiagonal matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular tridiagonal matrix")
+    b[-1] = b[-1] / d[-1]
+    if n > 1:
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
 def _not_a_knot_spline(x, y):
     """The not-a-knot cubic spline through (x, y), x increasing, len >= 4.
 
     The steps and their floating-point order are those of scipy's
     CubicSpline, so the values are the same to the bit: knot slopes from
-    the banded system, Hermite coefficients per interval, the interval
-    x[i] <= t < x[i+1] (the outer ones extended), and the cubic summed
-    from its constant term up.
+    the tridiagonal system (_gtsv, a port of the LAPACK gtsv that scipy's
+    solve_banded calls for it, equal to it to the bit), Hermite
+    coefficients per interval, the interval x[i] <= t < x[i+1] (the outer
+    ones extended), and the cubic summed from its constant term up.
     """
     n, dx = len(x), np.diff(x)
     slope = np.diff(y) / dx
-    A = np.zeros((3, n))
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
+    d = np.empty(n)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
     b = np.empty(n)
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    A[1, 0], A[0, 1], A[1, -1], A[-1, -2] = dx[1], d0, dx[-2], d1
+    d[0], d[-1] = dx[1], dx[-2]
     b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False)
+    s = np.array(_gtsv([*dx[1:].tolist(), d1], d.tolist(),
+                       [d0, *dx[:-1].tolist()], b.tolist()))
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c3, c2, c1, c0 = y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx
 
@@ -247,7 +283,9 @@ def energy_of_plan(cfg, plan, U):
     # one solve per pair piece with a neighbour in range (cached per length
     # bin); a density is the 1-RDM of a pair's bin solution or the free fill
     # I_q of any other piece, and each distinct one gets its coefficients once
-    pieces = np.unique(np.concatenate((a, b)))
+    near = np.zeros(len(occ_idx), dtype=bool)
+    near[a] = near[b] = True
+    pieces = np.flatnonzero(near)
     source, label = {}, np.zeros(len(occ_idx), dtype=np.int64)
     for p in pieces:
         src = (solve_two_body(U, round(ell[p] * 20.0) / 20.0, M=12, rtol=1e-4)
@@ -265,10 +303,12 @@ def _cross_sum(U, dens_a, ell_a, dens_b, ell_b, gap):
     to its right (densities as cosine coefficients): one stacked
     cross_density_integral per pair of mode counts."""
     ell_a, ell_b, gap = (np.asarray(v, dtype=np.float64) for v in (ell_a, ell_b, gap))
-    size = np.array([(len(x), len(y)) for x, y in zip(dens_a, dens_b)]).reshape(-1, 2)
+    groups = {}
+    for k, size in enumerate(zip(map(len, dens_a), map(len, dens_b))):
+        groups.setdefault(size, []).append(k)
     total = 0.0
-    for group in np.unique(size, axis=0):
-        sel = np.nonzero((size == group).all(axis=1))[0]
+    for size in sorted(groups):
+        sel = groups[size]
         total += float(np.sum(cross_density_integral(
             U, np.array([dens_a[k] for k in sel]), ell_a[sel],
             np.array([dens_b[k] for k in sel]), ell_b[sel], gap[sel])))

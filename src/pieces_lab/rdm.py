@@ -9,7 +9,6 @@ TwoBodySolution's in closed form: its 1-RDM is one_body_rdm() and its
 """
 
 import numpy as np
-from scipy.linalg import block_diag, svdvals
 
 from .manybody import removals
 from .twobody import TwoBodySolution
@@ -141,17 +140,18 @@ def factorized_rdm(substates):
     # the sub-states' modes are disjoint and contiguous in the joint order:
     # sub-state j's pair (a, b) is the joint pair (o_j + a, o_j + b)
     modes = [m for g1 in g1s for m in g1.modes]
-    G = block_diag(*(g1.matrix for g1 in g1s))
+    offsets = np.cumsum([0] + [len(g1.modes) for g1 in g1s])
+    G = np.zeros((len(modes), len(modes)))  # block diagonal
+    for o, g1 in zip(offsets, g1s):
+        G[o:o + len(g1.modes), o:o + len(g1.modes)] = g1.matrix
     total = antisymmetrized_product(G, modes)
     M2 = total.matrix.copy()
-    o = 0
-    for s, g1 in zip(substates, g1s):
+    for o, s, g1 in zip(offsets, substates, g1s):
         a, b = np.triu_indices(len(g1.modes), 1)
         pos = _pair_position(o + a, o + b, len(modes))
         idx = np.ix_(pos, pos)
         M2[idx] -= antisymmetrized_product(g1.matrix, g1.modes).matrix
         M2[idx] += rdm2(s).matrix
-        o += len(g1.modes)
     return DensityMatrix(modes, G), DensityMatrix(total.modes, M2)
 
 
@@ -160,7 +160,7 @@ def trace_norm_distance(A, B):
     D = np.asarray(A) - np.asarray(B)
     if D.size == 0:
         return 0.0
-    return float(svdvals(D).sum())
+    return float(np.linalg.svd(D, compute_uv=False).sum())
 
 
 def coefficient_distance_bound(psi, phi):

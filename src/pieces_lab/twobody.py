@@ -38,8 +38,8 @@ odd sector's interaction matrix a refinement stage builds only the
 columns of its sub-basis, the only ones its eigensolve and second-order
 estimate read: about half of them.  The stage's ground pair on the
 sub-basis comes from _eigen._lowest_eigenpairs, the eigensolver of the
-occupation blocks too: eigh below dimension 400, a block LOBPCG from 400
-on.  Its sign makes the phi_(1,2) coefficient non-negative.
+occupation blocks too: a dense eigh below dimension 112, a block LOBPCG
+from 112 on.  Its sign makes the phi_(1,2) coefficient non-negative.
 
 Solves are cached by value: potentials are value objects (see
 potential.py), so equal potentials at the same (ell, M, rtol) share one
@@ -51,7 +51,6 @@ import time
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve
 
 from ._eigen import _lowest_eigenpairs
 from .quadrature import pair_reduced_matrix
@@ -231,7 +230,12 @@ def gamma_via_fit(U, ell_list):
     distinct ell values (Richardson step removing the next-order term); the
     lower ones are not solved.
     """
-    ells = np.unique(np.asarray(ell_list, dtype=np.float64))
+    ells = np.sort(np.asarray(ell_list, dtype=np.float64), axis=None)
+    # distinct values, NaN last; NaN != NaN keeps each NaN for the solve to
+    # refuse
+    keep = np.ones(len(ells), dtype=bool)
+    keep[1:] = ells[1:] != ells[:-1]
+    ells = ells[keep]
     if len(ells) < 3:
         raise ValueError("need at least 3 distinct ell values")
     top = ells[-3:]
@@ -265,7 +269,7 @@ def gamma_via_K(U):
     phi = u * sqU * np.sqrt(w)
     core = 0.125 * (np.abs(u[:, None] + u[None, :]) - np.abs(u[:, None] - u[None, :]))
     K = (np.sqrt(w)[:, None] * sqU[:, None]) * core * (sqU[None, :] * np.sqrt(w)[None, :])
-    sol = solve(np.eye(len(u)) + K, phi, assume_a="pos")
+    sol = np.linalg.solve(np.eye(len(u)) + K, phi)
     return float(2.5 * np.pi ** 2 * phi @ sol)
 
 

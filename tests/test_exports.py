@@ -1,9 +1,8 @@
 """The package's public names are consistent: every name a module lists in
 __all__ exists and has a caller in the package or its benchmark, every
 name pieces_lab/__init__.py imports is public in its module, and the names
-and options taken out of the API stay out.  Importing the package loads
-numpy and scipy.linalg, not the scipy modules that only a few functions
-use."""
+and options taken out of the API stay out.  Importing the package, and
+the calls the benchmark workloads make, load numpy and no scipy module."""
 
 import ast
 import importlib
@@ -100,22 +99,34 @@ def _scipy_modules_loaded(code):
 
 
 def test_import_leaves_other_scipy_modules_unloaded():
-    # the functions that need them import these when called
-    lazy = ("scipy.integrate", "scipy.optimize", "scipy.special",
-            "scipy.interpolate")
-    loaded = _scipy_modules_loaded("import pieces_lab")
-    assert "scipy.linalg" in loaded
-    assert not loaded & set(lazy)
+    # free_energy_per_particle_theoretical and tail_Z import theirs when
+    # called
+    assert _scipy_modules_loaded("import pieces_lab") == set()
 
 
-def test_iterative_block_solve_loads_no_sparse_module():
-    # a dim-1000 (1, 1, 1) block takes the package's own LOBPCG
+def test_workload_calls_load_no_scipy_module():
+    # one call of each kind that the benchmark workloads make; the
+    # (1, 1, 1) block of the exact ground state has dim 1000 and takes the
+    # package's own LOBPCG
     loaded = _scipy_modules_loaded(
         "import pieces_lab\n"
+        "pl = pieces_lab\n"
+        "U = pl.BoxPotential(1.0, 1.0)\n"
+        "pl.solve_two_body(U, 8.0, M=12)\n"
+        "gamma = pl.gamma_via_K(U)\n"
+        "pl.gamma_via_fit(U, [10.0, 20.0, 40.0])\n"
+        "pl.asymptotics_check(pl.sample_pieces(3, 2e4, 1.0), 0.05, U, gamma)\n"
         "iv = [(0.0, 5.6), (6.1, 6.3), (12.9, 5.2)]\n"
-        "pieces_lab.exact_ground_state_small(iv, 3, pieces_lab.BoxPotential(),"
-        " M=10)")
-    assert "scipy.sparse" not in loaded
+        "_, _, state, _ = pl.exact_ground_state_small(iv, 3, U, M=10)\n"
+        "pl.rdm1(state), pl.rdm2(state)\n"
+        "far = [(0.0, 5.6), (65.6, 6.3)]\n"
+        "_, pair = pl.solve_block(far, (2, 0), U, M=8, n_states=1)\n"
+        "_, single = pl.solve_block(far, (0, 1), U, M=8, n_states=1)\n"
+        "_, direct = pl.solve_block(far, (2, 1), U, M=8, n_states=1)\n"
+        "f1, _ = pl.factorized_rdm([pair[0], single[0]])\n"
+        "pl.trace_norm_distance(f1.matrix, pl.rdm1(direct[0]).matrix)\n"
+        "pl.subadditivity_check(iv[:2], 2, [(30.0, 5.0)], 1, U, M=6)")
+    assert loaded == set()
 
 
 # (module, attribute path) of names taken out of the API
@@ -172,6 +183,11 @@ REMOVED_OPTIONS = [
 ]
 
 
+# an instance of each class that once held a removed instance attribute,
+# which hasattr on the class cannot see
+INSTANCES = {"DensityMatrix": lambda: pieces_lab.DensityMatrix([(0, 1)], [[1.0]])}
+
+
 @pytest.mark.parametrize("module,path", REMOVED_NAMES, ids=lambda v: v)
 def test_removed_names_stay_removed(module, path):
     obj = importlib.import_module(f"pieces_lab.{module}")
@@ -179,6 +195,8 @@ def test_removed_names_stay_removed(module, path):
     for part in parents:
         obj = getattr(obj, part)
     assert not hasattr(obj, name)
+    if parents and parents[-1] in INSTANCES:
+        assert not hasattr(INSTANCES[parents[-1]](), name)
     assert name not in dir(pieces_lab)
 
 

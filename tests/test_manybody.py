@@ -333,8 +333,9 @@ def test_best_first_solves_only_blocks_that_can_win(monkeypatch):
 # stages
 
 def _criterion_12_blocks():
-    """Every block of dimension >= 400 over the unions criterion 12 solves
-    (criteria 7, 8 and 9 and the other tests above solve smaller blocks)."""
+    """Every block of dimension >= _ITERATIVE_DIM over the unions criterion
+    12 solves (criteria 7, 8 and 9 and the other tests above solve smaller
+    blocks)."""
     blocks = []
     for i1, n1, i2, n2 in subadditivity_instances():
         intervals = i1 + i2
@@ -356,6 +357,15 @@ HELPER_BLOCKS = [
     (_line([6.3, 5.1], [0.7]), (1, 1), U, 24),
 ]
 
+# the fewbody-stats blocks below dim 400: the (1, 1, 1) union of the
+# sub-additivity check at M = 6 (dim 216) and the (2, 1) block of two
+# pieces 60 apart at M = 8 (dim 224)
+FEWBODY_BLOCKS = [
+    pytest.param(_line([5.6, 6.3, 5.2], [0.5, 3.0]), (1, 1, 1), U, 6,
+                 id="fewbody-216"),
+    pytest.param(_line([5.6, 6.3], [60.0]), (2, 1), U, 8, id="fewbody-224"),
+]
+
 
 
 
@@ -373,6 +383,12 @@ STAGES = [pytest.param([(0.0, ell)], None, V, 24, id=f"stage-{name}-{ell}")
                           ("poly", PolynomialPotential(1.0, 5.0, 1.0)))
           for ell in (40.7, 80.0)]
 
+# the first stage of a pair-band solve of the trial state: the spline
+# nodes (M = 16, dim 160) and the length-bin densities (M = 12, dim 148)
+PAIR_BAND_STAGES = [pytest.param([(0.0, ell)], None, U, M,
+                                 id=f"pair-band-{ell}-M{M}")
+                    for ell in (6.3, 9.1) for M in (12, 16)]
+
 
 def _eigenproblem(intervals, Q, V, M):
     """(H, k): a block Hamiltonian and its two lowest pairs, or for Q None
@@ -389,7 +405,8 @@ def _eigenproblem(intervals, Q, V, M):
 
 
 @pytest.mark.parametrize("intervals,Q,V,M",
-                         HELPER_BLOCKS + _criterion_12_blocks() + STAGES)
+                         HELPER_BLOCKS + _criterion_12_blocks() + STAGES
+                         + FEWBODY_BLOCKS + PAIR_BAND_STAGES)
 def test_lowest_eigenpairs_match_eigh(intervals, Q, V, M):
     H, k = _eigenproblem(intervals, Q, V, M)
     assert len(H) >= _ITERATIVE_DIM
@@ -413,6 +430,56 @@ def test_lowest_eigenpairs_match_eigh(intervals, Q, V, M):
                                         0.0).one_body_rdm()
                 for x in (c, ref_v[:, 0]))
     assert np.abs(G - ref_G).max() <= 1e-12
+
+
+def _leading(H, n):
+    """The n x n sub-block of H over its n smallest diagonal entries."""
+    o = np.argsort(H.diagonal(), kind="stable")[:n]
+    return H[np.ix_(o, o)]
+
+
+def _mirror_pairs_block():
+    """Two interacting pairs of pieces 60 apart, the second the mirror
+    image of the first, at M = 4 (dim 256): each level of one pair adds to
+    each of the other's, so the second level is exactly twofold."""
+    intervals = _line([5.2, 6.1, 6.1, 5.2], [0.5, 60.0, 0.5])
+    return BlockBasis(intervals, (1, 1, 1, 1), 4).hamiltonian(U)
+
+
+@pytest.mark.parametrize("make,k", [
+    # the smallest dimension that iterates
+    pytest.param(lambda: _leading(_eigenproblem([(0.0, 80.0)], None, U, 24)[0],
+                                  _ITERATIVE_DIM), 1, id="stage-at-threshold"),
+    pytest.param(_mirror_pairs_block, 3, id="mirror-pairs-k3"),
+    pytest.param(lambda: _eigenproblem(*HELPER_BLOCKS[0])[0], 3,
+                 id="fewbody-1000-k3"),
+])
+def test_lowest_eigenpairs_match_eigh_at_k(make, k):
+    H = make()
+    assert len(H) >= max(_ITERATIVE_DIM, 3 * (k + 2))
+    w, v = _lowest_eigenpairs(H, k)
+    ref_w, ref_v = eigh(H, subset_by_index=[0, k - 1])
+    res = np.linalg.norm(H @ v - v * w, axis=0)
+    assert res.max() <= 1e-14 * np.abs(H.diagonal()).max()
+    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-13
+    assert w == pytest.approx(ref_w, rel=1e-10, abs=0)
+    # the span of the k pairs, which a degenerate level leaves free inside
+    assert np.abs(v @ v.T - ref_v @ ref_v.T).max() <= 1e-10
+
+
+def test_mirror_pairs_level_is_twofold():
+    w = np.linalg.eigvalsh(_mirror_pairs_block())
+    assert w[2] - w[1] <= 1e-12 * w[1] < w[3] - w[2]
+
+
+def test_lowest_eigenpairs_dense_where_the_block_does_not_fit():
+    # n < 3 (k + 2): [X, W, P] would have more columns than H has rows, so
+    # even at the threshold the answer is the dense eigh's
+    H = _leading(_eigenproblem([(0.0, 80.0)], None, U, 24)[0], _ITERATIVE_DIM)
+    k = _ITERATIVE_DIM // 3
+    w, v = _lowest_eigenpairs(H, k)
+    ref_w, ref_v = np.linalg.eigh(H)
+    assert np.array_equal(w, ref_w[:k]) and np.array_equal(v, ref_v[:, :k])
 
 
 def test_lowest_eigenpairs_raise_when_not_converged(monkeypatch):

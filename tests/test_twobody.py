@@ -257,9 +257,19 @@ def test_gamma_fit_solves_only_the_top_three_lengths(monkeypatch):
     assert sorted(solved) == [10.0, 20.0, 40.0]
     assert gamma == gamma_via_fit(U, [10.0, 20.0, 40.0])
     # repeats are fitted once: the top three distinct lengths
-    solved.clear()
-    assert gamma_via_fit(U, [40.0, 20.0, 40.0, 10.0, 10.0]) == gamma
-    assert solved == [10.0, 20.0, 40.0]
+    for ells in ([40.0, 20.0, 40.0, 10.0, 10.0], [10.0, 20.0, 20.0, 40.0]):
+        solved.clear()
+        assert gamma_via_fit(U, ells) == gamma
+        assert solved == [10.0, 20.0, 40.0]
+
+
+@pytest.mark.parametrize("ells", [[10.0, np.nan, 20.0, 40.0],
+                                  [10.0, np.inf, 20.0, 40.0],
+                                  [np.nan, 20.0, np.nan, 40.0]])
+def test_gamma_fit_refuses_nan_and_inf_lengths(ells):
+    # a NaN or infinite length sorts last, so it is fitted and refused
+    with pytest.raises(ValueError):
+        gamma_via_fit(BoxPotential(1.0, 1.0), ells)
 
 
 @pytest.mark.parametrize("ells", [[20.0, 20.0, 20.0], [10.0, 20.0, 20.0]])

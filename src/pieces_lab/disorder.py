@@ -95,10 +95,10 @@ def sample_pieces(seed, L, mu):
     Cut positions are generated by inversion: cumulative sums of
     exponential(mu) gaps, truncated at L.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < L < np.inf:
+        raise ValueError("L must be positive and finite")
+    if not 0 < mu < np.inf:
+        raise ValueError("mu must be positive and finite")
     rng = _rng(seed)
     pts = []
     pos = 0.0
@@ -124,9 +124,9 @@ def sample_pieces_conditioned(seed, L, m):
     S = sum eta_i; equivalently the cuts are m-1 i.i.d. uniform order
     statistics.
     """
-    if m < 1:
+    if not m >= 1:
         raise ValueError("m must be at least 1")
-    if L <= 0:
+    if not L > 0:
         raise ValueError("L must be positive")
     rng = _rng(seed)
     eta = rng.exponential(1.0, size=m)
@@ -137,7 +137,7 @@ def sample_pieces_conditioned(seed, L, m):
 
 def count_pieces_in_range(cfg, a, b):
     """Number of pieces with length in [a, a+b]."""
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):
         raise ValueError("window parameters must be non-negative")
     x = cfg.lengths
     return int(np.count_nonzero((x >= a) & (x <= a + b)))
@@ -176,9 +176,9 @@ def count_pair_clusters(cfg, a, b, c, d, g, f):
     its distance passes g+f, so its work is the number of pairs within that
     distance.
     """
-    if min(a, b, c, d, g, f) < 0:
+    if not all(v >= 0 for v in (a, b, c, d, g, f)):
         raise ValueError("parameters must be non-negative")
-    if a <= 0 or c <= 0:
+    if not (a > 0 and c > 0):
         raise ValueError("length thresholds a, c must be positive")
     x = cfg.lengths
     starts = np.flatnonzero((x >= a) & (x <= a + b))
@@ -191,7 +191,7 @@ def count_pair_clusters(cfg, a, b, c, d, g, f):
 def count_neighbor_pairs(cfg, ell, ell_prime, d):
     """Non-adjacent pairs of pieces at distance <= d with lengths >= ell
     (left) and >= ell_prime (right)."""
-    if ell <= 0 or ell_prime <= 0 or d < 0:
+    if not (ell > 0 and ell_prime > 0 and d >= 0):
         raise ValueError("thresholds must be positive, d non-negative")
     x = cfg.lengths
     count = 0
@@ -207,7 +207,7 @@ def count_triplets(cfg, ell, ell_prime, ell_second, d):
     Each middle piece contributes its left partners times its right
     partners.
     """
-    if min(ell, ell_prime, ell_second) <= 0 or d < 0:
+    if not (ell > 0 and ell_prime > 0 and ell_second > 0 and d >= 0):
         raise ValueError("thresholds must be positive, d non-negative")
     x = cfg.lengths
     n_left = np.zeros(len(x), dtype=np.int64)

@@ -165,54 +165,21 @@ def _fill_lowest(occ, lengths, idx, deficit, cap=None):
 # ---------------------------------------------------------------------------
 # plan energy
 
-def _gtsv(dl, d, du, b):
-    """Solve the tridiagonal system with sub-, main and super-diagonal dl,
-    d, du and right-hand side b (lists of floats, all overwritten).
+def _not_a_knot_spline(lo, hi, y):
+    """The not-a-knot cubic spline through y on np.linspace(lo, hi, len(y)),
+    lo < hi and len(y) >= 4, equal to scipy's CubicSpline to the bit.
 
-    A port of LAPACK dgtsv for one right-hand side: Gaussian elimination
-    with partial pivoting, the row interchanges filling a second
-    super-diagonal (kept in dl), then back substitution, in dgtsv's
-    floating-point order.
+    Its steps and their floating-point order are CubicSpline's: knot slopes
+    from a tridiagonal system, Hermite coefficients per interval, the
+    interval x[i] <= t < x[i+1] (the outer ones extended), and the cubic
+    summed from its constant term up.  The system is solved as LAPACK gtsv
+    (scipy's solve_banded) solves it, less the row interchanges, which an
+    even grid never takes: the first pivot equals the entry below it, and
+    every later pivot is at least 1.8 times as large (2.0, 3.5, about 3.73,
+    and 1.87 at the last row).
     """
-    n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise np.linalg.LinAlgError("singular tridiagonal matrix")
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:  # interchange rows i and i + 1
-            fact = d[i] / dl[i]
-            d[i], temp = dl[i], d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-    if d[-1] == 0.0:
-        raise np.linalg.LinAlgError("singular tridiagonal matrix")
-    b[-1] = b[-1] / d[-1]
-    if n > 1:
-        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return b
-
-
-def _not_a_knot_spline(x, y):
-    """The not-a-knot cubic spline through (x, y), x increasing, len >= 4.
-
-    The steps and their floating-point order are those of scipy's
-    CubicSpline, so the values are the same to the bit: knot slopes from
-    the tridiagonal system (_gtsv, a port of the LAPACK gtsv that scipy's
-    solve_banded calls for it, equal to it to the bit), Hermite
-    coefficients per interval, the interval x[i] <= t < x[i+1] (the outer
-    ones extended), and the cubic summed from its constant term up.
-    """
-    n, dx = len(x), np.diff(x)
+    n, x = len(y), np.linspace(lo, hi, len(y))
+    dx = np.diff(x)
     slope = np.diff(y) / dx
     d = np.empty(n)
     d[1:-1] = 2 * (dx[:-1] + dx[1:])
@@ -222,8 +189,17 @@ def _not_a_knot_spline(x, y):
     d[0], d[-1] = dx[1], dx[-2]
     b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    s = np.array(_gtsv([*dx[1:].tolist(), d1], d.tolist(),
-                       [d0, *dx[:-1].tolist()], b.tolist()))
+    # sub-, main and super-diagonal dl, d, du; b becomes the solution s
+    dl, du = [*dx[1:].tolist(), d1], [d0, *dx[:-1].tolist()]
+    d, s = d.tolist(), b.tolist()
+    for i in range(n - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] = d[i + 1] - fact * du[i]
+        s[i + 1] = s[i + 1] - fact * s[i]
+    s[-1] = s[-1] / d[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - du[i] * s[i + 1]) / d[i]
+    s = np.array(s)
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c3, c2, c1, c0 = y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx
 
@@ -239,11 +215,10 @@ def _not_a_knot_spline(x, y):
 
 @functools.cache
 def _pair_energy_spline(U, lmin, lmax):
-    """Cubic spline of the pair ground energy (M = 16) through 12 solves
-    on [lmin, lmax], cached by value."""
-    grid = np.linspace(lmin, lmax, 12)
-    return _not_a_knot_spline(
-        grid, np.array([solve_two_body(U, l, M=16).energy for l in grid]))
+    """Not-a-knot cubic spline of the pair ground energy (M = 16) through
+    12 solves on an even grid of [lmin, lmax], cached by value."""
+    return _not_a_knot_spline(lmin, lmax, np.array(
+        [solve_two_body(U, l, M=16).energy for l in np.linspace(lmin, lmax, 12)]))
 
 
 def energy_of_plan(cfg, plan, U):
@@ -356,7 +331,7 @@ def second_order_prediction(rho, mu, gamma):
     """Closed-form second-order energy correction per particle:
     pi^2 gamma*^mu mu^-1 rho_mu l_rho^-3, rho_mu = rho/mu, with gamma*^mu
     the x* of astar_xstar."""
-    if rho <= 0 or mu <= 0 or gamma < 0:
+    if not (rho > 0 and mu > 0 and gamma >= 0):
         raise ValueError("positive rho, mu and gamma >= 0 required")
     if gamma == 0:
         return 0.0

@@ -130,7 +130,7 @@ def tail_Z(U, x):
     Max over a geometric grid, refined by a bounded scalar minimization
     around the best grid point.  Exactly 0 past a compact support.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be non-negative")
     R = U.support_radius
     if R is not None and x >= R:

@@ -119,7 +119,7 @@ def counting_function(cfg, E):
 
 def ids_theoretical(E, mu):
     """Integrated density of states of the pieces model."""
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
     E = np.asarray(E, dtype=np.float64)
     out = np.zeros_like(E)
@@ -132,7 +132,7 @@ def ids_theoretical(E, mu):
 
 def fermi_length(rho, mu):
     """Length l with N(pi^2/l^2) = rho: (1/mu)|log(rho/(mu+rho))|."""
-    if rho <= 0 or mu <= 0:
+    if not (rho > 0 and mu > 0):
         raise ValueError("rho and mu must be positive")
     return abs(np.log(rho / (mu + rho))) / mu
 
@@ -174,7 +174,7 @@ def lowest_levels(cfg, n):
     levels.  The table's order is total, so its first n entries are the
     same whatever cutoff it stopped at.
     """
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be at least 1")
     E = fermi_energy(n / cfg.L, cfg.mu) * 1.2
     for _ in range(60):

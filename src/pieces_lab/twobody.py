@@ -101,7 +101,9 @@ class TwoBodySolution:
     Attributes:
         ell: interval length.
         pairs: the band basis, pairs (i, j) with i < j and j - i odd.
-        M: largest mode of the basis.
+        M: largest mode of the basis, which is the reach of the last
+            stage's enlarged basis, not solve_two_body's corner M: M = 12
+            at ell 6 or 9 gives 56, the mode count of rdm1(sol).
         energy: ground energy.
         coeffs: coefficient vector over pairs, normalized, with the
             phi_(1,2) component made non-negative.
@@ -231,8 +233,9 @@ def gamma_via_fit(U, ell_list):
     lower ones are not solved.
     """
     ells = np.sort(np.asarray(ell_list, dtype=np.float64), axis=None)
-    # distinct values, NaN last; NaN != NaN keeps each NaN for the solve to
-    # refuse
+    if not np.all((ells > 0) & (ells < np.inf)):
+        raise ValueError("ell values must be positive and finite")
+    # distinct values
     keep = np.ones(len(ells), dtype=bool)
     keep[1:] = ells[1:] != ells[:-1]
     ells = ells[keep]
@@ -278,7 +281,7 @@ def astar_xstar(gamma, mu=1.0):
 
     x* is gamma*^mu, the factor of the second-order energy correction and
     the gamma_star column of the CLI's gamma table."""
-    if gamma < 0 or mu <= 0:
-        raise ValueError("gamma must be >= 0 and mu > 0")
+    if not (0 <= gamma < np.inf and mu > 0):
+        raise ValueError("gamma must be >= 0 and finite, and mu > 0")
     A = mu * gamma / (8.0 * np.pi ** 2)
     return A, -np.expm1(-A)

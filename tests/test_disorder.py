@@ -154,6 +154,50 @@ def test_from_lengths_rejects_nan():
         from_lengths([1.0, NAN, 2.0])
 
 
+_SMALL = from_lengths([0.5, 1.5, 2.5, 3.5, 1.0, 2.0])
+
+
+def _nan_at(scan, n_args, k):
+    """A call of scan on _SMALL with argument k of n_args NaN, the rest 1."""
+    return pytest.param(
+        lambda: scan(_SMALL, *[NAN if i == k else 1.0 for i in range(n_args)]),
+        "non-negative|positive", id=f"{scan.__name__}-{k}")
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: sample_pieces(7, NAN, 1.0), "L must be positive and finite",
+                 id="sample-L-nan"),
+    pytest.param(lambda: sample_pieces(7, INF, 1.0), "L must be positive and finite",
+                 id="sample-L-inf"),
+    pytest.param(lambda: sample_pieces(7, 10.0, NAN), "mu must be positive and finite",
+                 id="sample-mu-nan"),
+    pytest.param(lambda: sample_pieces(7, 10.0, INF), "mu must be positive and finite",
+                 id="sample-mu-inf"),
+    pytest.param(lambda: sample_pieces_conditioned(7, 10.0, NAN), "m must be at least 1",
+                 id="conditioned-m-nan"),
+    *[_nan_at(count_pieces_in_range, 2, k) for k in range(2)],
+    *[_nan_at(count_pair_clusters, 6, k) for k in range(6)],
+    *[_nan_at(count_neighbor_pairs, 3, k) for k in range(3)],
+    *[_nan_at(count_triplets, 4, k) for k in range(4)],
+])
+def test_arguments_refuse_nan_and_inf(call, match):
+    # a NaN passed every check written as x < 0 or x <= 0: the sampler then
+    # failed converting it to an int (OverflowError for inf) and the scans
+    # counted nothing
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_scans_accept_an_infinite_width_or_distance():
+    cfg = sample_pieces(3, 200.0, 1.0)
+    far = cfg.L
+    assert count_pieces_in_range(cfg, 1.0, INF) == count_pieces_in_range(cfg, 1.0, far)
+    assert (count_pair_clusters(cfg, 1.0, 1.0, 1.0, 1.0, 0.0, INF)
+            == count_pair_clusters(cfg, 1.0, 1.0, 1.0, 1.0, 0.0, far))
+    assert count_neighbor_pairs(cfg, 1.0, 1.0, INF) == count_neighbor_pairs(cfg, 1.0, 1.0, far)
+    assert count_triplets(cfg, 1.0, 1.0, 1.0, INF) == count_triplets(cfg, 1.0, 1.0, 1.0, far)
+
+
 def test_poisson_mean_piece_count():
     counts = [sample_pieces(s, 100.0, 1.0).n_pieces for s in range(2000)]
     # piece count = cut count + 1, cuts ~ Poisson(100)

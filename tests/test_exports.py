@@ -160,6 +160,7 @@ REMOVED_NAMES = [
     ("potential", "ExponentialPotential.scaled"),
     ("potential", "PolynomialPotential.scaled"),
     ("rdm", "DensityMatrix.order"),
+    ("optstate", "_gtsv"),
 ]
 
 # (module, function, parameter) of options no caller set, taken out

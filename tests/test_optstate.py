@@ -13,7 +13,8 @@ from pieces_lab.optstate import (StatePlan, banded_fraction_prediction,
                                  fill_free_ground_state,
                                  neighbor_energy_ladder,
                                  second_order_prediction, subadditivity_check)
-from pieces_lab.potential import BoxPotential, ExponentialPotential
+from pieces_lab.potential import (BoxPotential, ExponentialPotential,
+                                  PolynomialPotential)
 from pieces_lab.quadrature import cosine_coefficients, cross_density_integral
 from pieces_lab.spectrum import fermi_length, free_energy_per_particle_empirical
 from pieces_lab.twobody import gamma_via_K, solve_two_body
@@ -21,6 +22,7 @@ from position_space import density
 
 U = BoxPotential(1.0, 1.0)
 GAMMA = gamma_via_K(U)
+NAN, INF = float("nan"), float("inf")
 
 
 def test_fill_free_ground_state_energy():
@@ -100,6 +102,15 @@ def test_second_order_prediction_value():
     assert second_order_prediction(0.1, 1.0, 0.0) == 0.0
     with pytest.raises(ValueError):
         second_order_prediction(-0.1, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("args", [(NAN, 1.0, 1.0), (0.1, NAN, 1.0),
+                                  (0.1, 1.0, NAN), (0.1, 1.0, INF)])
+def test_second_order_prediction_refuses_nan_and_inf(args):
+    # a NaN passed the checks written as x <= 0 or x < 0 and the
+    # prediction came out NaN; an infinite gamma gave inf
+    with pytest.raises(ValueError):
+        second_order_prediction(*args)
 
 
 def test_plan_energy_above_free():
@@ -371,25 +382,72 @@ def test_energy_of_plan_matches_pair_loop(V, case):
     assert energy_of_plan(cfg, plan, V) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+def _gtsv_pivot_ratios(x):
+    """|pivot| / |entry below it| at each step of gtsv's elimination of
+    CubicSpline's not-a-knot system on the grid x; gtsv swaps rows at a
+    step whose ratio is below 1."""
+    dx = np.diff(x)
+    dl = [*dx[1:], x[-1] - x[-3]]
+    d = [dx[1], *(2 * (dx[:-1] + dx[1:])), dx[-2]]
+    du = [x[2] - x[0], *dx[:-1]]
+    ratios = []
+    for i in range(len(x) - 1):
+        ratios.append(abs(d[i]) / abs(dl[i]))
+        d[i + 1] -= dl[i] / d[i] * du[i]
+    return ratios
+
+
+def _spline_points(x, rng):
+    # the knots (the last one exactly), points inside and points in the pad
+    # beyond either end
+    pad = 0.05 * (x[-1] - x[0])
+    return np.concatenate([x, [np.nextafter(x[-1], np.inf)],
+                           rng.uniform(x[0], x[-1], 40),
+                           rng.uniform(x[0] - pad, x[0], 8),
+                           rng.uniform(x[-1], x[-1] + pad, 8)])
+
+
 def test_pair_spline_matches_scipy_cubic_spline():
     # the private spline against scipy's not-a-knot CubicSpline, to the
-    # bit: on random and on evenly spaced 12-node grids, at the knots (the
-    # last one exactly), points inside and points in the pad beyond either end
+    # bit, on evenly spaced 12-node grids of widths 1e-3 to 60, where gtsv
+    # never swaps rows
     from scipy.interpolate import CubicSpline
     rng = np.random.default_rng(19)
     for trial in range(400):
         lo = rng.uniform(0.5, 40.0)
-        x = (np.linspace(lo, lo + rng.uniform(0.1, 20.0), 12) if trial % 2
-             else np.sort(rng.uniform(lo, lo + 20.0, 12)))
+        hi = lo + 10.0 ** rng.uniform(-3.0, np.log10(60.0))
+        x = np.linspace(lo, hi, 12)
+        ratios = _gtsv_pivot_ratios(x)
+        assert ratios[0] == 1.0 and min(ratios[1:]) >= 1.8
         y = rng.normal(size=12) * rng.uniform(1e-3, 1e3)
-        pad = 0.05 * (x[-1] - x[0])
-        t = np.concatenate([x, [np.nextafter(x[-1], np.inf)],
-                            rng.uniform(x[0], x[-1], 40),
-                            rng.uniform(x[0] - pad, x[0], 8),
-                            rng.uniform(x[-1], x[-1] + pad, 8)])
-        ours, ref = optstate._not_a_knot_spline(x, y), CubicSpline(x, y)
+        t = _spline_points(x, rng)
+        ours, ref = optstate._not_a_knot_spline(lo, hi, y), CubicSpline(x, y)
         assert np.array_equal(ours(t), ref(t))
         assert float(ours(t[-1])) == float(ref(t[-1]))
+
+
+@pytest.mark.parametrize("V", [U, ExponentialPotential(1.0, 1.0),
+                               PolynomialPotential(1.0, 5.0, 1.0)],
+                         ids=["box", "exp", "poly"])
+def test_pair_energy_spline_on_band_grids(V):
+    # the grids energy_of_plan builds over the pair band [mid, hi) at the
+    # kernel gamma: gtsv takes no row swap on them (pivot ratios 1, 2.0,
+    # 3.5, ... 1.87), and the cached spline is CubicSpline's to the bit
+    from scipy.interpolate import CubicSpline
+    rng = np.random.default_rng(23)
+    gamma = gamma_via_K(V)
+    for rho in (0.1, 0.05, 0.02):
+        *_, mid, hi = optstate._bands(rho, gamma, 1.0)
+        pad = max(1e-3, 0.01 * (hi - mid))
+        lo, hi = mid - pad, hi + pad
+        x = np.linspace(lo, hi, 12)
+        ratios = _gtsv_pivot_ratios(x)
+        assert ratios[0] == 1.0 and ratios[1:4] == pytest.approx([2.0, 3.5, 3.714], abs=1e-3)
+        assert min(ratios[1:]) == pytest.approx(1.866, abs=1e-3)
+        y = [solve_two_body(V, l, M=16).energy for l in x]
+        t = _spline_points(x, rng)
+        spline = optstate._pair_energy_spline(V, lo, hi)
+        assert np.array_equal(spline(t), CubicSpline(x, y)(t))
 
 
 def test_neighbour_pairs_match_loop_break():

@@ -18,6 +18,14 @@ def test_box_closed_forms():
     assert tail_Z(U, 0.0) > 0.0
 
 
+@pytest.mark.parametrize("U", [BoxPotential(1.0, 1.0),
+                               ExponentialPotential(1.0, 1.0)], ids=["box", "exp"])
+def test_tail_Z_refuses_nan(U):
+    # NaN passed the check written as x < 0 and Z came out NaN
+    with pytest.raises(ValueError, match="non-negative"):
+        tail_Z(U, float("nan"))
+
+
 def test_exponential_tail():
     U = ExponentialPotential(1.0, 1.0)
     assert U.tail_integral(6.0) == pytest.approx(np.exp(-6.0))

@@ -251,3 +251,25 @@ def test_domain_errors():
         fermi_energy(0.0, 1.0)
     with pytest.raises(ValueError):
         fermi_length(0.1, 0.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: ids_theoretical(1.0, NAN), "mu must be positive",
+                 id="ids-mu"),
+    pytest.param(lambda: fermi_length(NAN, 1.0), "must be positive",
+                 id="fermi_length-rho"),
+    pytest.param(lambda: fermi_length(0.1, NAN), "must be positive",
+                 id="fermi_length-mu"),
+    pytest.param(lambda: fermi_energy(NAN, 1.0), "must be positive",
+                 id="fermi_energy-rho"),
+    pytest.param(lambda: lowest_levels(from_lengths([1.0, 2.0]), NAN),
+                 "n must be at least 1", id="lowest_levels-n"),
+])
+def test_arguments_refuse_nan(call, match):
+    # a NaN passed the checks written as x <= 0 or x < 1: the first three
+    # returned NaN, and lowest_levels failed building its table
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -265,11 +265,24 @@ def test_gamma_fit_solves_only_the_top_three_lengths(monkeypatch):
 
 @pytest.mark.parametrize("ells", [[10.0, np.nan, 20.0, 40.0],
                                   [10.0, np.inf, 20.0, 40.0],
-                                  [np.nan, 20.0, np.nan, 40.0]])
+                                  [np.nan, 20.0, np.nan, 40.0],
+                                  [-5.0, 10.0, 20.0, 40.0],
+                                  [0.0, 10.0, 20.0, 40.0],
+                                  [-np.inf, 10.0, 20.0, 40.0]])
 def test_gamma_fit_refuses_nan_and_inf_lengths(ells):
-    # a NaN or infinite length sorts last, so it is fitted and refused
-    with pytest.raises(ValueError):
+    # every length is checked, also one below the fitted three: the last
+    # three lists returned the value of [10, 20, 40]
+    with pytest.raises(ValueError, match="positive and finite"):
         gamma_via_fit(BoxPotential(1.0, 1.0), ells)
+
+
+@pytest.mark.parametrize("gamma,mu", [(np.nan, 1.0), (1.0, np.nan),
+                                      (np.inf, 1.0)])
+def test_astar_xstar_refuses_nan_and_inf(gamma, mu):
+    # a NaN passed the checks written as x < 0 or x <= 0; an infinite gamma,
+    # which the CLI refuses, gave (inf, 1.0)
+    with pytest.raises(ValueError):
+        astar_xstar(gamma, mu)
 
 
 @pytest.mark.parametrize("ells", [[20.0, 20.0, 20.0], [10.0, 20.0, 20.0]])

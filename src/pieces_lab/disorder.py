@@ -36,8 +36,12 @@ class PieceConfiguration:
             as long as each level threshold in it.
 
     Every array is read-only; cut_points, lefts and rights are views of one
-    copy of the edges, so the caller's cut array is neither kept nor
-    frozen.
+    edges array [0, cuts..., L].  The constructor checks L and mu and
+    copies the caller's cuts into that array, so the caller's array is
+    neither kept nor frozen; the samplers check L and mu themselves and
+    hand over the edges they built.  Both end in one step that checks
+    every length is positive: on edges from 0 to L that is the same as
+    cuts strictly increasing in (0, L), and a NaN cut fails it.
     """
 
     def __init__(self, L, mu, cut_points, seed=None):
@@ -47,19 +51,30 @@ class PieceConfiguration:
         if not 0 < mu < np.inf:
             raise ValueError("mu must be positive and finite")
         c = np.asarray(cut_points, dtype=np.float64)
-        if c.size and not (c[0] > 0 and c[-1] < L
-                           and np.all(np.diff(c) > 0)):
+        self._set_edges(L, mu, np.concatenate(([0.0], c, [L])), seed)
+
+    @classmethod
+    def _from_edges(cls, L, mu, edges, seed):
+        """The configuration on edges = [0, cuts..., L], an array the
+        configuration takes over; L and mu are checked by the caller."""
+        cfg = cls.__new__(cls)
+        cfg._set_edges(L, mu, edges, seed)
+        return cfg
+
+    def _set_edges(self, L, mu, edges, seed):
+        lengths = np.diff(edges)
+        # min propagates NaN, which fails the test
+        if not lengths.min() > 0:
             raise ValueError("cut points must be strictly increasing in (0, L)")
         self.L = float(L)
         self.mu = float(mu)
         self.seed = seed
-        edges = np.concatenate(([0.0], c, [L]))
         edges.flags.writeable = False
         self.cut_points = edges[1:-1]
         self.lefts = edges[:-1]
         self.rights = edges[1:]
-        self.lengths = self.rights - self.lefts
-        self.lengths.flags.writeable = False
+        lengths.flags.writeable = False
+        self.lengths = lengths
 
     @property
     def n_pieces(self):
@@ -100,20 +115,25 @@ def sample_pieces(seed, L, mu):
     if not 0 < mu < np.inf:
         raise ValueError("mu must be positive and finite")
     rng = _rng(seed)
-    pts = []
+    pts = [[0.0]]
     pos = 0.0
     # draw gaps in blocks; expected count is mu*L
     block = max(64, int(1.2 * mu * L) + 16)
     while True:
-        gaps = rng.exponential(1.0 / mu, size=block)
-        cum = pos + np.cumsum(gaps)
+        cum = np.cumsum(rng.exponential(1.0 / mu, size=block))
+        if pos:
+            cum += pos
         inside = cum[:np.searchsorted(cum, L)]  # cum is sorted
         pts.append(inside)
         if inside.size < block:
             break
         pos = cum[-1]
         block = max(64, block // 4)
-    return PieceConfiguration(L, mu, np.concatenate(pts), seed=seed)
+    pts.append([L])
+    edges = np.concatenate(pts)
+    # free the draws before the lengths are taken
+    del pts, cum, inside
+    return PieceConfiguration._from_edges(L, mu, edges, seed)
 
 
 def sample_pieces_conditioned(seed, L, m):
@@ -126,13 +146,16 @@ def sample_pieces_conditioned(seed, L, m):
     """
     if not m >= 1:
         raise ValueError("m must be at least 1")
-    if not L > 0:
-        raise ValueError("L must be positive")
+    if not 0 < L < np.inf:
+        raise ValueError("L must be positive and finite")
     rng = _rng(seed)
     eta = rng.exponential(1.0, size=m)
     lengths = L * eta / eta.sum()
-    cuts = np.cumsum(lengths)[:-1]
-    return PieceConfiguration(L, 1.0, cuts, seed=seed)
+    edges = np.empty(m + 1)
+    edges[0] = 0.0
+    np.cumsum(lengths[:-1], out=edges[1:-1])
+    edges[-1] = L
+    return PieceConfiguration._from_edges(L, 1.0, edges, seed)
 
 
 def count_pieces_in_range(cfg, a, b):
@@ -144,25 +167,32 @@ def count_pieces_in_range(cfg, a, b):
 
 
 def _window_scan(lengths, starts, limit):
-    """Yield (i, j, gap) for the pieces j = i+2, i+3, ... right of each
-    start i (starts: sorted piece indices), one offset j - i at a time.
+    """Yield (j, gap) for the pieces j = i+2, i+3, ... right of each start
+    i (starts: sorted piece indices, repeats allowed), one offset j - i at
+    a time.
 
     gap is the total length of the pieces i+1 .. j-1, added left to right
     from 0.0; a start drops out at its first gap beyond limit (the gaps of a
-    start never shrink), so the work equals that of a per-start loop.
+    start never shrink), so the work equals that of a per-start loop.  j and
+    gap are updated in place at the next step, and new arrays are made only
+    when a start drops out: a yielded pair is valid until the scan resumes.
     """
     m = len(lengths)
-    i, gap = starts, np.zeros(len(starts))
-    o = 2
+    j = starts + 1  # the last piece of each gap
+    gap = np.zeros(len(j))
     while True:
-        n = np.searchsorted(i, m - o)  # the starts with i + o < m
-        gap = gap[:n] + lengths[i[:n] + o - 1]
+        n = np.searchsorted(j, m - 1)  # the starts with a piece j + 1 < m
+        j, gap = j[:n], gap[:n]
+        gap += lengths[j]
+        j += 1
         keep = gap <= limit
-        i, gap = i[:n][keep], gap[keep]
-        if not i.size:
+        if not keep.all():
+            # index arrays gather faster than a boolean mask compacts
+            live = np.flatnonzero(keep)
+            j, gap = j.take(live), gap.take(live)
+        if not j.size:
             return
-        yield i, i + o, gap
-        o += 1
+        yield j, gap
 
 
 def count_pair_clusters(cfg, a, b, c, d, g, f):
@@ -182,9 +212,10 @@ def count_pair_clusters(cfg, a, b, c, d, g, f):
         raise ValueError("length thresholds a, c must be positive")
     x = cfg.lengths
     starts = np.flatnonzero((x >= a) & (x <= a + b))
+    right = (x >= c) & (x <= c + d)
     count = 0
-    for _, j, gap in _window_scan(x, starts, g + f):
-        count += np.count_nonzero((gap >= g) & (x[j] >= c) & (x[j] <= c + d))
+    for j, gap in _window_scan(x, starts, g + f):
+        count += np.count_nonzero((gap >= g) & right[j])
     return int(count)
 
 
@@ -195,7 +226,7 @@ def count_neighbor_pairs(cfg, ell, ell_prime, d):
         raise ValueError("thresholds must be positive, d non-negative")
     x = cfg.lengths
     count = 0
-    for _, j, _ in _window_scan(x, np.flatnonzero(x >= ell), d):
+    for j, _ in _window_scan(x, np.flatnonzero(x >= ell), d):
         count += np.count_nonzero(x[j] >= ell_prime)
     return int(count)
 
@@ -204,19 +235,20 @@ def count_triplets(cfg, ell, ell_prime, ell_second, d):
     """Triplets of pieces, consecutive distances <= d, lengths >= the three
     thresholds (left to right).
 
-    Each middle piece contributes its left partners times its right
-    partners.
+    The left scan lists the middle piece of every (left, middle) pair, once
+    per pair; the right scan starts from that list, so each middle piece
+    counts its right partners once for each of its left partners.
     """
     if not (ell > 0 and ell_prime > 0 and ell_second > 0 and d >= 0):
         raise ValueError("thresholds must be positive, d non-negative")
     x = cfg.lengths
-    n_left = np.zeros(len(x), dtype=np.int64)
-    n_right = np.zeros(len(x), dtype=np.int64)
-    for _, j, _ in _window_scan(x, np.flatnonzero(x >= ell), d):
-        n_left[j] += 1
-    for i, j, _ in _window_scan(x, np.flatnonzero(x >= ell_prime), d):
-        n_right[i] += x[j] >= ell_second
-    return int(np.sum((x >= ell_prime) * n_left * n_right))
+    middles = [np.empty(0, dtype=np.int64)]
+    for j, _ in _window_scan(x, np.flatnonzero(x >= ell), d):
+        middles.append(j[x[j] >= ell_prime])
+    count = 0
+    for j, _ in _window_scan(x, np.sort(np.concatenate(middles)), d):
+        count += np.count_nonzero(x[j] >= ell_second)
+    return int(count)
 
 
 def max_piece_length(cfg):

@@ -77,9 +77,9 @@ class StatePlan:
 def fill_free_ground_state(cfg, n):
     """Occupy the n globally lowest one-particle levels."""
     table = lowest_levels(cfg, n)
-    occ = np.bincount(table.piece_index[:n], minlength=cfg.n_pieces)
+    occ = np.bincount(table.piece_index, minlength=cfg.n_pieces)
     return StatePlan(occ, np.zeros(cfg.n_pieces, dtype=bool),
-                     {"n": n, "cutoff": float(table.energies[n - 1])})
+                     {"n": n, "cutoff": float(table.energies[-1])})
 
 
 def _bands(rho, gamma, mu):
@@ -331,8 +331,8 @@ def second_order_prediction(rho, mu, gamma):
     """Closed-form second-order energy correction per particle:
     pi^2 gamma*^mu mu^-1 rho_mu l_rho^-3, rho_mu = rho/mu, with gamma*^mu
     the x* of astar_xstar."""
-    if not (rho > 0 and mu > 0 and gamma >= 0):
-        raise ValueError("positive rho, mu and gamma >= 0 required")
+    if not (0 < rho < np.inf and 0 < mu < np.inf and gamma >= 0):
+        raise ValueError("rho and mu must be positive and finite, gamma >= 0")
     if gamma == 0:
         return 0.0
     _, x = astar_xstar(gamma, mu)

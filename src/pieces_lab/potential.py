@@ -128,12 +128,20 @@ def tail_Z(U, x):
     """Z(x) = sup over v >= x of v^3 * int_v^inf U.
 
     Max over a geometric grid, refined by a bounded scalar minimization
-    around the best grid point.  Exactly 0 past a compact support.
+    around the best grid point.  Exactly 0 past a compact support, and at
+    x = inf wherever v^3 int_v^inf U tends to 0: for exp always, for poly
+    when exponent > 4.  A poly tail with exponent <= 4 has no Z(inf) = 0,
+    and x = inf raises ValueError for it.
     """
     if not x >= 0:
         raise ValueError("x must be non-negative")
     R = U.support_radius
     if R is not None and x >= R:
+        return 0.0
+    if x == np.inf:
+        if (isinstance(U, PolynomialPotential) and U.exponent <= 4
+                and U.amplitude > 0):
+            raise ValueError("Z(inf) is not 0 for a poly exponent <= 4")
         return 0.0
     v_hi = R if R is not None else max(10.0 * U.effective_radius(1e-14), 10.0)
     v_hi = max(v_hi, x * 1.0001 + 1.0)

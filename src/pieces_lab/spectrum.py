@@ -30,13 +30,14 @@ __all__ = [
 
 
 class SpectrumTable:
-    """Levels up to a cutoff, sorted by energy then (piece_index, k).
+    """Levels sorted by energy then (piece_index, k).
 
     Attributes:
         energies: sorted level energies.
         piece_index, k: per-level indices (k >= 1 within a piece).
-        cutoff: the enumeration cutoff; the table holds exactly the levels
-            with energy <= cutoff.
+        cutoff: the enumeration cutoff.  A table of enumerate_levels_below
+            holds exactly the levels with energy <= cutoff; one of
+            lowest_levels holds the first n of them.
     """
 
     def __init__(self, energies, piece_index, k, cutoff):
@@ -85,22 +86,36 @@ def _first_level(longest):
     return r * r
 
 
-def enumerate_levels_below(cfg, E):
-    """All levels with energy <= E: a piece of length l holds the levels k
-    with l >= l_k."""
+def _levels_below(cfg, E):
+    """The levels with energy <= E, unsorted: (energies, piece_index, k),
+    level 1 of every piece that has one, then level 2, and so on; within a
+    level, pieces left to right.  A piece of length l holds the levels k
+    with l >= l_k, so level k is on the pieces that hold level k - 1 and
+    reach l_k."""
     lengths = cfg.lengths
     longest = lengths.max()
     if E < _first_level(longest):
         empty = np.empty(0, dtype=np.int64)
-        return SpectrumTable(np.empty(0), empty, empty, E)
+        return np.empty(0), empty, empty
     thresholds = _level_thresholds(E, longest)
     pieces = np.flatnonzero(lengths >= thresholds[0])
-    counts = np.searchsorted(thresholds, lengths[pieces], side="right")
-    piece_index = np.repeat(pieces, counts)
-    starts = np.cumsum(counts) - counts
-    k = np.arange(len(piece_index)) - np.repeat(starts, counts) + 1
-    energies = (np.pi * k / lengths[piece_index]) ** 2
-    return SpectrumTable(energies, piece_index, k, E)
+    held = lengths[pieces]
+    energies, piece_index, k = [], [], []
+    for level, t in enumerate(thresholds, 1):
+        if level > 1:
+            reach = np.flatnonzero(held >= t)
+            pieces, held = pieces[reach], held[reach]
+        energies.append((np.pi * level / held) ** 2)
+        piece_index.append(pieces)
+        k.append(np.full(len(pieces), level))
+    return (np.concatenate(energies), np.concatenate(piece_index),
+            np.concatenate(k))
+
+
+def enumerate_levels_below(cfg, E):
+    """All levels with energy <= E: a piece of length l holds the levels k
+    with l >= l_k."""
+    return SpectrumTable(*_levels_below(cfg, E), E)
 
 
 def counting_function(cfg, E):
@@ -119,8 +134,8 @@ def counting_function(cfg, E):
 
 def ids_theoretical(E, mu):
     """Integrated density of states of the pieces model."""
-    if not mu > 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError("mu must be positive and finite")
     E = np.asarray(E, dtype=np.float64)
     out = np.zeros_like(E)
     pos = E > 0
@@ -132,8 +147,8 @@ def ids_theoretical(E, mu):
 
 def fermi_length(rho, mu):
     """Length l with N(pi^2/l^2) = rho: (1/mu)|log(rho/(mu+rho))|."""
-    if not (rho > 0 and mu > 0):
-        raise ValueError("rho and mu must be positive")
+    if not (0 < rho < np.inf and 0 < mu < np.inf):
+        raise ValueError("rho and mu must be positive and finite")
     return abs(np.log(rho / (mu + rho))) / mu
 
 
@@ -165,26 +180,49 @@ def free_energy_per_particle_theoretical(rho, mu):
     return val / rho
 
 
-def lowest_levels(cfg, n):
-    """A table holding the n lowest levels of the configuration, and maybe
-    more.
+def _enough_levels(cfg, n):
+    """The unsorted levels below the first cutoff that reaches n of them,
+    and that cutoff.
 
     The cutoff starts at 1.2 times the IDS-predicted Fermi energy for
-    density n/L and doubles, at most 60 times, until the table holds n
-    levels.  The table's order is total, so its first n entries are the
-    same whatever cutoff it stopped at.
+    density n/L and doubles, at most 60 times, until n levels lie at or
+    below it.
     """
     if not n >= 1:
         raise ValueError("n must be at least 1")
     E = fermi_energy(n / cfg.L, cfg.mu) * 1.2
     for _ in range(60):
-        table = enumerate_levels_below(cfg, E)
-        if len(table) >= n:
-            return table
+        levels = _levels_below(cfg, E)
+        if len(levels[0]) >= n:
+            return levels, E
         E *= 2.0
     raise ValueError("n exceeds all enumerable levels")
 
 
+def lowest_levels(cfg, n):
+    """A table holding the n lowest levels of the configuration, in the
+    order of enumerate_levels_below: where levels tie at the n-th energy,
+    the table keeps the first in (piece_index, k) order.  So the table is
+    the first n entries of enumerate_levels_below at any cutoff that holds
+    n levels.
+    """
+    (energies, piece_index, k), E = _enough_levels(cfg, n)
+    if len(energies) > n:
+        top = np.partition(energies, n - 1)[n - 1]
+        below = energies < top
+        tied = np.flatnonzero(energies == top)
+        # the enumeration lists levels k-major, the table (piece, k)
+        tied = tied[np.lexsort((k[tied], piece_index[tied]))]
+        below[tied[:n - np.count_nonzero(below)]] = True
+        keep = np.flatnonzero(below)
+        energies, piece_index, k = energies[keep], piece_index[keep], k[keep]
+    return SpectrumTable(energies, piece_index, k, E)
+
+
 def free_energy_per_particle_empirical(cfg, n):
-    """Mean of the n smallest levels of the configuration."""
-    return float(lowest_levels(cfg, n).energies[:n].mean())
+    """Mean of the n smallest levels of the configuration, summed in
+    ascending order."""
+    energies = _enough_levels(cfg, n)[0][0]
+    lowest = np.partition(energies, n - 1)[:n]
+    lowest.sort()
+    return float(lowest.mean())

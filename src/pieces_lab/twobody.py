@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._eigen import _lowest_eigenpairs
-from .quadrature import pair_reduced_matrix
+from .quadrature import _leggauss, pair_reduced_matrix
 
 __all__ = [
     "TwoBodySolution",
@@ -262,8 +262,8 @@ def gamma_via_K(U):
     edges = [-e for e in reversed(edges) if e > 0] + list(edges)
     nodes, weights = [], []
     n_per = max(40, _K_NODES // max(1, len(edges) - 1))
+    x, w = _leggauss(n_per)
     for a, b in zip(edges[:-1], edges[1:]):
-        x, w = np.polynomial.legendre.leggauss(n_per)
         nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
         weights.append(0.5 * (b - a) * w)
     u = np.concatenate(nodes)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,15 +101,62 @@ def _cuts_by_mask(seed, L, mu):
     return np.concatenate(pts)
 
 
+def _arrays_before(cuts, L):
+    """Reference: the configuration's arrays as the constructor built them
+    from a cut array: edges by concatenation, lengths rights - lefts."""
+    edges = np.concatenate(([0.0], cuts, [L]))
+    return edges[1:-1], edges[:-1], edges[1:], edges[1:] - edges[:-1]
+
+
+def _assert_arrays(cfg, cuts, L):
+    got = (cfg.cut_points, cfg.lefts, cfg.rights, cfg.lengths)
+    for a, b in zip(got, _arrays_before(cuts, L)):
+        assert np.array_equal(a, b)
+
+
 def test_sample_cuts_slice_matches_mask():
     cases = [(s, L, mu) for s in (0, 1, 2)
              for L, mu in ((0.5, 1.0), (5.0, 1.0), (1e3, 1.0), (1e5, 0.3))]
-    # seed 3298 at L = 50 draws more cuts than its first block of 76 holds
+    # seed 3298 at L = 50 draws more cuts than its first block of 76 holds,
+    # and these seeds more than the first block of 64 at L = 40
     cases.append((3298, 50.0, 1.0))
     assert sample_pieces(3298, 50.0, 1.0).n_pieces - 1 >= 76
+    for s in (6867, 9682, 13955):
+        cases.append((s, 40.0, 1.0))
+        assert sample_pieces(s, 40.0, 1.0).n_pieces - 1 >= 64
     for seed, L, mu in cases:
-        assert np.array_equal(sample_pieces(seed, L, mu).cut_points,
-                              _cuts_by_mask(seed, L, mu))
+        _assert_arrays(sample_pieces(seed, L, mu), _cuts_by_mask(seed, L, mu), L)
+
+
+def test_conditioned_arrays_match_the_constructor():
+    for seed in range(200):
+        for L, m in ((1.0, 1), (1.0, 2), (1.0, 5), (37.5, 40)):
+            eta = disorder._rng(seed).exponential(1.0, size=m)
+            cuts = np.cumsum(L * eta / eta.sum())[:-1]
+            _assert_arrays(sample_pieces_conditioned(seed, L, m), cuts, L)
+
+
+@pytest.mark.parametrize("cuts", [[1.0, 1.0], [0.0, 1.0], [1.0, 3.0], [2.0, 1.0]])
+def test_equal_or_outside_cuts_raise(cuts):
+    # the samplers hand their edges to the same check as the constructor
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PieceConfiguration(3.0, 1.0, cuts)
+    edges = np.array([0.0, *cuts, 3.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PieceConfiguration._from_edges(3.0, 1.0, edges, None)
+
+
+def test_sample_memory_stays_near_its_result():
+    # the draws, the edges and the lengths; the block of draws is freed
+    # before the lengths are taken
+    tracemalloc.start()
+    try:
+        cfg = sample_pieces(3, 1e6, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = cfg.lengths.nbytes + (cfg.n_pieces + 1) * 8
+    assert peak <= 1.5 * result
 
 
 def test_configuration_leaves_caller_cuts_alone():
@@ -175,6 +224,8 @@ def _nan_at(scan, n_args, k):
                  id="sample-mu-inf"),
     pytest.param(lambda: sample_pieces_conditioned(7, 10.0, NAN), "m must be at least 1",
                  id="conditioned-m-nan"),
+    pytest.param(lambda: sample_pieces_conditioned(7, INF, 5), "L must be positive and finite",
+                 id="conditioned-L-inf"),
     *[_nan_at(count_pieces_in_range, 2, k) for k in range(2)],
     *[_nan_at(count_pair_clusters, 6, k) for k in range(6)],
     *[_nan_at(count_neighbor_pairs, 3, k) for k in range(3)],
@@ -319,3 +370,54 @@ def test_scans_match_reference_loops(case, data):
     assert (count_triplets(cfg, ell, ellp, ellpp, dist)
             == _triplet_scan(x, ell, ellp, ellpp, dist))
 
+
+
+def _scan_before(lengths, starts, limit):
+    """Reference: the window scan that compacted every array at every
+    offset and yielded (i, j, gap)."""
+    m = len(lengths)
+    i, gap = starts, np.zeros(len(starts))
+    o = 2
+    while True:
+        n = np.searchsorted(i, m - o)
+        gap = gap[:n] + lengths[i[:n] + o - 1]
+        keep = gap <= limit
+        i, gap = i[:n][keep], gap[keep]
+        if not i.size:
+            return
+        yield i, i + o, gap
+        o += 1
+
+
+def _counts_before(x, pairs, neighbors, triplets):
+    a, b, c, d, g, f = pairs
+    clusters = 0
+    for _, j, gap in _scan_before(x, np.flatnonzero((x >= a) & (x <= a + b)), g + f):
+        clusters += np.count_nonzero((gap >= g) & (x[j] >= c) & (x[j] <= c + d))
+    ell, ellp, dist = neighbors
+    near = 0
+    for _, j, _ in _scan_before(x, np.flatnonzero(x >= ell), dist):
+        near += np.count_nonzero(x[j] >= ellp)
+    ell, ellp, ellpp, dist = triplets
+    n_left = np.zeros(len(x), dtype=np.int64)
+    n_right = np.zeros(len(x), dtype=np.int64)
+    for _, j, _ in _scan_before(x, np.flatnonzero(x >= ell), dist):
+        n_left[j] += 1
+    for i, j, _ in _scan_before(x, np.flatnonzero(x >= ellp), dist):
+        n_right[i] += x[j] >= ellpp
+    return clusters, near, int(np.sum((x >= ellp) * n_left * n_right))
+
+
+def test_scans_match_the_compacting_scan():
+    rng = np.random.default_rng(29)
+    cases = [((1.0, 3.0, 1.0, 3.0, 0.0, 2.0), (2.0, 2.0, 0.5), (1.5, 1.5, 1.5, 0.5))]
+    for _ in range(8):
+        u = rng.uniform(0.1, 3.0, size=13)
+        cases.append(((u[0], u[1], u[2], u[3], u[4], u[5]), (u[6], u[7], u[8]),
+                      (u[9], u[10], u[11], u[12])))
+    for seed in (0, 1, 2):
+        cfg = sample_pieces(seed, 2e4, 1.0)
+        for pairs, neighbors, triplets in cases:
+            assert ((count_pair_clusters(cfg, *pairs), count_neighbor_pairs(cfg, *neighbors),
+                     count_triplets(cfg, *triplets))
+                    == _counts_before(cfg.lengths, pairs, neighbors, triplets))

@@ -26,6 +26,25 @@ def test_tail_Z_refuses_nan(U):
         tail_Z(U, float("nan"))
 
 
+@pytest.mark.parametrize("U", [BoxPotential(1.0, 1.0), ExponentialPotential(1.0, 1.0),
+                               PolynomialPotential(1.0, 5.0, 1.0),
+                               PolynomialPotential(2.0, 4.5, 0.5)],
+                         ids=["box", "exp", "poly5", "poly4.5"])
+def test_tail_Z_at_infinity_is_zero(U):
+    # v^3 int_v^inf U -> 0: exp and poly returned NaN from a NaN grid
+    with np.errstate(all="raise"):
+        assert tail_Z(U, np.inf) == 0.0
+
+
+@pytest.mark.parametrize("exponent", [2.0, 4.0])
+def test_tail_Z_at_infinity_refuses_a_slow_poly_tail(exponent):
+    # Z(x) ~ x^(4 - exponent) does not vanish
+    U = PolynomialPotential(1.0, exponent, 1.0)
+    with pytest.raises(ValueError, match="exponent <= 4"):
+        tail_Z(U, np.inf)
+    assert tail_Z(U, 3.0) > 0.0
+
+
 def test_exponential_tail():
     U = ExponentialPotential(1.0, 1.0)
     assert U.tail_integral(6.0) == pytest.approx(np.exp(-6.0))

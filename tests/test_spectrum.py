@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pieces_lab.disorder import from_lengths, sample_pieces
+from pieces_lab.optstate import fill_free_ground_state, second_order_prediction
 from pieces_lab.potential import BoxPotential, ExponentialPotential
 from pieces_lab.spectrum import (SpectrumTable, _level_thresholds,
                                  counting_function, enumerate_levels_below,
@@ -180,6 +181,48 @@ def test_lowest_levels_do_not_depend_on_the_cutoff():
         lowest_levels(cfg, 0)
 
 
+def _table_before(cfg, n):
+    """Reference: lowest_levels as a lexsort of every level up to the
+    first doubled cutoff that holds n, each piece's levels listed by a
+    repeat over the piece counts."""
+    E = fermi_energy(n / cfg.L, cfg.mu) * 1.2
+    lengths = cfg.lengths
+    while True:
+        thresholds = _level_thresholds(E, lengths.max())
+        pieces = np.flatnonzero(lengths >= thresholds[0])
+        counts = np.searchsorted(thresholds, lengths[pieces], side="right")
+        piece_index = np.repeat(pieces, counts)
+        starts = np.cumsum(counts) - counts
+        k = np.arange(len(piece_index)) - np.repeat(starts, counts) + 1
+        if len(k) >= n:
+            energies = (np.pi * k / lengths[piece_index]) ** 2
+            order = np.lexsort((k, piece_index, energies))
+            return energies[order], piece_index[order], k[order]
+        E *= 2.0
+
+
+# lengths 2 and 4 share levels, so levels tie at the n-th energy
+_TIES = [from_lengths([4.0, 2.0, 4.0, 2.0, 2.0, 4.0]),
+         from_lengths([2.0, 4.0, 8.0, 2.0, 4.0], mu=0.5)]
+
+
+def test_lowest_levels_match_the_full_sort():
+    cases = [(cfg, n) for cfg in _TIES for n in range(1, 25)]
+    big = sample_pieces(7, 1e5, 1.0)
+    cases += [(big, round(rho * big.L)) for rho in (0.1, 0.05, 0.02)]
+    cases += [(sample_pieces(s, 300.0, 2.0), n) for s in range(5) for n in (1, 7, 60)]
+    for cfg, n in cases:
+        energies, piece_index, k = _table_before(cfg, n)
+        table = lowest_levels(cfg, n)
+        assert len(table) == n
+        assert np.array_equal(table.energies, energies[:n])
+        assert np.array_equal(table.piece_index, piece_index[:n])
+        assert np.array_equal(table.k, k[:n])
+        assert free_energy_per_particle_empirical(cfg, n) == energies[:n].mean()
+        occ = fill_free_ground_state(cfg, n).occupation
+        assert np.array_equal(occ, np.bincount(piece_index[:n], minlength=cfg.n_pieces))
+
+
 def test_table_sorted_by_energy():
     cfg = sample_pieces(12, 300.0, 1.0)
     table = enumerate_levels_below(cfg, 4.0)
@@ -272,4 +315,21 @@ def test_arguments_refuse_nan(call, match):
     # a NaN passed the checks written as x <= 0 or x < 1: the first three
     # returned NaN, and lowest_levels failed building its table
     with pytest.raises(ValueError, match=match):
+        call()
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ids_theoretical(1.0, INF), id="ids"),
+    pytest.param(lambda: fermi_length(0.1, INF), id="fermi_length"),
+    pytest.param(lambda: fermi_energy(0.1, INF), id="fermi_energy"),
+    pytest.param(lambda: second_order_prediction(0.1, INF, 1.0), id="second_order"),
+    pytest.param(lambda: fermi_length(INF, 1.0), id="fermi_length-rho"),
+])
+def test_infinite_mu_refused(call):
+    # an infinite mu passed the checks written as mu > 0, and each of these
+    # returned NaN
+    with pytest.raises(ValueError, match="positive and finite"):
         call()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from pieces_lab import twobody
+from pieces_lab import quadrature, twobody
 from pieces_lab.potential import (BoxPotential, ExponentialPotential,
                                   PolynomialPotential)
 from pieces_lab.quadrature import pair_reduced_matrix
@@ -299,6 +299,15 @@ def test_gamma_kernel_frozen_value():
     # problem restricted to the antisymmetric triangle with Richardson
     # extrapolation; both give 13.71 for the unit box
     assert gamma_via_K(BoxPotential(1.0, 1.0)) == pytest.approx(13.7131, abs=2e-3)
+
+
+def test_gamma_kernel_takes_its_rule_from_the_cache():
+    U = BoxPotential(1.0, 1.0)
+    first = gamma_via_K(U)
+    before = quadrature._leggauss.cache_info()
+    assert gamma_via_K(U) == first
+    after = quadrature._leggauss.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 def test_gamma_small_coupling_limit():

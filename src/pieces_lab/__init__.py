@@ -17,9 +17,9 @@ particles interact through a pair potential U.  The modules cover:
 
 Importing the package loads numpy only, and numpy does all of its linear
 algebra, so that every fresh process (a CLI run, a benchmark round) skips
-scipy's start-up.  scipy is used by two functions, which import it when
-called (free_energy_per_particle_theoretical: scipy.integrate.quad;
-tail_Z: scipy.optimize.minimize_scalar), and by the tests.
+scipy's start-up.  scipy is used by one function, which imports it when
+called (free_energy_per_particle_theoretical: scipy.integrate.quad), and
+by the tests.
 """
 
 from .disorder import (PieceConfiguration, count_neighbor_pairs,

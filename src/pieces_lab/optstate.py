@@ -165,60 +165,14 @@ def _fill_lowest(occ, lengths, idx, deficit, cap=None):
 # ---------------------------------------------------------------------------
 # plan energy
 
-def _not_a_knot_spline(lo, hi, y):
-    """The not-a-knot cubic spline through y on np.linspace(lo, hi, len(y)),
-    lo < hi and len(y) >= 4, equal to scipy's CubicSpline to the bit.
-
-    Its steps and their floating-point order are CubicSpline's: knot slopes
-    from a tridiagonal system, Hermite coefficients per interval, the
-    interval x[i] <= t < x[i+1] (the outer ones extended), and the cubic
-    summed from its constant term up.  The system is solved as LAPACK gtsv
-    (scipy's solve_banded) solves it, less the row interchanges, which an
-    even grid never takes: the first pivot equals the entry below it, and
-    every later pivot is at least 1.8 times as large (2.0, 3.5, about 3.73,
-    and 1.87 at the last row).
-    """
-    n, x = len(y), np.linspace(lo, hi, len(y))
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    d = np.empty(n)
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    b = np.empty(n)
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    d[0], d[-1] = dx[1], dx[-2]
-    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    # sub-, main and super-diagonal dl, d, du; b becomes the solution s
-    dl, du = [*dx[1:].tolist(), d1], [d0, *dx[:-1].tolist()]
-    d, s = d.tolist(), b.tolist()
-    for i in range(n - 1):
-        fact = dl[i] / d[i]
-        d[i + 1] = d[i + 1] - fact * du[i]
-        s[i + 1] = s[i + 1] - fact * s[i]
-    s[-1] = s[-1] / d[-1]
-    for i in range(n - 2, -1, -1):
-        s[i] = (s[i] - du[i] * s[i + 1]) / d[i]
-    s = np.array(s)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    c3, c2, c1, c0 = y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx
-
-    def spline(points):
-        points = np.asarray(points, dtype=np.float64)
-        i = np.clip(np.searchsorted(x, points, "right") - 1, 0, n - 2)
-        h = points - x[i]
-        h2 = h * h
-        return c3[i] + c2[i] * h + c1[i] * h2 + c0[i] * (h2 * h)
-
-    return spline
-
-
 @functools.cache
-def _pair_energy_spline(U, lmin, lmax):
-    """Not-a-knot cubic spline of the pair ground energy (M = 16) through
-    12 solves on an even grid of [lmin, lmax], cached by value."""
-    return _not_a_knot_spline(lmin, lmax, np.array(
-        [solve_two_body(U, l, M=16).energy for l in np.linspace(lmin, lmax, 12)]))
+def _pair_energy_interpolant(U, mid, hi):
+    """Degree-11 Chebyshev interpolant of the pair ground energy (M = 16)
+    on the pair band [mid, hi], through 12 solves at the band's Chebyshev
+    points, cached by value."""
+    return np.polynomial.Chebyshev.interpolate(
+        lambda ls: np.array([solve_two_body(U, l, M=16).energy for l in ls]),
+        11, domain=[mid, hi])
 
 
 def energy_of_plan(cfg, plan, U):
@@ -226,7 +180,8 @@ def energy_of_plan(cfg, plan, U):
 
     Per-piece terms: closed form pi^2 k^2/l^2 sums for singles and free
     fills, interacting two-body ground energies for plan.pair (over three
-    pairs: a cubic-spline cache over the band [mid, hi) of plan.thresholds).
+    pairs: the cached Chebyshev interpolant on the band [mid, hi] of
+    plan.thresholds, and ValueError for a pair length outside it).
     Cross terms: density-density integrals between occupied pieces within
     interaction range.  A pair's density is that of the two-body ground
     state solved on the piece's 0.05-wide length bin (one solve per bin,
@@ -246,11 +201,13 @@ def energy_of_plan(cfg, plan, U):
     total = free_occupation_energy(ell[~is_pair], q[~is_pair])
     pair_lengths = ell[is_pair]
     if len(pair_lengths) > 3:
-        # key the spline by the plan's pair band (not per-sample extremes)
-        # so the cache is shared across disorder realizations
-        lmin, lmax = plan.thresholds["mid"], plan.thresholds["hi"]
-        pad = max(1e-3, 0.01 * (lmax - lmin))
-        total += float(np.sum(_pair_energy_spline(U, lmin - pad, lmax + pad)(pair_lengths)))
+        # key the interpolant by the plan's pair band (not per-sample
+        # extremes) so the cache is shared across disorder realizations;
+        # a polynomial of degree 11 is not extrapolated
+        mid, hi = plan.thresholds["mid"], plan.thresholds["hi"]
+        if not np.all((pair_lengths >= mid) & (pair_lengths <= hi)):
+            raise ValueError(f"pair lengths outside the pair band [{mid}, {hi}]")
+        total += float(np.sum(_pair_energy_interpolant(U, mid, hi)(pair_lengths)))
     else:
         total += sum(solve_two_body(U, l, M=16).energy for l in pair_lengths)
     rng = U.effective_radius(1e-10)
@@ -322,6 +279,8 @@ def banded_fraction_prediction(rho, gamma, mu=1.0):
     """Predicted banded-count fraction 1 - r^2 (3 - x* - x*^2/2) with
     r = rho/(mu+rho) = e^{-mu l_rho}; accurate to O(rho^3) with a small
     constant (the literal rho^2 arrangement carries a ~7 rho^3 remainder)."""
+    if not (0 < rho < np.inf and 0 < mu < np.inf):
+        raise ValueError("rho and mu must be positive and finite")
     _, x = astar_xstar(gamma, mu)
     r = rho / (mu + rho)
     return 1.0 - r ** 2 * (3.0 - x - 0.5 * x ** 2)

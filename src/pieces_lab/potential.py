@@ -9,7 +9,7 @@ controls every remainder term downstream.
 
 Potentials are value objects: each family is a frozen dataclass, equal and
 hashed by its parameters, so the caches of two-body solves and pair-energy
-splines are keyed by value.
+interpolants are keyed by value.
 """
 
 import dataclasses
@@ -127,11 +127,15 @@ class PolynomialPotential(InteractionPotential):
 def tail_Z(U, x):
     """Z(x) = sup over v >= x of v^3 * int_v^inf U.
 
-    Max over a geometric grid, refined by a bounded scalar minimization
-    around the best grid point.  Exactly 0 past a compact support, and at
-    x = inf wherever v^3 int_v^inf U tends to 0: for exp always, for poly
-    when exponent > 4.  A poly tail with exponent <= 4 has no Z(inf) = 0,
-    and x = inf raises ValueError for it.
+    For each family v^3 int_v^inf U rises to one maximum and falls after
+    it: at v0 = 3R/4 (box), 3/rate (exp) or 3 scale / (exponent - 4) (poly,
+    exponent > 4), so Z(x) is its value at max(x, v0).  A poly tail with
+    exponent 4 rises to its supremum amplitude scale^4 / 3, and one with
+    exponent < 4 without bound (Z = inf); Z is 0 for a zero amplitude.
+    Exactly 0 past a compact support, and at x = inf wherever v^3
+    int_v^inf U tends to 0: for exp always, for poly when exponent > 4.  A
+    poly tail with exponent <= 4 has no Z(inf) = 0, and x = inf raises
+    ValueError for it.
     """
     if not x >= 0:
         raise ValueError("x must be non-negative")
@@ -143,21 +147,20 @@ def tail_Z(U, x):
                 and U.amplitude > 0):
             raise ValueError("Z(inf) is not 0 for a poly exponent <= 4")
         return 0.0
-    v_hi = R if R is not None else max(10.0 * U.effective_radius(1e-14), 10.0)
-    v_hi = max(v_hi, x * 1.0001 + 1.0)
-    v_lo = max(x, 1e-9)
-    grid = np.geomspace(v_lo, v_hi, 200)
-    vals = np.array([v ** 3 * U.tail_integral(v) for v in grid])
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if hi > lo:
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(lambda v: -v ** 3 * U.tail_integral(v),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-10})
-        return max(float(vals[i]), float(-res.fun))
-    return float(vals[i])
+    if isinstance(U, BoxPotential):
+        v0 = 0.75 * R
+    elif isinstance(U, ExponentialPotential):
+        v0 = 3.0 / U.rate
+    elif U.amplitude == 0:
+        return 0.0
+    elif U.exponent < 4:
+        return math.inf
+    elif U.exponent == 4:
+        return U.amplitude * U.scale ** 4 / 3.0
+    else:
+        v0 = 3.0 * U.scale / (U.exponent - 4.0)
+    v = max(x, v0)
+    return float(v ** 3 * U.tail_integral(v))
 
 
 _FAMILIES = {"box": BoxPotential, "exp": ExponentialPotential,

@@ -5,7 +5,7 @@ import pytest
 
 from pieces_lab import optstate, quadrature, twobody
 
-CACHES = (twobody._solve, optstate._pair_energy_spline, quadrature._leggauss)
+CACHES = (twobody._solve, optstate._pair_energy_interpolant, quadrature._leggauss)
 
 
 @pytest.fixture(autouse=True)

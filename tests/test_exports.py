@@ -99,15 +99,14 @@ def _scipy_modules_loaded(code):
 
 
 def test_import_leaves_other_scipy_modules_unloaded():
-    # free_energy_per_particle_theoretical and tail_Z import theirs when
-    # called
+    # free_energy_per_particle_theoretical imports its own when called
     assert _scipy_modules_loaded("import pieces_lab") == set()
 
 
 def test_workload_calls_load_no_scipy_module():
-    # one call of each kind that the benchmark workloads make; the
-    # (1, 1, 1) block of the exact ground state has dim 1000 and takes the
-    # package's own LOBPCG
+    # one call of each kind that the benchmark workloads make, and tail_Z
+    # and a bound check; the (1, 1, 1) block of the exact ground state has
+    # dim 1000 and takes the package's own LOBPCG
     loaded = _scipy_modules_loaded(
         "import pieces_lab\n"
         "pl = pieces_lab\n"
@@ -125,7 +124,9 @@ def test_workload_calls_load_no_scipy_module():
         "_, direct = pl.solve_block(far, (2, 1), U, M=8, n_states=1)\n"
         "f1, _ = pl.factorized_rdm([pair[0], single[0]])\n"
         "pl.trace_norm_distance(f1.matrix, pl.rdm1(direct[0]).matrix)\n"
-        "pl.subadditivity_check(iv[:2], 2, [(30.0, 5.0)], 1, U, M=6)")
+        "pl.subadditivity_check(iv[:2], 2, [(30.0, 5.0)], 1, U, M=6)\n"
+        "pl.tail_Z(pl.ExponentialPotential(1.0, 1.0), 0.5)\n"
+        "pl.cross_piece_bound_check(U, 6.0, 8.0, 0.5, '12')")
     assert loaded == set()
 
 
@@ -161,6 +162,8 @@ REMOVED_NAMES = [
     ("potential", "PolynomialPotential.scaled"),
     ("rdm", "DensityMatrix.order"),
     ("optstate", "_gtsv"),
+    ("optstate", "_not_a_knot_spline"),
+    ("optstate", "_pair_energy_spline"),
 ]
 
 # (module, function, parameter) of options no caller set, taken out

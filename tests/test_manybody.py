@@ -383,8 +383,9 @@ STAGES = [pytest.param([(0.0, ell)], None, V, 24, id=f"stage-{name}-{ell}")
                           ("poly", PolynomialPotential(1.0, 5.0, 1.0)))
           for ell in (40.7, 80.0)]
 
-# the first stage of a pair-band solve of the trial state: the spline
-# nodes (M = 16, dim 160) and the length-bin densities (M = 12, dim 148)
+# the first stage of a pair-band solve of the trial state: the
+# interpolation nodes (M = 16, dim 160) and the length-bin densities
+# (M = 12, dim 148)
 PAIR_BAND_STAGES = [pytest.param([(0.0, ell)], None, U, M,
                                  id=f"pair-band-{ell}-M{M}")
                     for ell in (6.3, 9.1) for M in (12, 16)]

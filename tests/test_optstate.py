@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pieces_lab import optstate
+from pieces_lab import optstate, twobody
 from pieces_lab.disorder import from_lengths, sample_pieces
 from pieces_lab.manybody import free_occupation_energy
 from pieces_lab.optstate import (StatePlan, banded_fraction_prediction,
@@ -93,6 +93,15 @@ def test_banded_prediction_matches_count():
           for s in range(300)]
     pred = banded_fraction_prediction(rho, GAMMA)
     assert abs(np.mean(fr) - pred) < 3 * np.std(fr) / np.sqrt(len(fr)) + 5 * rho ** 3
+
+
+@pytest.mark.parametrize("rho,mu", [(NAN, 1.0), (INF, 1.0), (0.0, 1.0),
+                                    (-0.1, 1.0), (0.1, NAN), (0.1, INF),
+                                    (0.1, 0.0)])
+def test_banded_fraction_prediction_refuses_bad_rho_and_mu(rho, mu):
+    # a NaN rho gave a NaN fraction, as second_order_prediction refuses
+    with pytest.raises(ValueError, match="rho and mu"):
+        banded_fraction_prediction(rho, GAMMA, mu)
 
 
 def test_second_order_prediction_value():
@@ -320,15 +329,14 @@ def _loop_energy_of_plan(cfg, plan, U):
     occ_idx = plan.occupied()
     total = 0.0
     pair_lengths = [lengths[j] for j in occ_idx if plan.pair[j]]
-    spline = None
+    interpolant = None
     if len(pair_lengths) > 3:
-        lmin, lmax = plan.thresholds["mid"], plan.thresholds["hi"]
-        pad = max(1e-3, 0.01 * (lmax - lmin))
-        spline = optstate._pair_energy_spline(U, lmin - pad, lmax + pad)
+        interpolant = optstate._pair_energy_interpolant(
+            U, plan.thresholds["mid"], plan.thresholds["hi"])
     for j in occ_idx:
         q, l = plan.occupation[j], lengths[j]
         if plan.pair[j]:
-            total += (float(spline(l)) if spline is not None
+            total += (float(interpolant(l)) if interpolant is not None
                       else solve_two_body(U, l, M=16).energy)
         else:
             total += free_occupation_energy([l], [q])
@@ -370,7 +378,7 @@ def _few_pair_plan():
                          ids=["box", "exp"])
 @pytest.mark.parametrize("case", ["spline", "few-pairs"])
 def test_energy_of_plan_matches_pair_loop(V, case):
-    if case == "spline":  # more than three pairs: the pair-energy spline
+    if case == "spline":  # more than three pairs: the band interpolant
         cfg = sample_pieces(6, 5e3, 1.0)
         plan = build_psi_opt(cfg, 0.05, GAMMA)
         assert plan.pair.sum() > 3
@@ -382,72 +390,55 @@ def test_energy_of_plan_matches_pair_loop(V, case):
     assert energy_of_plan(cfg, plan, V) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
-def _gtsv_pivot_ratios(x):
-    """|pivot| / |entry below it| at each step of gtsv's elimination of
-    CubicSpline's not-a-knot system on the grid x; gtsv swaps rows at a
-    step whose ratio is below 1."""
-    dx = np.diff(x)
-    dl = [*dx[1:], x[-1] - x[-3]]
-    d = [dx[1], *(2 * (dx[:-1] + dx[1:])), dx[-2]]
-    du = [x[2] - x[0], *dx[:-1]]
-    ratios = []
-    for i in range(len(x) - 1):
-        ratios.append(abs(d[i]) / abs(dl[i]))
-        d[i + 1] -= dl[i] / d[i] * du[i]
-    return ratios
-
-
-def _spline_points(x, rng):
-    # the knots (the last one exactly), points inside and points in the pad
-    # beyond either end
-    pad = 0.05 * (x[-1] - x[0])
-    return np.concatenate([x, [np.nextafter(x[-1], np.inf)],
-                           rng.uniform(x[0], x[-1], 40),
-                           rng.uniform(x[0] - pad, x[0], 8),
-                           rng.uniform(x[-1], x[-1] + pad, 8)])
-
-
-def test_pair_spline_matches_scipy_cubic_spline():
-    # the private spline against scipy's not-a-knot CubicSpline, to the
-    # bit, on evenly spaced 12-node grids of widths 1e-3 to 60, where gtsv
-    # never swaps rows
-    from scipy.interpolate import CubicSpline
-    rng = np.random.default_rng(19)
-    for trial in range(400):
-        lo = rng.uniform(0.5, 40.0)
-        hi = lo + 10.0 ** rng.uniform(-3.0, np.log10(60.0))
-        x = np.linspace(lo, hi, 12)
-        ratios = _gtsv_pivot_ratios(x)
-        assert ratios[0] == 1.0 and min(ratios[1:]) >= 1.8
-        y = rng.normal(size=12) * rng.uniform(1e-3, 1e3)
-        t = _spline_points(x, rng)
-        ours, ref = optstate._not_a_knot_spline(lo, hi, y), CubicSpline(x, y)
-        assert np.array_equal(ours(t), ref(t))
-        assert float(ours(t[-1])) == float(ref(t[-1]))
-
-
 @pytest.mark.parametrize("V", [U, ExponentialPotential(1.0, 1.0),
                                PolynomialPotential(1.0, 5.0, 1.0)],
                          ids=["box", "exp", "poly"])
-def test_pair_energy_spline_on_band_grids(V):
-    # the grids energy_of_plan builds over the pair band [mid, hi) at the
-    # kernel gamma: gtsv takes no row swap on them (pivot ratios 1, 2.0,
-    # 3.5, ... 1.87), and the cached spline is CubicSpline's to the bit
-    from scipy.interpolate import CubicSpline
+def test_pair_energy_interpolant_on_band_grids(V):
+    # the interpolant energy_of_plan builds on the pair band [mid, hi) at
+    # the kernel gamma, against direct solves at both ends and inside
     rng = np.random.default_rng(23)
     gamma = gamma_via_K(V)
     for rho in (0.1, 0.05, 0.02):
         *_, mid, hi = optstate._bands(rho, gamma, 1.0)
-        pad = max(1e-3, 0.01 * (hi - mid))
-        lo, hi = mid - pad, hi + pad
-        x = np.linspace(lo, hi, 12)
-        ratios = _gtsv_pivot_ratios(x)
-        assert ratios[0] == 1.0 and ratios[1:4] == pytest.approx([2.0, 3.5, 3.714], abs=1e-3)
-        assert min(ratios[1:]) == pytest.approx(1.866, abs=1e-3)
-        y = [solve_two_body(V, l, M=16).energy for l in x]
-        t = _spline_points(x, rng)
-        spline = optstate._pair_energy_spline(V, lo, hi)
-        assert np.array_equal(spline(t), CubicSpline(x, y)(t))
+        ls = np.concatenate([[mid, hi], rng.uniform(mid, hi, 10)])
+        ref = [solve_two_body(V, l, M=16).energy for l in ls]
+        got = optstate._pair_energy_interpolant(V, mid, hi)(ls)
+        assert got == pytest.approx(ref, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("scale,outside", [(1.01, True), (0.99, False)])
+def test_energy_of_plan_refuses_a_pair_outside_its_band(scale, outside):
+    # four pairs take the interpolant, which is not extrapolated: a pair
+    # a little past hi raises
+    *_, mid, hi = optstate._bands(0.05, GAMMA, 1.0)
+    cfg = from_lengths([mid, 0.5 * (mid + hi), hi, scale * hi, 1.0])
+    plan = StatePlan([2, 2, 2, 2, 0], [True] * 4 + [False],
+                     {"mid": mid, "hi": hi})
+    if outside:
+        with pytest.raises(ValueError, match="pair band"):
+            energy_of_plan(cfg, plan, U)
+    else:
+        assert energy_of_plan(cfg, plan, U) > 0.0
+
+
+def test_pair_energy_interpolant_cost(monkeypatch):
+    # two samples on one band: 12 interpolation solves (each a miss of the
+    # two-body cache), the second sample a hit of the interpolant's cache
+    calls = []
+
+    def counted(V, ell, M=24, rtol=1e-6):
+        calls.append((V, float(ell), M, rtol))
+        return solve_two_body(V, ell, M, rtol)
+
+    monkeypatch.setattr(optstate, "solve_two_body", counted)
+    for seed in (11, 12):
+        assert optstate.asymptotics_check(sample_pieces(seed, 2e4, 1.0), 0.05,
+                                          U, GAMMA)["n"] == 1000
+    node_solves = [c for c in calls if c[2] == 16]
+    assert len(node_solves) == len(set(node_solves)) == 12
+    assert twobody._solve.cache_info().misses == len(set(calls))
+    info = optstate._pair_energy_interpolant.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_neighbour_pairs_match_loop_break():

@@ -45,6 +45,43 @@ def test_tail_Z_at_infinity_refuses_a_slow_poly_tail(exponent):
     assert tail_Z(U, 3.0) > 0.0
 
 
+@pytest.mark.parametrize("U", [BoxPotential(1.0, 1.0), BoxPotential(2.0, 1.5),
+                               ExponentialPotential(1.0, 1.0),
+                               ExponentialPotential(0.5, 3.0),
+                               PolynomialPotential(1.0, 5.0, 1.0),
+                               PolynomialPotential(2.0, 4.5, 0.5),
+                               PolynomialPotential(1.0, 8.0, 2.0)],
+                         ids=["box", "box2", "exp", "exp3", "poly5", "poly4.5",
+                              "poly8"])
+def test_tail_Z_is_the_grid_maximum(U):
+    # the closed form against the largest v^3 int_v^inf U on a dense grid
+    # of [x, x + 60]: at least every grid value, and close to the largest
+    for x in (0.0, 0.3, 1.0, 2.5, 7.0, 40.0):
+        v = np.linspace(x, x + 60.0, 60001)
+        best = np.max(v ** 3 * np.array([U.tail_integral(t) for t in v]))
+        Z = tail_Z(U, x)
+        assert best <= Z * (1.0 + 1e-14)
+        assert Z == pytest.approx(best, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("exponent,Z", [(2.0, np.inf), (3.0, np.inf),
+                                        (3.99, np.inf), (4.0, 2.0 * 0.5 ** 4 / 3)])
+def test_tail_Z_of_a_slow_poly_tail(exponent, Z):
+    # v^3 int_v^inf U grows without bound for exponent < 4 and rises to
+    # amplitude scale^4 / 3 for exponent 4: a grid stopping at a finite v
+    # read a finite Z (4.19e7 at exponent 3)
+    U = PolynomialPotential(2.0, exponent, 0.5)
+    for x in (0.0, 3.0, 1e6):
+        assert tail_Z(U, x) == Z
+
+
+@pytest.mark.parametrize("exponent", [2.0, 4.0, 5.0])
+def test_tail_Z_of_a_zero_amplitude_is_zero(exponent):
+    U = PolynomialPotential(0.0, exponent, 1.0)
+    for x in (0.0, 3.0, np.inf):
+        assert tail_Z(U, x) == 0.0
+
+
 def test_exponential_tail():
     U = ExponentialPotential(1.0, 1.0)
     assert U.tail_integral(6.0) == pytest.approx(np.exp(-6.0))

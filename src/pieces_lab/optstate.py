@@ -13,16 +13,19 @@ interaction constant gamma:
 with A* = mu gamma / 8 pi^2 and x* = 1 - exp(-A*).  The particle deficit is
 completed by free levels in long pieces (preferring lengths in
 [3 l_rho (1+rho), 4 l_rho)).  A plan is the occupations plus a mask of
-the pair pieces.  The plan energy adds closed-form kinetic terms, cached
+the pair pieces.  The plan energy adds closed-form kinetic terms,
 interacting pair energies, and density-density cross terms between pieces
-within interaction range.
+within interaction range.  Over three pairs, the pair energies and
+densities are Chebyshev interpolants on the pair band, both from the same
+12 cached two-body solves.
 
 Every piece density enters quadrature.cross_density_integral as its cosine
 coefficients, which quadrature.cosine_coefficients computes from the
 piece's 1-RDM over its Dirichlet modes: the identity I_q for a free fill
 of q levels, the one-hot diag(e_i) for a single in level i, the 1-RDM of
-a two-body ground state for a pair, and its block of the state's rdm1 for
-a piece of a CI state.
+a two-body ground state for a pair (or the interpolant of its
+coefficients), and its block of the state's rdm1 for a piece of a CI
+state.
 """
 
 import functools
@@ -166,32 +169,49 @@ def _fill_lowest(occ, lengths, idx, deficit, cap=None):
 # plan energy
 
 @functools.cache
-def _pair_energy_interpolant(U, mid, hi):
-    """Degree-11 Chebyshev interpolant of the pair ground energy (M = 16)
-    on the pair band [mid, hi], through 12 solves at the band's Chebyshev
-    points, cached by value."""
-    return np.polynomial.Chebyshev.interpolate(
-        lambda ls: np.array([solve_two_body(U, l, M=16).energy for l in ls]),
-        11, domain=[mid, hi])
+def _pair_band(U, mid, hi):
+    """The pair ground state (M = 16) on the pair band [mid, hi] from 12
+    solves at the band's Chebyshev points, cached by value: the degree-11
+    Chebyshev interpolant of its energy, and a function that maps pair
+    lengths to the degree-11 interpolants of its density's cosine
+    coefficients (one row per length).  Each node's coefficients are padded
+    with zeros to the longest, so a coefficient that is zero at every node
+    stays exactly zero."""
+    cheb = np.polynomial.chebyshev
+    # the points and the energy fit of Chebyshev.interpolate(f, 11, domain=
+    # [mid, hi]), written out so that both fits share the solves
+    ls = np.polynomial.polyutils.mapdomain(cheb.chebpts1(12), [-1.0, 1.0], [mid, hi])
+    sols = [solve_two_body(U, l, M=16) for l in ls]
+    energy = np.polynomial.Chebyshev(
+        cheb.chebinterpolate(lambda _: np.array([s.energy for s in sols]), 11),
+        domain=[mid, hi])
+    coeffs = [cosine_coefficients(s.one_body_rdm()) for s in sols]
+    width = max(map(len, coeffs))
+    table = cheb.chebinterpolate(
+        lambda _: np.array([np.pad(c, (0, width - len(c))) for c in coeffs]), 11)
+    off, scl = energy.mapparms()
+
+    def density(ls):
+        return cheb.chebval(off + scl * np.asarray(ls), table).T
+
+    return energy, density
 
 
 def energy_of_plan(cfg, plan, U):
     """Total energy of the plan state.
 
     Per-piece terms: closed form pi^2 k^2/l^2 sums for singles and free
-    fills, interacting two-body ground energies for plan.pair (over three
-    pairs: the cached Chebyshev interpolant on the band [mid, hi] of
-    plan.thresholds, and ValueError for a pair length outside it).
-    Cross terms: density-density integrals between occupied pieces within
-    interaction range.  A pair's density is that of the two-body ground
-    state solved on the piece's 0.05-wide length bin (one solve per bin,
-    shared across samples), dilated to the piece: the same mode
-    coefficients, so the same 1-RDM.
+    fills, interacting two-body ground states for plan.pair.  Over three
+    pairs, a pair's energy and density come from the cached interpolants of
+    _pair_band on the band [mid, hi] of plan.thresholds (ValueError for a
+    pair length outside it); otherwise from a direct M = 16 solve at the
+    piece's length.  Cross terms: density-density integrals between occupied
+    pieces within interaction range.
 
-    The in-range piece pairs are found array-at-a-time, each distinct
-    density's cosine coefficients are computed once, and the pairs are
-    integrated in one stacked cross_density_integral call per pair of mode
-    counts.
+    The in-range piece pairs are found array-at-a-time, the pair pieces'
+    cosine coefficients come from one interpolant evaluation over three
+    pairs (a free fill's once per q), and the pairs are integrated in one
+    stacked cross_density_integral call per pair of mode counts.
     """
     lengths = cfg.lengths
     occ_idx = plan.occupied()
@@ -201,32 +221,36 @@ def energy_of_plan(cfg, plan, U):
     total = free_occupation_energy(ell[~is_pair], q[~is_pair])
     pair_lengths = ell[is_pair]
     if len(pair_lengths) > 3:
-        # key the interpolant by the plan's pair band (not per-sample
+        # key the interpolants by the plan's pair band (not per-sample
         # extremes) so the cache is shared across disorder realizations;
         # a polynomial of degree 11 is not extrapolated
         mid, hi = plan.thresholds["mid"], plan.thresholds["hi"]
         if not np.all((pair_lengths >= mid) & (pair_lengths <= hi)):
             raise ValueError(f"pair lengths outside the pair band [{mid}, {hi}]")
-        total += float(np.sum(_pair_energy_interpolant(U, mid, hi)(pair_lengths)))
+        energy, density = _pair_band(U, mid, hi)
+        total += float(np.sum(energy(pair_lengths)))
     else:
         total += sum(solve_two_body(U, l, M=16).energy for l in pair_lengths)
+
+        def density(ls):
+            return [cosine_coefficients(solve_two_body(U, l, M=16).one_body_rdm())
+                    for l in ls]
     rng = U.effective_radius(1e-10)
     a, b, gap = _neighbour_pairs(cfg.lefts[occ_idx], cfg.rights[occ_idx], rng)
-    # one solve per pair piece with a neighbour in range (cached per length
-    # bin); a density is the 1-RDM of a pair's bin solution or the free fill
-    # I_q of any other piece, and each distinct one gets its coefficients once
+    # a density is the pair state's at the piece's length or the free fill
+    # I_q of any other piece, for the pieces with a neighbour in range
     near = np.zeros(len(occ_idx), dtype=bool)
     near[a] = near[b] = True
-    pieces = np.flatnonzero(near)
-    source, label = {}, np.zeros(len(occ_idx), dtype=np.int64)
-    for p in pieces:
-        src = (solve_two_body(U, round(ell[p] * 20.0) / 20.0, M=12, rtol=1e-4)
-               if is_pair[p] else int(q[p]))
-        label[p] = source.setdefault(src, len(source))
-    coeffs = [cosine_coefficients(np.eye(src) if isinstance(src, int) else src.one_body_rdm())
-              for src in source]
-    return total + _cross_sum(U, [coeffs[d] for d in label[a]], ell[a],
-                              [coeffs[d] for d in label[b]], ell[b], gap)
+    coeffs = [None] * len(occ_idx)
+    pairs = np.flatnonzero(near & is_pair)
+    for p, c in zip(pairs.tolist(), density(ell[pairs])):
+        coeffs[p] = c
+    fills = np.flatnonzero(near & ~is_pair)
+    fill = {k: cosine_coefficients(np.eye(k)) for k in set(q[fills].tolist())}
+    for p in fills.tolist():
+        coeffs[p] = fill[int(q[p])]
+    return total + _cross_sum(U, [coeffs[i] for i in a.tolist()], ell[a],
+                              [coeffs[i] for i in b.tolist()], ell[b], gap)
 
 
 def _cross_sum(U, dens_a, ell_a, dens_b, ell_b, gap):

@@ -164,6 +164,7 @@ REMOVED_NAMES = [
     ("optstate", "_gtsv"),
     ("optstate", "_not_a_knot_spline"),
     ("optstate", "_pair_energy_spline"),
+    ("optstate", "_pair_energy_interpolant"),
 ]
 
 # (module, function, parameter) of options no caller set, taken out

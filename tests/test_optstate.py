@@ -331,7 +331,7 @@ def _loop_energy_of_plan(cfg, plan, U):
     pair_lengths = [lengths[j] for j in occ_idx if plan.pair[j]]
     interpolant = None
     if len(pair_lengths) > 3:
-        interpolant = optstate._pair_energy_interpolant(
+        interpolant, _ = optstate._pair_band(
             U, plan.thresholds["mid"], plan.thresholds["hi"])
     for j in occ_idx:
         q, l = plan.occupation[j], lengths[j]
@@ -352,9 +352,8 @@ def _loop_energy_of_plan(cfg, plan, U):
             for idx in (j, k):
                 if idx in c:
                     continue
-                if plan.pair[idx]:
-                    ell_bin = round(lengths[idx] * 20.0) / 20.0
-                    G = solve_two_body(U, ell_bin, M=12, rtol=1e-4).one_body_rdm()
+                if plan.pair[idx]:  # a direct solve at the piece's length
+                    G = solve_two_body(U, lengths[idx], M=16).one_body_rdm()
                 else:
                     G = np.eye(plan.occupation[idx])
                 c[idx] = cosine_coefficients(G)
@@ -402,8 +401,41 @@ def test_pair_energy_interpolant_on_band_grids(V):
         *_, mid, hi = optstate._bands(rho, gamma, 1.0)
         ls = np.concatenate([[mid, hi], rng.uniform(mid, hi, 10)])
         ref = [solve_two_body(V, l, M=16).energy for l in ls]
-        got = optstate._pair_energy_interpolant(V, mid, hi)(ls)
+        got = optstate._pair_band(V, mid, hi)[0](ls)
         assert got == pytest.approx(ref, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("V,tol", [(U, 2e-6), (ExponentialPotential(1.0, 1.0), 1e-11),
+                                   (PolynomialPotential(1.0, 5.0, 1.0), 1e-11)],
+                         ids=["box", "exp", "poly"])
+def test_pair_density_interpolant_on_band_grids(V, tol):
+    # the density coefficients energy_of_plan interpolates on the pair band
+    # [mid, hi) at the kernel gamma, against cosine_coefficients of direct
+    # solves at both ends and inside; a coefficient zero at all 12 nodes
+    # (padding, or a frequency the states do not hold) stays exactly zero
+    rng = np.random.default_rng(29)
+    gamma = gamma_via_K(V)
+    widths = []
+    for rho in (0.1, 0.05, 0.02):
+        *_, mid, hi = optstate._bands(rho, gamma, 1.0)
+        _, dens = optstate._pair_band(V, mid, hi)
+        nodes = np.polynomial.polyutils.mapdomain(
+            np.polynomial.chebyshev.chebpts1(12), [-1.0, 1.0], [mid, hi])
+        at_nodes = [cosine_coefficients(solve_two_body(V, l, M=16).one_body_rdm())
+                    for l in nodes]
+        width = max(map(len, at_nodes))
+        zero = np.all([np.pad(c, (0, width - len(c))) == 0.0 for c in at_nodes], axis=0)
+        ls = np.concatenate([[mid, hi], rng.uniform(mid, hi, 5)])
+        got = dens(ls)
+        assert got.shape == (len(ls), width)
+        assert np.all(got[:, zero] == 0.0)
+        for l, row in zip(ls, got):
+            ref = cosine_coefficients(solve_two_body(V, l, M=16).one_body_rdm())
+            assert np.max(np.abs(row[:len(ref)] - ref)) <= tol
+            assert np.max(np.abs(row[len(ref):]), initial=0.0) <= tol
+        widths.append((width, min(map(len, at_nodes))))
+    if V is U:  # the box band at rho 0.05 mixes node widths: it is padded
+        assert widths[1] == (159, 113)
 
 
 @pytest.mark.parametrize("scale,outside", [(1.01, True), (0.99, False)])
@@ -421,9 +453,10 @@ def test_energy_of_plan_refuses_a_pair_outside_its_band(scale, outside):
         assert energy_of_plan(cfg, plan, U) > 0.0
 
 
-def test_pair_energy_interpolant_cost(monkeypatch):
-    # two samples on one band: 12 interpolation solves (each a miss of the
-    # two-body cache), the second sample a hit of the interpolant's cache
+def test_pair_band_cost(monkeypatch):
+    # two samples on one band: 12 interpolation solves in total, densities
+    # included (each a miss of the two-body cache), the second sample a hit
+    # of the band cache
     calls = []
 
     def counted(V, ell, M=24, rtol=1e-6):
@@ -434,10 +467,10 @@ def test_pair_energy_interpolant_cost(monkeypatch):
     for seed in (11, 12):
         assert optstate.asymptotics_check(sample_pieces(seed, 2e4, 1.0), 0.05,
                                           U, GAMMA)["n"] == 1000
-    node_solves = [c for c in calls if c[2] == 16]
-    assert len(node_solves) == len(set(node_solves)) == 12
-    assert twobody._solve.cache_info().misses == len(set(calls))
-    info = optstate._pair_energy_interpolant.cache_info()
+    assert len(calls) == len(set(calls)) == 12
+    assert all(c[2] == 16 for c in calls)
+    assert twobody._solve.cache_info().misses == 12
+    info = optstate._pair_band.cache_info()
     assert (info.hits, info.misses) == (1, 1)
 
 

@@ -231,11 +231,9 @@ def _density(U, kind, ell):
     if kind == "fill":  # the lowest 3 levels
         return cosine_coefficients(np.eye(3)), lambda x: sum(
             _s(k, ell)(np.asarray(x)) ** 2 for k in (1, 2, 3))
-    if kind == "pair":  # the state solved on the 0.05 length bin, rescaled
-        sol = solve_two_body(U, round(ell * 20.0) / 20.0, M=12, rtol=1e-4)
-        G = sol.one_body_rdm()
-        return cosine_coefficients(G), lambda x: (
-            density(G, sol.ell, np.asarray(x) * sol.ell / ell) * sol.ell / ell)
+    if kind == "pair":  # the two-body ground state solved on the piece
+        G = solve_two_body(U, ell, M=12, rtol=1e-4).one_body_rdm()
+        return cosine_coefficients(G), lambda x: density(G, ell, np.asarray(x))
     # one piece of a two-piece CI ground state: the density summed over the
     # state's rdm1 entries of that piece
     piece = int(kind[-1])

@@ -15,11 +15,10 @@ particles interact through a pair potential U.  The modules cover:
     optstate   banded trial states and the second-order energy expansion
     cli        seeded experiment harness (``pieces-lab`` entry point)
 
-Importing the package loads numpy only, and numpy does all of its linear
-algebra, so that every fresh process (a CLI run, a benchmark round) skips
-scipy's start-up.  scipy is used by one function, which imports it when
-called (free_energy_per_particle_theoretical: scipy.integrate.quad), and
-by the tests.
+numpy is the only runtime dependency: it does all of the linear algebra,
+and every numerical integral is a composite Gauss-Legendre sum on its
+rule, so that a fresh process (a CLI run, a benchmark round) loads numpy
+alone.
 """
 
 from .disorder import (PieceConfiguration, count_neighbor_pairs,

@@ -75,9 +75,11 @@ def band_pair_list(M, D, K):
     effective mode numbers at a small fraction of the full basis size.
     Pairs with j - i even span the reflection-even sector, which an even
     U never couples to the ground state (see the module docstring).
+    Listed in the (d, i) order, d = j - i, in which pair_reduced_matrix
+    groups them.
     """
-    return [(i, j) for i in range(1, K)
-            for j in range(i + 1, min(K, max(i + D, M)) + 1, 2)]
+    return [(i, i + d) for d in range(1, K, 2)
+            for i in range(1, (K if d <= D else min(K, M)) - d + 1)]
 
 
 class SolveStage(NamedTuple):
@@ -140,7 +142,7 @@ class TwoBodySolution:
 def _ground_state(H):
     w, v = _lowest_eigenpairs(H, 1)
     c = v[:, 0]
-    if c[0] < 0:  # pair (1,2) is first in lexicographic order
+    if c[0] < 0:  # pair (1,2) is first in (d, i) order
         c = -c
     return float(w[0]), c
 
@@ -197,17 +199,11 @@ def _solve(U, ell, M, rtol):
         free = np.pi ** 2 * (i * i + j * j) / ell ** 2
         sub = (j <= M) | ((j - i <= D) & (j <= K))
         comp = ~sub
-        # only the sub-basis columns of V are read.  They are built over the
-        # pairs in (d, i) order, d = j - i, in which pair_reduced_matrix
-        # groups them, and taken back to the pairs' order here
-        by_d = np.lexsort((i, j - i))
-        V = pair_reduced_matrix(U, ell, ij[by_d], cols=sub[by_d])
-        row = np.empty(len(pairs), dtype=np.intp)
-        row[by_d] = np.arange(len(pairs))
-        col = (np.cumsum(sub[by_d]) - 1)[row[sub]]
-        H = V[np.ix_(row[sub], col)]
+        # only the sub-basis columns of V are read
+        V = pair_reduced_matrix(U, ell, ij, cols=sub)
+        H = V[sub]
         H[np.diag_indices_from(H)] += free[sub]
-        H_comp = V[np.ix_(row[comp], col)]
+        H_comp = V[comp]
         del V
         e0, c0 = _ground_state(H)
         # second-order estimate of what the enlarged basis would add; the

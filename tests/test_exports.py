@@ -93,14 +93,29 @@ def _scipy_modules_loaded(code):
                                          os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=path)).stdout.split("\n")
-    assert out[0] == str(INIT)
-    return {".".join(m.split(".")[:2]) for m in out[1].split()}
+                         env=dict(os.environ, PYTHONPATH=path)).stdout
+    # the last two lines; code may print lines of its own before them
+    where, modules = out.split("\n")[-3:-1]
+    assert where == str(INIT)
+    return {".".join(m.split(".")[:2]) for m in modules.split()}
 
 
-def test_import_leaves_other_scipy_modules_unloaded():
-    # free_energy_per_particle_theoretical imports its own when called
+def test_import_loads_no_scipy_module():
     assert _scipy_modules_loaded("import pieces_lab") == set()
+
+
+def test_free_energy_loads_no_scipy_module(tmp_path):
+    # the theoretical free energy, called alone and by CLI free-energy
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[model]\nL = 2000\nmu = 1.0\nrho = 0.1\n")
+    loaded = _scipy_modules_loaded(
+        "import pieces_lab\n"
+        "from pieces_lab import cli\n"
+        "pieces_lab.free_energy_per_particle_theoretical(0.1, 1.0)\n"
+        f"assert cli.main(['free-energy', '--config', {str(cfg)!r},\n"
+        f"                 '--out', {str(tmp_path / 'out')!r}]) == 0")
+    assert loaded == set()
+    assert (tmp_path / "out" / "free-energy_summary.json").exists()
 
 
 def test_workload_calls_load_no_scipy_module():

@@ -1,7 +1,10 @@
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from pieces_lab.disorder import from_lengths, sample_pieces
 from pieces_lab.optstate import fill_free_ground_state, second_order_prediction
@@ -257,6 +260,44 @@ def test_free_energy_theoretical_small_rho_asymptotics():
     rho, mu = 0.1, 1.0
     e = free_energy_per_particle_theoretical(rho, mu)
     assert 0.0 < e < fermi_energy(rho, mu)
+
+
+def _free_energy_reference(rho, mu):
+    """The free energy per particle by scipy's adaptive quad, one call per
+    panel: panels that double from l_rho and split at every decay length
+    1/mu up to the package's cut, then one panel from the cut to infinity."""
+    ell = np.log1p(mu / rho) / mu
+    cut = ell + max(60.0 / mu, 10.0 * ell)
+    edges = np.union1d(ell * 2.0 ** np.arange(np.log2(cut / ell)),
+                       np.append(np.arange(ell, cut, 1.0 / mu), cut))
+    edges = np.append(edges, np.inf)
+
+    def integrand(l):
+        return ((np.pi / l) ** 2 * mu * mu * np.exp(-mu * l)
+                / np.expm1(-mu * l) ** 2)
+
+    return sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13)[0]
+               for a, b in zip(edges[:-1], edges[1:])) / rho
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.5, 1.0, 2.0, 10.0])
+def test_free_energy_theoretical_against_quad(mu):
+    # the reference agrees with a 30-digit mpmath integral to 3e-14 on a
+    # sample of these inputs
+    for rho in np.geomspace(1e-20, 1e6, 27):
+        ref = _free_energy_reference(rho, mu)
+        assert free_energy_per_particle_theoretical(rho, mu) == pytest.approx(
+            ref, rel=1e-12, abs=0.0), rho
+
+
+@pytest.mark.parametrize("rho,mu", [(1e6, 1.0), (1e5, 0.1), (1e-6, 1.0)])
+def test_fermi_length_closed_form(rho, mu):
+    # log(1 + mu/rho)/mu to 40 digits; log(rho/(mu + rho)) loses digits to
+    # the cancellation as rho/mu grows (5e-11 relative at 1e6)
+    with decimal.localcontext(decimal.Context(prec=40)):
+        ref = float((1 + decimal.Decimal(mu) / decimal.Decimal(rho)).ln()
+                    / decimal.Decimal(mu))
+    assert fermi_length(rho, mu) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 def test_free_energy_empirical_vs_theoretical():

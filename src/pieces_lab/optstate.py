@@ -176,7 +176,8 @@ def _pair_band(U, mid, hi):
     lengths to the degree-11 interpolants of its density's cosine
     coefficients (one row per length).  Each node's coefficients are padded
     with zeros to the longest, so a coefficient that is zero at every node
-    stays exactly zero."""
+    stays exactly zero; cross_density_integral takes its u-nodes from the
+    last non-zero coefficient, so the padding costs no nodes."""
     cheb = np.polynomial.chebyshev
     # the points and the energy fit of Chebyshev.interpolate(f, 11, domain=
     # [mid, hi]), written out so that both fits share the solves

@@ -32,11 +32,15 @@ class InteractionPotential:
     """Base class: even, non-negative pair potential U.
 
     Subclasses provide __call__ (vectorized, via |u|), tail_integral(v) =
-    int_v^inf U for v >= 0, support_radius (None if unbounded) and
-    breakpoints() (kink positions in u > 0, for quadrature panels).
+    int_v^inf U for v >= 0, support_radius (None if unbounded),
+    breakpoints() (kink positions in u > 0, for quadrature panels) and
+    constant_between_breakpoints (True if U is constant on every interval
+    between 0, its breakpoints and their mirror images, so that a u-panel's
+    quadrature order only has to resolve the oscillation of the modes).
     """
 
     support_radius = None
+    constant_between_breakpoints = False
 
     def breakpoints(self):
         return []
@@ -58,6 +62,7 @@ class BoxPotential(InteractionPotential):
 
     height: float = 1.0
     radius: float = 1.0
+    constant_between_breakpoints = True
 
     def __post_init__(self):
         if not (0 <= self.height < math.inf and 0 < self.radius < math.inf):

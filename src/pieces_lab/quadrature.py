@@ -17,20 +17,31 @@ table
 
 a_m = m pi / lA, b_n = n pi / lB, s_u = u + offset, is accumulated
 (m <= 2 mA, n <= 2 mB); every g entry is a signed combination of four J
-entries.  Sharply supported potentials cost nothing extra, and accuracy is
-governed by the u-panel rule alone.  A piece density is a cosine series in
-the same frequencies, so a density-density integral between two pieces
-contracts their J with the two densities' cosine coefficients
-(cross_density_integral; cosine_coefficients computes them from a
-sine-basis 1-RDM): the table is the one quadrature engine for every
-interaction integral.
+entries.  Sharply supported potentials cost nothing extra.  No u-panel
+spans more than _MAX_CYCLES = 6 cycles of the table's fastest oscillation,
+width * (mA / lA + mB / lB) cycles for a panel of that width.  On a
+potential that is constant between its breakpoints (the box;
+InteractionPotential.constant_between_breakpoints), the integrand on a
+panel is that oscillation alone, so each panel takes the smallest
+Gauss-Legendre order in 8, 12, 16, 24, 32 whose cycle limit (0.25, 1, 2,
+6 cycles) covers it: the order integrates exp(2 pi i c u) to round-off up
+to its limit.  Every other potential takes 32 nodes on every panel.
+
+A piece density is a cosine series in the same frequencies, so a
+density-density integral between two pieces contracts their J with the two
+densities' cosine coefficients (cross_density_integral;
+cosine_coefficients computes them from a sine-basis 1-RDM): the table is
+the one quadrature engine for every interaction integral.
 
 The table can be built over subsets of its rows and columns: every entry
-is a sum over the same u-nodes (those of the nominal mA and mB), so an
-entry of a subset table equals that entry of the full table.
-cross_density_integral builds only the frequencies at which some density
-of its batch has a non-zero coefficient: a pair state's density has none
-at odd n, nor beyond twice the reach of its sub-basis.
+is a sum over the same u-nodes (those of the nominal mA and mB; the panel
+orders depend on nothing else), so an entry of a subset table equals that
+entry of the full table.  cross_density_integral builds only the
+frequencies at which some density of its batch has a non-zero
+coefficient (a pair state's density has none at odd n, nor beyond twice
+the reach of its sub-basis), and takes its nominal mode counts from the
+last of them: zeros padded past a density's end add no frequency and no
+u-node, and leave the integral the same bit for bit.
 
 Every J lookup of a g entry reads J[|p|, |q|] with p, q sums and
 differences of mode numbers, so the table is folded once,
@@ -66,9 +77,10 @@ the u-nodes, the two bracket terms are therefore
 with A0 = -sum c_u sin(a s_u) over the lower ends at y = 0, A1 = sum c_u
 sin(a x_hi) over the upper ends at y = lB, B0 = sum c_u sin(b s_u) over the
 lower ends at x = 0 and B1 = sum c_u sin(b (lA - s_u)) over the upper ends
-at x = lA: one sine per node end and frequency, and no product over the
-node axis.  Each end's kind is read from the comparison that formed it
-(x_lo > 0, x_hi < lA), so the edge factors are exact.  Then
+at x = lA: one sine per node end and non-zero frequency (sin(0 x) = 0 is
+not evaluated), and no product over the node axis.  Each end's kind is
+read from the comparison that formed it (x_lo > 0, x_hi < lA), so the edge
+factors are exact.  Then
 
     J[m, n] = (1/2) sum_sigma (P[m, n] + sigma Q[m, n]) / (a_m + sigma b_n)
 
@@ -94,11 +106,12 @@ computed.
 The table has a leading batch axis: with arrays ellA, ellB and offset (mA
 and mB shared) it returns one table per piece pair, built in one pass.
 The u-panels of every entry come from array code (the same edges,
-clipping, subdivision and Gauss-Legendre rule), and dead panels and nodes
-are dropped by a stable compaction.  The sine sums run over the node ends
-of all entries at once and are added up per entry; for the small-w
+clipping, subdivision and Gauss-Legendre orders), each panel's nodes are
+gathered from the rules of all orders laid end to end, and dead panels and
+nodes are dropped by a stable compaction.  The sine sums run over the node
+ends of all entries at once and are added up per entry; for the small-w
 fallback each entry's live nodes fill one row of a zero-padded layout.
-Entries are taken in chunks by falling panel count, so the rows of a
+Entries are taken in chunks by falling node count, so the rows of a
 chunk's layout are of nearly equal length.  A scalar call is a batch of
 one.  Every stacked intermediate (a chunk's tables and padded nodes, a
 block of a sine table, a block of the fallback, a slice of
@@ -157,19 +170,46 @@ def _u_panels(U, lo, hi, extra_edges, dens):
     return e[seg], left, right
 
 
-def _u_nodes(U, ellA, ellB, offset, e, a, b):
+def _panel_orders(U, cycles):
+    """Gauss-Legendre order of each u-panel that spans the given oscillation
+    cycles: on a U constant between its breakpoints the smallest of _ORDERS
+    whose cycle limit covers the panel, else _ORDERS[-1] for every panel."""
+    if not U.constant_between_breakpoints:
+        return np.full(len(cycles), _ORDERS[-1])
+    return _ORDERS[np.searchsorted(_ORDER_CYCLES, cycles)]
+
+
+@functools.cache
+def _rules():
+    """The Gauss-Legendre rules of _ORDERS end to end, (x, w), and start,
+    where start[n] is the index of the first node of the rule of order n."""
+    x, w = (np.concatenate(r) for r in zip(*map(_leggauss, _ORDERS.tolist())))
+    start = np.zeros(_ORDERS[-1] + 1, dtype=np.intp)
+    start[_ORDERS] = np.cumsum(_ORDERS) - _ORDERS
+    return x, w, start
+
+
+def _u_nodes(U, ellA, ellB, offset, e, a, b, order):
     """Nodes of the u-panel rule on the panels (e, a, b) (see _u_panels),
-    for x on [0, ellA_e], y on [0, ellB_e] and u = x - y - offset_e.
+    order[p] of them on panel p, for x on [0, ellA_e], y on [0, ellB_e] and
+    u = x - y - offset_e.
 
     Returns (e, u, c, x_lo, x_hi) for the nodes that contribute: weight
     c = U(u) w_u non-zero and a non-empty x-interval [x_lo, x_hi] on which
     both pieces overlap at that u.
     """
-    x, w = _leggauss(_NODES_PER_PANEL)
+    # node k of panel p is node k of the rule of order[p], gathered from the
+    # rules end to end, as _u_panels builds its segments: each panel's nodes
+    # stay contiguous and in order
+    rule_x, rule_w, start = _rules()
+    p = np.repeat(np.arange(len(a)), order)
+    k = np.arange(len(p)) - np.repeat(np.cumsum(order) - order, order)
+    node = start[order][p] + k
+    x, w = rule_x[node], rule_w[node]
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    u = (half[:, None] * x + mid[:, None]).ravel()
-    c = np.asarray(U(u), dtype=np.float64) * (half[:, None] * w).ravel()
-    e = np.repeat(e, _NODES_PER_PANEL)
+    u = half[p] * x + mid[p]
+    c = np.asarray(U(u), dtype=np.float64) * (half[p] * w)
+    e = e[p]
     x_lo = np.maximum(0.0, u + offset[e])
     x_hi = np.minimum(ellA[e], u + offset[e] + ellB[e])
     # a boolean mask compacts stably: each entry's live nodes stay
@@ -178,8 +218,13 @@ def _u_nodes(U, ellA, ellB, offset, e, a, b):
     return e[keep], u[keep], c[keep], x_lo[keep], x_hi[keep]
 
 
-# Gauss-Legendre order of every u-panel, and the most oscillation cycles it spans
-_NODES_PER_PANEL = 32
+# Gauss-Legendre orders of a u-panel, and the most oscillation cycles each
+# but the last integrates to round-off: the error of the rule for
+# exp(2 pi i c x) on a unit panel at c = 0.25, 1, 2 and 6 is 1.6e-16,
+# 3.6e-16, 4.6e-16 and 6.8e-16, and 32 nodes stay within 6e-16 up to 9
+# cycles.  No panel spans more than _MAX_CYCLES cycles
+_ORDERS = np.array([8, 12, 16, 24, 32])
+_ORDER_CYCLES = np.array([0.25, 1.0, 2.0, 6.0])
 _MAX_CYCLES = 6.0
 # cells of each stacked intermediate: the (entry, m, n) cells and the
 # padded (entry, node) layout of a batch chunk, the (end, frequency) cells
@@ -208,26 +253,27 @@ def frequency_table(U, ellA, mA, ellB, mB, offset, *, rows=None, cols=None):
     alpha = (np.pi / ellA)[:, None] * rows
     beta = (np.pi / ellB)[:, None] * cols
     J = np.zeros((len(ellA), alpha.shape[1], beta.shape[1]))
+    dens = mA / ellA + mB / ellB
     e, a, b = _u_panels(U, -offset - ellB, ellA - offset,
-                        np.stack((-offset, ellA - ellB - offset), axis=1),
-                        mA / ellA + mB / ellB)
-    # the panels by falling panel count of their entry: a stable sort keeps
+                        np.stack((-offset, ellA - ellB - offset), axis=1), dens)
+    order = _panel_orders(U, (b - a) * dens[e])
+    # the panels by falling node count of their entry: a stable sort keeps
     # each entry's panels together and in order.  An entry without panels
     # keeps its zero table
-    panels = np.bincount(e, minlength=len(ellA))
-    by_count = np.argsort(-panels[e], kind="stable")
-    e, a, b = e[by_count], a[by_count], b[by_count]
+    nodes = np.bincount(e, order, minlength=len(ellA)).astype(np.int64)
+    by_count = np.argsort(-nodes[e], kind="stable")
+    e, a, b, order = e[by_count], a[by_count], b[by_count], order[by_count]
     # the first panel of each entry, then the end
     starts = np.append(_runs(e)[0], len(e))
     k = 0
     while k < len(starts) - 1:
         # a chunk of entries holds at most _CHUNK_CELLS cells of tables and
-        # of padded nodes; its first entry has the most panels, so its
+        # of padded nodes; its first entry has the most nodes, so its
         # padded nodes are nearly all live
-        n = max(1, _CHUNK_CELLS // max(J.shape[1] * J.shape[2],
-                                       _NODES_PER_PANEL * panels[e[starts[k]]]))
+        n = max(1, _CHUNK_CELLS // max(J.shape[1] * J.shape[2], nodes[e[starts[k]]]))
         part = slice(starts[k], starts[min(k + n, len(starts) - 1)])
-        e_u, u, c, x_lo, x_hi = _u_nodes(U, ellA, ellB, offset, e[part], a[part], b[part])
+        e_u, u, c, x_lo, x_hi = _u_nodes(U, ellA, ellB, offset, e[part], a[part], b[part],
+                                         order[part])
         # the entries that have live nodes (an entry without them, U zero
         # there, keeps its zero table)
         first, k_u = _runs(e_u)
@@ -288,16 +334,24 @@ def _sine_sums(freq, e, x, w):
     chunk entry k, the ends grouped by entry."""
     S = np.zeros(freq.shape)
     step = max(1, _CHUNK_CELLS // max(freq.shape[1], 1))
+    # sin(0 x) = 0: a zero first frequency (rows or cols from 0) keeps a
+    # zero column of sines, and only the others are evaluated.  The products
+    # still run over every column, so each sum adds in the same order
+    skip = int(freq.shape[1] > 0 and not freq[:, 0].any())
     for lo in range(0, len(e), step):
         ek, xk, wk = e[lo:lo + step], x[lo:lo + step], w[lo:lo + step]
+        sines = np.zeros((len(ek), freq.shape[1]))
+        live = sines[:, skip:]
         # a block inside one entry (every block of a scalar call) sums as
         # one vector-matrix product
-        if ek[0] == ek[-1]:
-            S[ek[0]] += wk @ np.sin(xk[:, None] * freq[ek[0]])
+        one = ek[0] == ek[-1]
+        np.multiply(xk[:, None], freq[ek[0], skip:] if one else freq[ek, skip:], out=live)
+        np.sin(live, out=live)
+        if one:
+            S[ek[0]] += wk @ sines
         else:
             first = _runs(ek)[0]
-            S[ek[first]] += np.add.reduceat(wk[:, None] * np.sin(xk[:, None] * freq[ek]),
-                                            first)
+            S[ek[first]] += np.add.reduceat(wk[:, None] * sines, first)
     return S
 
 
@@ -486,14 +540,15 @@ def cross_density_integral(U, c_a, ell_a, c_b, ell_b, gap):
                          for v in np.broadcast_arrays(ell_a, ell_b, gap))
     c_a, c_b = (np.asarray(c, dtype=np.float64).reshape(len(ell_a), -1)
                 for c in (c_a, c_b))
-    mA, mB = c_a.shape[1] // 2, c_b.shape[1] // 2
     # the tables hold only the frequencies at which some density of the
-    # batch has a non-zero coefficient
+    # batch has a non-zero coefficient, on the u-nodes of the mode counts
+    # that the last of them needs: zero padding adds neither
     rows, cols = (np.flatnonzero(np.any(c != 0.0, axis=0)) for c in (c_a, c_b))
     c_a, c_b = c_a[:, rows], c_b[:, cols]
     out = np.zeros(len(ell_a))
     # a zero density needs no table: its integrals are 0
     live = len(out) if len(rows) and len(cols) else 0
+    mA, mB = ((int(f[-1]) + 1) // 2 if len(f) else 0 for f in (rows, cols))
     # the tables of a slice of the batch stay within the cell budget
     step = max(1, _CHUNK_CELLS // max(len(rows) * len(cols), 1))
     for k in range(0, live, step):

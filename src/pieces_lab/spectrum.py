@@ -144,8 +144,9 @@ def ids_theoretical(E, mu):
     out = np.zeros_like(E)
     pos = E > 0
     ell = np.pi / np.sqrt(E[pos])
-    x = np.exp(-mu * ell)
-    out[pos] = mu * x / (1.0 - x)
+    # mu e^(-mu l) / (1 - e^(-mu l)), the difference taken by expm1 so that
+    # it keeps its digits at high energy, where mu l is small
+    out[pos] = mu * np.exp(-mu * ell) / -np.expm1(-mu * ell)
     return float(out) if out.ndim == 0 else out
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from pieces_lab import optstate, quadrature, twobody
 
-CACHES = (twobody._solve, optstate._pair_band, quadrature._leggauss)
+CACHES = (twobody._solve, optstate._pair_band, quadrature._leggauss, quadrature._rules)
 
 
 @pytest.fixture(autouse=True)

@@ -146,6 +146,12 @@ def _loop_u_nodes(U, ellA, ellB, offset, dens, n_nodes):
                 yield u, cu, x_lo, x_hi
 
 
+def _package_orders(U, dens):
+    """The package's Gauss-Legendre order of a u-panel (a, b) at oscillation
+    density dens, as the n_nodes hook of _loop_u_nodes."""
+    return lambda a, b: int(quadrature._panel_orders(U, np.array([(b - a) * dens]))[0])
+
+
 def _loop_cos_cos_integral(alpha, beta, shift, x_lo, x_hi):
     xm = 0.5 * (x_hi + x_lo)
     dx2 = 0.5 * (x_hi - x_lo)
@@ -157,17 +163,19 @@ def _loop_cos_cos_integral(alpha, beta, shift, x_lo, x_hi):
                   + half(alpha - beta, beta * shift))
 
 
-def _loop_frequency_table(U, ellA, mA, ellB, mB, offset, nodes_per_panel=32,
+def _loop_frequency_table(U, ellA, mA, ellB, mB, offset, n_nodes=None,
                           rows=None, cols=None):
-    """J[rows][:, cols] (all of J by default) from the u-nodes of mA and mB."""
+    """J[rows][:, cols] (all of J by default) from the u-nodes of mA and mB,
+    n_nodes(a, b) of them on the panel (a, b) (the package's orders by
+    default)."""
     rows = np.arange(2 * mA + 1) if rows is None else np.asarray(rows)
     cols = np.arange(2 * mB + 1) if cols is None else np.asarray(cols)
     alpha = (np.pi / ellA) * rows[:, None]
     beta = (np.pi / ellB) * cols[None, :]
     J = np.zeros((len(rows), len(cols)))
-    for u, cu, x_lo, x_hi in _loop_u_nodes(U, ellA, ellB, offset,
-                                           mA / ellA + mB / ellB,
-                                           lambda a, b: nodes_per_panel):
+    dens = mA / ellA + mB / ellB
+    for u, cu, x_lo, x_hi in _loop_u_nodes(U, ellA, ellB, offset, dens,
+                                           n_nodes or _package_orders(U, dens)):
         J += cu * _loop_cos_cos_integral(alpha, beta, u + offset, x_lo, x_hi)
     return J
 
@@ -330,9 +338,11 @@ def test_stacked_tables_cover_every_end_class():
     U = POTENTIALS[0]
     lA, lB, gap = _stacked_cases(U)
     offset = lA + gap
-    e, u, c, x_lo, x_hi = quadrature._u_nodes(U, lA, lB, offset, *quadrature._u_panels(
-        U, -offset - lB, lA - offset, np.stack((-offset, lA - lB - offset), axis=1),
-        3 / lA + 7 / lB))
+    dens = 3 / lA + 7 / lB
+    e, a, b = quadrature._u_panels(
+        U, -offset - lB, lA - offset, np.stack((-offset, lA - lB - offset), axis=1), dens)
+    e, u, c, x_lo, x_hi = quadrature._u_nodes(U, lA, lB, offset, e, a, b,
+                                              quadrature._panel_orders(U, (b - a) * dens[e]))
     s = u + offset[e]
     at_s, at_y = x_lo > 0.0, x_hi < lA[e]
     assert np.array_equal(x_lo[at_s], s[at_s]) and not x_lo[~at_s].any()
@@ -348,8 +358,9 @@ def _fallback_entries(U, lA, mA, lB, mB, offset):
     widest node overlap of the per-node loop, and the counts of entries
     that W / 2 in place of W, or the narrowest overlap, would move across
     the criterion."""
+    dens = mA / lA + mB / lB
     widths = [x_hi - x_lo for _, _, x_lo, x_hi in
-              _loop_u_nodes(U, lA, lB, offset, mA / lA + mB / lB, lambda a, b: 32)]
+              _loop_u_nodes(U, lA, lB, offset, dens, _package_orders(U, dens))]
     if not widths:
         return [], 0, 0
     W, narrow = max(widths), min(widths)
@@ -641,3 +652,135 @@ def test_cross_density_of_zero_density_builds_no_table(monkeypatch):
     val = cross_density_integral(U, np.zeros((3, 5)), np.ones(3), np.ones((3, 7)),
                                  np.ones(3), np.zeros(3))
     assert np.array_equal(val, np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# per-panel Gauss-Legendre orders: on a box, each u-panel takes the order
+# its oscillation needs; every other potential keeps 32 nodes on every panel
+
+
+def _fixed_u_nodes(U, ellA, ellB, offset, e, a, b, order):
+    """The u-nodes of a fixed 32-node rule on every panel, whatever order
+    asks: the node construction from before per-panel orders."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    u = (half[:, None] * x + mid[:, None]).ravel()
+    c = np.asarray(U(u), dtype=np.float64) * (half[:, None] * w).ravel()
+    e = np.repeat(e, 32)
+    x_lo = np.maximum(0.0, u + offset[e])
+    x_hi = np.minimum(ellA[e], u + offset[e] + ellB[e])
+    keep = (c != 0.0) & (x_hi > x_lo)
+    return e[keep], u[keep], c[keep], x_lo[keep], x_hi[keep]
+
+
+def test_each_order_reaches_its_cycle_limit():
+    # the rule of each order integrates exp(2 pi i c x) over a unit panel to
+    # 1e-15 at its cycle limit (32 nodes up to 9 cycles), and the next lower
+    # order does not, so no order could take a wider panel
+    orders = quadrature._ORDERS.tolist()
+    limits = quadrature._ORDER_CYCLES.tolist() + [9.0]
+    assert quadrature._MAX_CYCLES <= limits[-1]
+
+    def error(n, c):
+        x, w = quadrature._leggauss(n)
+        exact = np.exp(1j * np.pi * c) * np.sinc(c)
+        return abs(0.5 * w @ np.exp(1j * np.pi * c * (x + 1.0)) - exact)
+
+    for k, (n, c) in enumerate(zip(orders, limits)):
+        assert error(n, c) <= 1e-15, (n, c)
+        if k:
+            assert error(orders[k - 1], c) > 1e-13, (orders[k - 1], c)
+
+
+def test_panel_orders_follow_the_cycle_ladder():
+    cycles = np.array([0.0, 0.25, 0.2500001, 1.0, 1.5, 2.0, 5.9, 6.0, 6.0000001])
+    assert quadrature._panel_orders(BoxPotential(2.0, 0.5), cycles).tolist() == [
+        8, 8, 12, 12, 16, 16, 24, 24, 32]
+    for U in POTENTIALS[1:]:
+        assert quadrature._panel_orders(U, cycles).tolist() == [32] * len(cycles)
+
+
+def _box_cases(U):
+    """(ellA, mA, ellB, mB, offset, rows, cols) of box tables: self tables of
+    a few-body block, the pair band and the box ladder (every 13th frequency
+    and its neighbour at m = 171), and cross tables of free fills, singles
+    and pair densities, on the frequencies their densities use."""
+    cases = []
+    for ell, m in [(5.0, 6), (7.5, 56), (40.0, 171)]:
+        idx = np.arange(2 * m + 1)
+        if m > 100:
+            idx = np.union1d(np.union1d(idx[::13], idx[1::13]), idx[-2:])
+        cases.append((ell, m, ell, m, 0.0, idx, idx))
+    pair = {ell: cosine_coefficients(solve_two_body(U, ell, M=16).one_body_rdm())
+            for ell in (7.1, 8.4)}
+    for ell_a, a, ell_b, b, gap in [(6.3, 3, 4.1, 2, 0.0), (3.3, 1, 3.4, 1, 0.2),
+                                    (9.0, 1, 8.5, 1, 0.1), (3.0, 3, 3.2, 3, 0.0),
+                                    (7.1, "pair", 5.3, 3, 0.0), (4.2, 2, 8.4, "pair", 0.6),
+                                    (7.1, "pair", 8.4, "pair", 0.3)]:
+        ca, cb = (pair[ell] if q == "pair" else cosine_coefficients(np.eye(q))
+                  for ell, q in ((ell_a, a), (ell_b, b)))
+        rows, cols = np.flatnonzero(ca), np.flatnonzero(cb)
+        cases.append((ell_a, (rows[-1] + 1) // 2, ell_b, (cols[-1] + 1) // 2,
+                      ell_a + gap, rows, cols))
+    return cases
+
+
+def test_box_tables_match_a_96_node_reference(monkeypatch):
+    # the per-panel orders err by at most twice what 32 nodes on every panel
+    # err, and by at most 1e-14 of the table, against 96 nodes per panel.
+    # Both errors are round-off, so an error of a few ulps of the table
+    # (4 eps of its largest entry) counts as that floor
+    U = POTENTIALS[0]
+    orders = set()
+    for ellA, mA, ellB, mB, offset, rows, cols in _box_cases(U):
+        ref = _loop_frequency_table(U, ellA, mA, ellB, mB, offset, lambda a, b: 96, rows, cols)
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_u_nodes", _fixed_u_nodes)
+            fixed = frequency_table(U, ellA, mA, ellB, mB, offset, rows=rows, cols=cols)
+        J = frequency_table(U, ellA, mA, ellB, mB, offset, rows=rows, cols=cols)
+        scale = np.max(np.abs(ref))
+        err, err_32 = np.max(np.abs(J - ref)), np.max(np.abs(fixed - ref))
+        floor = 4.0 * np.finfo(float).eps * scale
+        assert err <= 2.0 * max(err_32, floor) and err <= 1e-14 * scale, (ellA, mA, ellB, mB)
+        dens = mA / ellA + mB / ellB
+        order = _package_orders(U, dens)
+        orders.update(order(a, b) for a, b in _loop_u_panels(
+            U, -offset - ellB, ellA - offset, (-offset, ellA - ellB - offset), dens=dens))
+    # the cases reach every order below 32
+    assert orders >= {8, 12, 16, 24}
+
+
+@pytest.mark.parametrize("U", POTENTIALS[1:], ids=_family)
+def test_tables_equal_a_fixed_32_node_build(U, monkeypatch):
+    # exp and poly keep 32 nodes on every panel: self, cross, stacked and
+    # subset tables are bit for bit those of the fixed rule
+    lA, lB, gap = _stacked_cases(U)
+    calls = [(7.5, 56, 7.5, 56, 0.0, None, None), (40.0, 50, 40.0, 50, 0.0, None, None),
+             (5.0, 6, 3.7, 5, 5.3, None, None), (lA, 3, lB, 7, lA + gap, None, None),
+             (lA, 5, lB, 2, lA + gap, np.array([0, 2, 4, 6, 10]), np.array([0, 2, 4])),
+             (lA, 5, lB, 2, lA + gap, np.array([1, 3, 10]), np.array([2, 4]))]
+    for ellA, mA, ellB, mB, offset, rows, cols in calls:
+        J = frequency_table(U, ellA, mA, ellB, mB, offset, rows=rows, cols=cols)
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_u_nodes", _fixed_u_nodes)
+            fixed = frequency_table(U, ellA, mA, ellB, mB, offset, rows=rows, cols=cols)
+        assert np.array_equal(J, fixed)
+
+
+@pytest.mark.parametrize("U", POTENTIALS, ids=_family)
+def test_zero_padding_leaves_cross_integrals_equal(U):
+    # zeros past a density's last non-zero coefficient (as the pair band's
+    # interpolant pads its densities) add no frequency and no u-node
+    c_pair = cosine_coefficients(solve_two_body(U, 7.3, M=16).one_body_rdm())
+    c_fill = cosine_coefficients(np.eye(2))
+    padded = np.pad(c_pair, (0, 80))
+    assert cross_density_integral(U, padded, 7.3, c_fill, 4.4, 0.3) == \
+        cross_density_integral(U, c_pair, 7.3, c_fill, 4.4, 0.3)
+    assert cross_density_integral(U, c_fill, 4.4, padded, 7.3, 0.0) == \
+        cross_density_integral(U, c_fill, 4.4, c_pair, 7.3, 0.0)
+    lA, lB, gap = _stacked_cases(U)
+    many = np.broadcast_to(c_pair, (len(lA), len(c_pair)))
+    fills = np.broadcast_to(c_fill, (len(lA), len(c_fill)))
+    assert np.array_equal(
+        cross_density_integral(U, np.pad(many, ((0, 0), (0, 30))), lA, fills, lB, gap),
+        cross_density_integral(U, many, lA, fills, lB, gap))

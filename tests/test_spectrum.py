@@ -248,6 +248,19 @@ def test_ids_closed_form_value():
     assert abs(ids_theoretical(E, mu) - expected) < 1e-14
 
 
+_PI_40 = decimal.Decimal("3.141592653589793238462643383279502884197")
+
+
+@pytest.mark.parametrize("E,mu", [(1e6, 1.0), (1e10, 1.0), (1e12, 0.1)])
+def test_ids_closed_form_at_high_energy(E, mu):
+    # mu l = mu pi / sqrt(E) is small here, so 1 - e^(-mu l) cancels; the
+    # reference is N(E) = mu / (e^(mu l) - 1) to 40 digits
+    with decimal.localcontext(decimal.Context(prec=40)):
+        x = decimal.Decimal(mu) * _PI_40 / decimal.Decimal(E).sqrt()
+        ref = float(decimal.Decimal(mu) / (x.exp() - 1))
+    assert ids_theoretical(E, mu) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
 def test_ids_empirical_convergence():
     cfg = sample_pieces(1, 1e5, 1.0)
     grid = np.linspace(0.1, 3.0, 30)
